@@ -17,6 +17,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .matrices import (
+    Factorization,
     PdInterval,
     QuadCoeffs,
     SymmetricMatrix,
@@ -47,6 +48,7 @@ from .independence import (
     EdgeDecision,
     EquivalenceReport,
     TestConfig,
+    critical_value,
     fisher_test,
     partial_correlation_test,
     run_edge_test,
@@ -84,6 +86,7 @@ __all__ = [
     "InsufficientSample",
     "NotPositiveDefinite",
     "SymmetricMatrix",
+    "Factorization",
     "QuadCoeffs",
     "PdInterval",
     "determinant",
@@ -112,6 +115,7 @@ __all__ = [
     "EdgeDecision",
     "EquivalenceReport",
     "threshold_reject",
+    "critical_value",
     "umpu_test",
     "umpu_raw_thresholds",
     "partial_correlation_test",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,16 +31,10 @@ from .errors import (
     InsufficientSample,
     NotPositiveDefinite,
 )
-from .estimators import Dataset, sample_covariance
+from .estimators import Dataset
 from .distributions import beta_sym_quantile, null_corr_quantile
-from .independence import (
-    METHODS,
-    TestConfig,
-    partial_correlation_test,
-    umpu_test,
-    verify_equivalence,
-)
-from .selection import CORRECTIONS, all_pairs, select_graph
+from .independence import METHODS, TestConfig, verify_equivalence
+from .selection import CORRECTIONS, _validated_covariance, all_pairs, select_graph
 from .simulate import (
     PrecisionSpec,
     estimate_power,
@@ -283,17 +277,13 @@ def _cmd_select(cfg: RunConfig) -> int:
 def _verify_one(s, i, j, n, alpha, inject: bool):
     report = verify_equivalence(s, i, j, n, alpha)
     if inject:
-        u = umpu_test(s, i, j, n, alpha)
-        pc = partial_correlation_test(s, i, j, n, alpha)
+        u, pc = report.umpu, report.partial_corr
         flipped = -u.statistic
-        gap = abs(flipped - pc.statistic)
-        same = (flipped <= u.lower or flipped >= u.upper) == pc.reject
-        report = type(report)(
-            statistic_gap=gap,
+        report = replace(
+            report,
+            statistic_gap=abs(flipped - pc.statistic),
             signed_gap=flipped - pc.statistic,
-            threshold_gap=report.threshold_gap,
-            same_decision=same,
-            raw_scale_agrees=report.raw_scale_agrees,
+            same_decision=(flipped <= u.lower or flipped >= u.upper) == pc.reject,
         )
     return report
 
@@ -302,11 +292,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     if cfg.input is not None:
         try:
             data = read_dataset_csv(cfg.input)
-            if data.n <= data.dim:
-                raise InsufficientSample(
-                    f"insufficient sample: need n > N, got n = {data.n}, N = {data.dim}"
-                )
-            s = sample_covariance(data)
+            s = _validated_covariance(data)
             instances = [
                 (s, i, j, data.n, cfg.alpha) for i, j in all_pairs(data.dim)
             ]
@@ -330,13 +316,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
         max_gap = max(max_gap, report.statistic_gap)
         max_threshold_gap = max(max_threshold_gap, report.threshold_gap)
         if cfg.input is not None:
-            u = umpu_test(s, i, j, n, alpha)
-            pc = partial_correlation_test(s, i, j, n, alpha)
+            pc = report.partial_corr
             rows.append(
                 {
                     "i": i,
                     "j": j,
-                    "t": u.statistic,
+                    "t": report.umpu.statistic,
                     "r": pc.statistic,
                     "lower": pc.lower,
                     "upper": pc.upper,

@@ -109,15 +109,20 @@ def reg_inc_beta(x: float, p: float, q: float) -> float:
 
 _BISECT_WIDTH = 1e-13
 
+# Entries kept by the quantile cache.  A long-lived process that sees many
+# (level, n) pairs, such as Holm levels over many datasets, would otherwise
+# grow it without bound.
+QUANTILE_CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=QUANTILE_CACHE_SIZE)
 def beta_sym_quantile(prob: float, m: float) -> float:
     """Quantile q of the symmetric Beta(m, m) law: I_q(m, m) = prob.
 
     Bracketed bisection to width 1e-13 followed by one secant polish, so
     |I_q - prob| <= 1e-12.  Monotone in prob, with q(1 - p) = 1 - q(p)
-    exact by construction.  Cached, since test thresholds reuse the same
-    (prob, m) pairs heavily.
+    exact by construction.  Cached (the QUANTILE_CACHE_SIZE most recent
+    pairs), since test thresholds reuse the same (prob, m) pairs heavily.
     """
     _check_shape(m, "shape")
     if not (isinstance(prob, (int, float)) and 0.0 < prob < 1.0):

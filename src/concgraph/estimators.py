@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEdge, DomainError, NotPositiveDefinite
-from .matrices import (
-    SymmetricMatrix,
-    _check_offdiagonal,
-    cofactor,
-    first_nonpositive_pivot,
-)
+from .errors import DomainError, NotPositiveDefinite
+from .matrices import Factorization, SymmetricMatrix, _check_offdiagonal
 
 __all__ = ["Dataset", "sample_covariance", "sample_partial_correlation"]
 
@@ -67,7 +61,7 @@ def sample_covariance(data: Dataset) -> SymmetricMatrix:
     The result may be singular or indefinite (e.g. constant columns or
     n <= N); downstream consumers validate positive definiteness.  All
     derived partial correlations are invariant to the 1/n versus 1/(n-1)
-    choice, since cofactor ratios are homogeneous of degree zero.
+    choice, since they are invariant to the scale of each variable.
     """
     x = data.values
     centered = x - x.mean(axis=0)
@@ -76,28 +70,27 @@ def sample_covariance(data: Dataset) -> SymmetricMatrix:
     return SymmetricMatrix(s)
 
 
-def _partial_correlation_unchecked(s: SymmetricMatrix, i: int, j: int) -> float:
-    c_ij = cofactor(s, i, j)
-    denom = cofactor(s, i, i) * cofactor(s, j, j)
-    if denom <= 0.0:
-        raise DegenerateEdge(
-            f"cofactor product for edge ({i}, {j}) is not positive"
+def _pd_factorization(s: SymmetricMatrix) -> Factorization:
+    """The factorization of s, which must be positive definite."""
+    factorization = s.factorization
+    if factorization.pivot is not None:
+        raise NotPositiveDefinite(
+            "covariance matrix is not positive definite "
+            f"(pivot {factorization.pivot} fails)"
         )
-    return -c_ij / math.sqrt(denom)
+    return factorization
 
 
 def sample_partial_correlation(s: SymmetricMatrix, i: int, j: int) -> float:
     """Sample partial correlation of variables i and j given all others:
 
-        r_ij = -C_ij / sqrt(C_ii * C_jj)
+        r_ij = -K_ij / sqrt(K_ii * K_jj)
 
-    with C_kl the cofactors of the covariance matrix.  Requires a positive
-    definite covariance matrix; |r| < 1 then holds automatically.
+    with K the inverse of the correlation-scaled covariance matrix, read
+    from the matrix's one factorization.  This equals -C_ij / sqrt(C_ii
+    C_jj) with C_kl the cofactors of S; cofactors remain only to verify
+    that identity.  Requires a positive definite covariance matrix;
+    |r| < 1 then holds automatically.
     """
     _check_offdiagonal(s.dim, i, j)
-    pivot = first_nonpositive_pivot(s)
-    if pivot is not None:
-        raise NotPositiveDefinite(
-            f"covariance matrix is not positive definite (pivot {pivot} fails)"
-        )
-    return _partial_correlation_unchecked(s, i, j)
+    return float(_pd_factorization(s).partial_correlations[i, j])

@@ -16,7 +16,11 @@ given all others" for Gaussian data, all two-sided at level alpha:
 
 The standardized statistic t equals r identically, so the first two tests
 always produce the same decision; ``verify_equivalence`` measures this
-numerically and is wired into the CLI as a regression check.
+numerically and is wired into the CLI as a regression check.  r and the
+positive-definiteness check come from the covariance matrix's one
+correlation-scaled factorization, so testing every pair costs one O(N^3)
+factorization in total; ``umpu`` still standardizes s_ij through the
+determinant quadratic, the route that check compares against.
 
 Rejection regions are closed: a statistic exactly at a threshold rejects.
 """
@@ -33,13 +37,13 @@ from .distributions import (
     null_corr_quantile,
     std_normal_quantile,
 )
-from .errors import DomainError, InsufficientSample, NotPositiveDefinite
-from .estimators import _partial_correlation_unchecked
+from .errors import DomainError, InsufficientSample
+from .estimators import _pd_factorization
 from .matrices import (
+    Factorization,
     SymmetricMatrix,
     _check_offdiagonal,
     edge_statistic,
-    first_nonpositive_pivot,
     pd_interval,
     quadratic_decomposition,
 )
@@ -50,6 +54,7 @@ __all__ = [
     "EdgeDecision",
     "EquivalenceReport",
     "threshold_reject",
+    "critical_value",
     "umpu_test",
     "umpu_raw_thresholds",
     "partial_correlation_test",
@@ -103,13 +108,15 @@ class EdgeDecision:
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Numerical comparison of the umpu and partial-correlation tests on
-    one instance."""
+    one instance, with both decisions."""
 
     statistic_gap: float
     signed_gap: float
     threshold_gap: float
     same_decision: bool
     raw_scale_agrees: bool
+    umpu: EdgeDecision
+    partial_corr: EdgeDecision
 
 
 def threshold_reject(statistic: float, lower: float, upper: float) -> bool:
@@ -117,9 +124,21 @@ def threshold_reject(statistic: float, lower: float, upper: float) -> bool:
     return statistic <= lower or statistic >= upper
 
 
+def critical_value(method: str, n: int, dim: int, alpha: float) -> float:
+    """Upper threshold c of a method's symmetric acceptance region (-c, c)
+    at level alpha.
+
+    ``umpu`` and ``partial_corr`` share c = 1 - 2q, q the (alpha/2)-quantile
+    of Beta((n-N)/2, (n-N)/2); ``fisher`` uses the normal quantile.
+    """
+    if method == "fisher":
+        return std_normal_quantile(1.0 - alpha / 2.0)
+    return null_corr_quantile(alpha, n, dim)
+
+
 def _validate_test_inputs(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
-) -> None:
+) -> Factorization:
     _check_offdiagonal(s.dim, i, j)
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
         raise DomainError(f"significance level must lie in (0, 1), got {alpha!r}")
@@ -129,11 +148,7 @@ def _validate_test_inputs(
         raise InsufficientSample(
             f"insufficient sample: need n > N, got n = {n}, N = {s.dim}"
         )
-    pivot = first_nonpositive_pivot(s)
-    if pivot is not None:
-        raise NotPositiveDefinite(
-            f"covariance matrix is not positive definite (pivot {pivot} fails)"
-        )
+    return _pd_factorization(s)
 
 
 def _exact_p_value(statistic: float, n: int, dim: int) -> float:
@@ -191,10 +206,10 @@ def umpu_raw_thresholds(
 def partial_correlation_test(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> EdgeDecision:
-    """Exact two-sided test of the sample partial correlation."""
-    _validate_test_inputs(s, i, j, n, alpha)
-    r = _partial_correlation_unchecked(s, i, j)
-    c = null_corr_quantile(alpha, n, s.dim)
+    """Exact two-sided test of the sample partial correlation, read from
+    the covariance matrix's one factorization."""
+    r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
+    c = critical_value("partial_corr", n, s.dim, alpha)
     return EdgeDecision(
         i=i,
         j=j,
@@ -213,12 +228,12 @@ def fisher_test(
     """Asymptotic z-transformation test.
 
     z = (sqrt(n)/2) ln((1+r)/(1-r)) compared against the standard normal
-    quantile; the p-value is asymptotic.
+    quantile; the p-value is asymptotic.  r comes from the covariance
+    matrix's one factorization.
     """
-    _validate_test_inputs(s, i, j, n, alpha)
-    r = _partial_correlation_unchecked(s, i, j)
+    r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
     z = fisher_z(r, n)
-    zc = std_normal_quantile(1.0 - alpha / 2.0)
+    zc = critical_value("fisher", n, s.dim, alpha)
     return EdgeDecision(
         i=i,
         j=j,
@@ -251,6 +266,8 @@ def verify_equivalence(
         threshold_gap=abs(u.upper - pc.upper),
         same_decision=u.reject == pc.reject,
         raw_scale_agrees=raw_reject == u.reject,
+        umpu=u,
+        partial_corr=pc,
     )
 
 

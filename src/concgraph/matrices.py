@@ -1,8 +1,15 @@
 """Symmetric-matrix algebra.
 
-Determinants, cofactors and positive definiteness for real symmetric
-matrices, plus the quadratic behaviour of the determinant when a single
-off-diagonal pair of entries is treated as a free variable.  Writing
+Every matrix carries one correlation-scaled factorization, computed on
+first use: S is standardized to R = D^-1/2 S D^-1/2 with D = diag S, and
+one sweep over the pivots of R both checks positive definiteness and
+yields R^-1, from which every partial correlation follows as
+r_ij = -K_ij / sqrt(K_ii K_jj) with K = R^-1.  Partial correlations are
+invariant to the scale of each variable, and so is the factorization.
+
+Determinants and cofactors remain for the verification route: the
+quadratic behaviour of the determinant when a single off-diagonal pair of
+entries is treated as a free variable.  Writing
 ``M(x)`` for the matrix with entries (i, j) and (j, i) replaced by x,
 
     det M(x) = -a x**2 + b x + c
@@ -24,6 +31,7 @@ from .errors import DegenerateEdge, DomainError
 
 __all__ = [
     "SymmetricMatrix",
+    "Factorization",
     "QuadCoeffs",
     "PdInterval",
     "determinant",
@@ -37,9 +45,57 @@ __all__ = [
     "sylvester_residual",
 ]
 
-# Pivots at or below RELATIVE_PIVOT_FLOOR * trace are treated as failures,
-# so behaviour near singularity is deterministic.
-RELATIVE_PIVOT_FLOOR = 1e-12
+# Pivots of the correlation-scaled matrix at or below PIVOT_FLOOR are
+# treated as failures, so behaviour near singularity is deterministic.  The
+# scaled matrix has a unit diagonal, so the floor is relative to it and does
+# not depend on the units of the variables.
+PIVOT_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Correlation-scaled factorization of a symmetric matrix.
+
+    ``pivot`` is the index of the first pivot of R at or below
+    PIVOT_FLOOR, or None when the matrix is positive definite.
+    ``partial_correlations`` is then the write-locked N x N array whose
+    off-diagonal entry (i, j) is r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1;
+    it is None when the matrix is not positive definite.
+    """
+
+    pivot: int | None
+    partial_correlations: np.ndarray | None
+
+
+def _factorize(entries: np.ndarray) -> Factorization:
+    """Sweep the pivots of R = D^-1/2 S D^-1/2 in order.
+
+    Sweeping pivot k replaces the unswept block by its Schur complement,
+    so the pivots are those of the symmetric triangular decomposition;
+    after all N sweeps the array holds -R^-1.  A nonpositive diagonal
+    entry is left unscaled: its pivot cannot exceed it, so the sweep
+    fails there or earlier.
+    """
+    diag = np.diag(entries)
+    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    a = entries / scale[:, None] / scale[None, :]
+    for k in range(a.shape[0]):
+        piv = a[k, k]
+        # Written so that a NaN pivot fails as well.
+        if not piv > PIVOT_FLOOR:
+            return Factorization(pivot=k, partial_correlations=None)
+        row = a[k].copy()
+        a -= np.outer(row, row) / piv
+        a[k, :] = row / piv
+        a[:, k] = row / piv
+        a[k, k] = -1.0 / piv
+    # a = -K.  Sweeping k writes row k into column k and updates the rest
+    # by a symmetric outer product, so once every pivot is swept a is
+    # exactly symmetric and r_ij == r_ji bit for bit.
+    root = np.sqrt(-np.diag(a))
+    partial = a / np.outer(root, root)
+    partial.setflags(write=False)
+    return Factorization(pivot=None, partial_correlations=partial)
 
 
 class SymmetricMatrix:
@@ -47,10 +103,13 @@ class SymmetricMatrix:
 
     Symmetry is exact (entry for entry) and enforced at construction, as is
     finiteness of every entry.  The wrapped array is write-locked, so values
-    are safe to share between threads.
+    are safe to share between threads.  The correlation-scaled
+    factorization is computed on first use and kept; it is a pure function
+    of the entries, so two threads that race to compute it store equal
+    values.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_factorization")
 
     def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=float)
@@ -64,6 +123,7 @@ class SymmetricMatrix:
             raise DomainError("matrix must be exactly symmetric")
         arr.setflags(write=False)
         self._entries = arr
+        self._factorization: Factorization | None = None
 
     @property
     def dim(self) -> int:
@@ -73,6 +133,13 @@ class SymmetricMatrix:
     def entries(self) -> np.ndarray:
         """Read-only view of the underlying array."""
         return self._entries
+
+    @property
+    def factorization(self) -> Factorization:
+        """The correlation-scaled factorization, computed once."""
+        if self._factorization is None:
+            self._factorization = _factorize(self._entries)
+        return self._factorization
 
     def with_edge(self, i: int, j: int, x: float) -> "SymmetricMatrix":
         """Copy of the matrix with entries (i, j) and (j, i) replaced by x."""
@@ -161,27 +228,15 @@ def cofactor(m: SymmetricMatrix, k: int, l: int) -> float:
 
 
 def first_nonpositive_pivot(m: SymmetricMatrix) -> int | None:
-    """Index of the first failing pivot of the symmetric triangular
-    decomposition, or None when the matrix is positive definite.
+    """Index of the first failing pivot of the correlation-scaled matrix
+    R = D^-1/2 M D^-1/2, or None when the matrix is positive definite.
 
-    Pivots are the ratios of consecutive leading principal minors.  A pivot
-    at or below ``RELATIVE_PIVOT_FLOOR * trace`` counts as a failure, which
-    keeps decisions deterministic for matrices that are numerically on the
-    boundary.
+    Read from the matrix's one factorization.  A pivot of R at or below
+    PIVOT_FLOOR counts as a failure, which keeps decisions deterministic
+    for matrices that are numerically on the boundary; since R has a unit
+    diagonal, rescaling a variable cannot move the decision.
     """
-    a = np.array(m.entries)
-    trace = float(np.trace(a))
-    # A positive definite matrix has positive trace; with trace <= 0 the
-    # floor degenerates to 0 and the sweep below still finds a bad pivot.
-    floor = RELATIVE_PIVOT_FLOOR * trace if trace > 0.0 else 0.0
-    n = m.dim
-    for k in range(n):
-        piv = a[k, k]
-        if piv <= floor:
-            return k
-        if k + 1 < n:
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / piv, a[k, k + 1 :])
-    return None
+    return m.factorization.pivot
 
 
 def is_positive_definite(m: SymmetricMatrix) -> bool:

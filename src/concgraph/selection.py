@@ -3,11 +3,17 @@ edges whose null is rejected."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, InsufficientSample, NotPositiveDefinite
 from .estimators import Dataset, sample_covariance
-from .independence import EdgeDecision, TestConfig, run_edge_test
+from .independence import (
+    EdgeDecision,
+    TestConfig,
+    critical_value,
+    run_edge_test,
+    threshold_reject,
+)
 from .matrices import SymmetricMatrix, first_nonpositive_pivot
 
 __all__ = [
@@ -64,7 +70,7 @@ def _holm_levels(pvalues: list[float], alpha: float) -> list[float]:
 
     Edges rejected by Holm get the level they were compared against; once
     the step-down stops, every remaining edge keeps the stopping level, so
-    re-testing each edge at its own level reproduces the Holm decisions.
+    deciding each edge at its own level reproduces the Holm decisions.
     """
     count = len(pvalues)
     order = sorted(range(count), key=lambda k: (pvalues[k], k))
@@ -78,16 +84,44 @@ def _holm_levels(pvalues: list[float], alpha: float) -> list[float]:
     return levels
 
 
+def _holm_decisions(
+    decisions: tuple[EdgeDecision, ...], config: TestConfig, n: int, dim: int
+) -> tuple[EdgeDecision, ...]:
+    """Re-decide edges tested at config.alpha at their Holm levels.
+
+    A statistic and its p-value do not depend on the level, so each edge
+    needs only the critical value of its level, computed once per
+    distinct level.
+    """
+    levels = _holm_levels([d.p_value for d in decisions], config.alpha)
+    critical = {
+        level: critical_value(config.method, n, dim, level)
+        for level in dict.fromkeys(levels)
+    }
+    decided = []
+    for d, level in zip(decisions, levels):
+        c = critical[level]
+        decided.append(
+            replace(d, lower=-c, upper=c, reject=threshold_reject(d.statistic, -c, c))
+        )
+    return tuple(decided)
+
+
 def select_graph(
     data: Dataset, config: TestConfig, correction: str = "none"
 ) -> ConcentrationGraph:
     """Test every pair at the (possibly corrected) level and assemble the
     estimated concentration graph.
 
-    With correction "none" each edge is tested at exactly config.alpha;
-    "bonferroni" divides alpha by the number of pairs; "holm" applies the
-    step-down procedure.  The corrections are standard plumbing for
-    multiple testing, outside the per-edge optimality statement.
+    Every pair is tested once.  The positive-definiteness check and every
+    partial correlation come from one correlation-scaled factorization of
+    the sample covariance, so the graph costs one O(N^3) factorization
+    however many pairs there are, and rescaling a variable changes no
+    decision.  With correction "none" each edge is tested at exactly
+    config.alpha; "bonferroni" divides alpha by the number of pairs;
+    "holm" applies the step-down procedure to the p-values and decides
+    each edge at its Holm level.  The corrections are standard plumbing
+    for multiple testing, outside the per-edge optimality statement.
     """
     if correction not in CORRECTIONS:
         raise DomainError(
@@ -95,21 +129,14 @@ def select_graph(
         )
     s = _validated_covariance(data)
     pairs = all_pairs(data.dim)
-    count = len(pairs)
-    if correction == "none" or count <= 1:
-        levels = [config.alpha] * count
-    elif correction == "bonferroni":
-        levels = [config.alpha / count] * count
-    else:
-        pvalues = [
-            run_edge_test(config.method, s, i, j, data.n, config.alpha).p_value
-            for i, j in pairs
-        ]
-        levels = _holm_levels(pvalues, config.alpha)
+    level = config.alpha
+    if correction == "bonferroni" and len(pairs) > 1:
+        level = config.alpha / len(pairs)
     decisions = tuple(
-        run_edge_test(config.method, s, i, j, data.n, level)
-        for (i, j), level in zip(pairs, levels)
+        run_edge_test(config.method, s, i, j, data.n, level) for i, j in pairs
     )
+    if correction == "holm":
+        decisions = _holm_decisions(decisions, config, data.n, data.dim)
     edges = frozenset((d.i, d.j) for d in decisions if d.reject)
     return ConcentrationGraph(names=data.names, edges=edges, decisions=decisions)
 

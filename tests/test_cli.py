@@ -5,6 +5,7 @@ import pytest
 
 from concgraph import (
     PrecisionSpec,
+    SymmetricMatrix,
     TestConfig,
     estimate_size,
     sample_gaussian,
@@ -163,6 +164,37 @@ class TestSelectCommand:
         code = main(["select", "--input", str(p)])
         assert code == 2
         assert "positive definite" in capsys.readouterr().err
+
+    def test_raw_unit_csv_gives_the_same_edges(self, tmp_path, capsys):
+        # half the columns x 1e5 and half x 1e-5, each shifted: once a false
+        # NotPositiveDefinite under a trace-relative pivot floor
+        k = np.eye(40)
+        idx = np.arange(39)
+        k[idx, idx + 1] = k[idx + 1, idx] = -0.3
+        data = sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), 160, seed=4)
+        scales = np.repeat([1e5, 1e-5], 20)
+        shifts = scales * np.linspace(-50.0, 50.0, 40)
+        docs = []
+        for name, values in (("std", data.values), ("raw", data.values * scales + shifts)):
+            path = tmp_path / f"{name}.csv"
+            write_csv(path, data.names, values.tolist())
+            assert main(["select", "--input", str(path)]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        std, raw = docs
+        assert std["edges"]
+        assert raw["edges"] == std["edges"]
+        assert [d["reject"] for d in raw["decisions"]] == [d["reject"] for d in std["decisions"]]
+
+    @pytest.mark.parametrize("command", ["select", "verify"])
+    def test_duplicated_column_exit_2_names_the_variable(self, tmp_path, capsys, command):
+        x = np.random.default_rng(2).standard_normal((20, 3))
+        rows = np.column_stack([x, x[:, 1]]).tolist()
+        p = tmp_path / "dup.csv"
+        write_csv(p, ("a", "b", "c", "d"), rows)
+        assert main([command, "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "positive definite" in err
+        assert "variable 'd'" in err
 
     def test_missing_input_flag_exit_1(self, capsys):
         assert main(["select"]) == 1

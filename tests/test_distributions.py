@@ -19,6 +19,7 @@ from concgraph import (
     std_normal_cdf,
     std_normal_quantile,
 )
+from concgraph.distributions import QUANTILE_CACHE_SIZE
 
 SHAPES = (0.5, 1.0, 1.5, 2.0, 5.0, 10.0, 24.5)
 PROBS = (0.005, 0.025, 0.05, 0.25)
@@ -90,6 +91,14 @@ class TestBetaSymQuantile:
     @pytest.mark.parametrize("m", SHAPES)
     def test_median_exact(self, m):
         assert beta_sym_quantile(0.5, m) == 0.5
+
+    def test_cache_is_bounded(self):
+        # prob = 1/2 returns at once, so overfilling the cache is cheap
+        for k in range(QUANTILE_CACHE_SIZE + 10):
+            beta_sym_quantile(0.5, 1.0 + k)
+        info = beta_sym_quantile.cache_info()
+        assert info.maxsize == QUANTILE_CACHE_SIZE
+        assert info.currsize <= QUANTILE_CACHE_SIZE
 
     def test_cubic_root_case(self):
         # I_q(2, 2) = 3q**2 - 2q**3 = 0.025: real root in (0, 1)

@@ -82,11 +82,22 @@ class TestPositiveDefinite:
         assert first_nonpositive_pivot(SymmetricMatrix([[-1.0]])) == 0
         assert first_nonpositive_pivot(WORKED) is None
 
-    def test_pivot_floor_relative_to_trace(self):
-        # second pivot 1e-13 is below 1e-12 * trace -> not positive definite
-        assert not is_positive_definite(SymmetricMatrix(np.diag([1.0, 1e-13])))
+    def test_pivot_floor_relative_to_unit_diagonal(self):
+        # correlation matrices: the second pivot is 1 - rho**2
+        def corr(second_pivot):
+            rho = math.sqrt(1.0 - second_pivot)
+            return SymmetricMatrix([[1.0, rho], [rho, 1.0]])
+
+        # second pivot 1e-13 is below the 1e-12 floor -> not positive definite
+        assert first_nonpositive_pivot(corr(1e-13)) == 1
         # second pivot 1e-11 clears the floor
-        assert is_positive_definite(SymmetricMatrix(np.diag([1.0, 1e-11])))
+        assert is_positive_definite(corr(1e-11))
+        # the floor applies after scaling to a unit diagonal, so a small
+        # variance alone is no failure and rescaling moves no decision
+        assert is_positive_definite(SymmetricMatrix(np.diag([1.0, 1e-13])))
+        scale = np.outer([1e4, 1e-4], [1e4, 1e-4])
+        assert first_nonpositive_pivot(SymmetricMatrix(scale * corr(1e-13).entries)) == 1
+        assert is_positive_definite(SymmetricMatrix(scale * corr(1e-11).entries))
 
     def test_negative_trace_not_pd(self):
         assert not is_positive_definite(SymmetricMatrix(np.diag([-1.0, -2.0])))

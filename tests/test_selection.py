@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from concgraph import (
+    CORRECTIONS,
     Dataset,
     DomainError,
     InsufficientSample,
     NotPositiveDefinite,
+    PrecisionSpec,
     SymmetricMatrix,
     TestConfig,
     all_pairs,
     edge_pvalues,
     run_edge_test,
     sample_covariance,
+    sample_gaussian,
     select_graph,
 )
 
@@ -184,3 +189,122 @@ class TestEdgePvalues:
         data = Dataset(values=rng.standard_normal((3, 4)), names=tuple("abcd"))
         with pytest.raises(InsufficientSample):
             edge_pvalues(data, "partial_corr")
+
+
+def chain_dataset(dim=40, n=160, seed=0):
+    """Gaussian sample from a unit-diagonal chain precision with partial
+    correlation 0.3 between neighbours."""
+    k = np.eye(dim)
+    idx = np.arange(dim - 1)
+    k[idx, idx + 1] = k[idx + 1, idx] = -0.3
+    return sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), n, seed=seed)
+
+
+# Column scales that broke per-edge cofactors and a trace-relative pivot
+# floor: determinants underflowed (1e-4), overflowed to NaN (1e4), or the
+# small-variance half failed the floor (1e5 / 1e-5).
+RESCALINGS = {
+    "all-1e-4": np.full(40, 1e-4),
+    "all-1e4": np.full(40, 1e4),
+    "half-1e5-half-1e-5": np.repeat([1e5, 1e-5], 20),
+}
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("name", sorted(RESCALINGS))
+    def test_rescaled_columns_keep_the_graph(self, name):
+        data = chain_dataset()
+        scaled = Dataset(values=data.values * RESCALINGS[name], names=data.names)
+        cfg = TestConfig(alpha=0.05)
+        base = select_graph(data, cfg)
+        got = select_graph(scaled, cfg)
+        assert base.edges  # the chain is detected, so the check has teeth
+        assert got.edges == base.edges
+        assert [d.reject for d in got.decisions] == [d.reject for d in base.decisions]
+        gap = max(abs(a.statistic - b.statistic) for a, b in zip(got.decisions, base.decisions))
+        assert gap <= 1e-12
+
+
+@st.composite
+def mixed_datasets(draw):
+    """Correlated Gaussian data: independent normals mixed by a unit lower
+    triangular matrix, which is never singular."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    dim = draw(st.integers(3, 7))
+    n = draw(st.integers(dim + 3, 6 * dim))
+    rng = np.random.default_rng(seed)
+    mix = np.tril(rng.uniform(-1.0, 1.0, size=(dim, dim)), -1) + np.eye(dim)
+    values = rng.standard_normal((n, dim)) @ mix.T
+    return Dataset(values=values, names=tuple(f"v{k}" for k in range(dim)))
+
+
+# The umpu statistic is standardized through the raw-scale determinant
+# quadratic, which is not scale-invariant in floating point; the
+# properties below cover the tests that read the factorization.
+FACTORIZED_METHODS = ("partial_corr", "fisher")
+
+
+class TestInvarianceProperties:
+    @given(
+        data=mixed_datasets(),
+        exponents=st.lists(st.floats(-8.0, 8.0), min_size=7, max_size=7),
+        offsets=st.lists(st.floats(-100.0, 100.0), min_size=7, max_size=7),
+        method=st.sampled_from(FACTORIZED_METHODS),
+        correction=st.sampled_from(CORRECTIONS),
+    )
+    @settings(max_examples=60)
+    def test_scaling_and_shifting_keep_every_decision(
+        self, data, exponents, offsets, method, correction
+    ):
+        scales = 10.0 ** np.array(exponents[: data.dim])
+        shifts = scales * np.array(offsets[: data.dim])
+        moved = Dataset(values=data.values * scales + shifts, names=data.names)
+        cfg = TestConfig(alpha=0.1, method=method)
+        base = select_graph(data, cfg, correction)
+        got = select_graph(moved, cfg, correction)
+        assert [d.reject for d in got.decisions] == [d.reject for d in base.decisions]
+        for a, b in zip(got.decisions, base.decisions):
+            assert a.statistic == pytest.approx(b.statistic, abs=1e-9)
+
+    @given(data=mixed_datasets(), column=st.integers(0, 6))
+    @settings(max_examples=40)
+    def test_sign_flip_flips_r_on_the_column_edges(self, data, column):
+        column %= data.dim
+        flipped = np.array(data.values)
+        flipped[:, column] *= -1.0
+        cfg = TestConfig(alpha=0.1)
+        base = select_graph(data, cfg)
+        got = select_graph(Dataset(values=flipped, names=data.names), cfg)
+        for a, b in zip(got.decisions, base.decisions):
+            sign = -1.0 if column in (a.i, a.j) else 1.0
+            assert a.statistic == pytest.approx(sign * b.statistic, abs=1e-14)
+            assert a.reject == b.reject
+
+    @given(data=mixed_datasets(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_permuting_variables_permutes_the_graph(self, data, seed):
+        perm = np.random.default_rng(seed).permutation(data.dim)
+        permuted = Dataset(
+            values=data.values[:, perm], names=tuple(data.names[k] for k in perm)
+        )
+        cfg = TestConfig(alpha=0.1)
+        base = select_graph(data, cfg, "holm")
+        got = select_graph(permuted, cfg, "holm")
+        original = {(d.i, d.j): d for d in base.decisions}
+        for d in got.decisions:
+            old = original[tuple(sorted((int(perm[d.i]), int(perm[d.j]))))]
+            assert d.statistic == pytest.approx(old.statistic, abs=1e-12)
+            assert d.reject == old.reject
+
+    @given(data=mixed_datasets(), alpha=st.floats(0.01, 0.9))
+    @settings(max_examples=40)
+    def test_holm_from_levels_equals_holm_from_pvalues(self, data, alpha):
+        graph = select_graph(data, TestConfig(alpha=alpha), "holm")
+        pvalues = [d.p_value for d in graph.decisions]
+        count = len(pvalues)
+        expected = [False] * count
+        for rank, k in enumerate(sorted(range(count), key=lambda k: (pvalues[k], k))):
+            if pvalues[k] > alpha / (count - rank):
+                break
+            expected[k] = True
+        assert [d.reject for d in graph.decisions] == expected

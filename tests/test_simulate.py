@@ -279,3 +279,32 @@ class TestNullLawTransform:
         m = (n - 5) / 2.0
         d = ks_statistic((1.0 + rs) / 2.0, lambda u: reg_inc_beta(u, m, m))
         assert d <= 1.62762 / math.sqrt(reps)
+
+
+class TestPinnedCounts:
+    """Rejection counts and KS statistic of fixed-seed runs, recorded
+    before partial correlations moved from per-edge cofactors to one
+    correlation-scaled factorization.  The counts must not move; the KS
+    statistic may shift only in its last bits."""
+
+    def test_size_run(self):
+        report = estimate_size(
+            PrecisionSpec.identity(5), 25, 0.05,
+            ("umpu", "partial_corr", "fisher"), reps=1000, seed=11,
+        )
+        counts = {name: o.rejections for name, o in report.per_method.items()}
+        assert counts == {"umpu": 68, "partial_corr": 68, "fisher": 111}
+        assert dict(report.agreement) == {
+            "umpu~partial_corr": 1.0,
+            "umpu~fisher": 0.957,
+            "partial_corr~fisher": 0.957,
+        }
+        assert abs(report.ks_statistic - 0.023670682807958365) <= 1e-12
+
+    def test_power_run(self):
+        report = estimate_power(
+            PrecisionSpec.single_edge(5, 0, 1, 0.3), 50, 0.05,
+            "partial_corr", reps=1000, seed=12,
+        )
+        assert report.per_method["partial_corr"].rejections == 554
+        assert report.null_rate == 0.057
