@@ -17,7 +17,6 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .matrices import (
-    Factorization,
     PdInterval,
     QuadCoeffs,
     SymmetricMatrix,
@@ -48,7 +47,6 @@ from .independence import (
     EdgeDecision,
     EquivalenceReport,
     TestConfig,
-    critical_value,
     fisher_test,
     partial_correlation_test,
     run_edge_test,
@@ -86,7 +84,6 @@ __all__ = [
     "InsufficientSample",
     "NotPositiveDefinite",
     "SymmetricMatrix",
-    "Factorization",
     "QuadCoeffs",
     "PdInterval",
     "determinant",
@@ -115,7 +112,6 @@ __all__ = [
     "EdgeDecision",
     "EquivalenceReport",
     "threshold_reject",
-    "critical_value",
     "umpu_test",
     "umpu_raw_thresholds",
     "partial_correlation_test",

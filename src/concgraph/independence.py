@@ -19,8 +19,11 @@ always produce the same decision; ``verify_equivalence`` measures this
 numerically and is wired into the CLI as a regression check.  r and the
 positive-definiteness check come from the covariance matrix's one
 correlation-scaled factorization, so testing every pair costs one O(N^3)
-factorization in total; ``umpu`` still standardizes s_ij through the
-determinant quadratic, the route that check compares against.
+factorization in total.  ``umpu`` standardizes the entry R_ij of the
+correlation-scaled matrix R through the determinant quadratic of R, the
+route that check compares against; the scaling leaves t unchanged, since
+t == r, and keeps the quadratic well conditioned whatever the units of
+the variables.
 
 Rejection regions are closed: a statistic exactly at a threshold rejects.
 """
@@ -54,7 +57,6 @@ __all__ = [
     "EdgeDecision",
     "EquivalenceReport",
     "threshold_reject",
-    "critical_value",
     "umpu_test",
     "umpu_raw_thresholds",
     "partial_correlation_test",
@@ -124,18 +126,6 @@ def threshold_reject(statistic: float, lower: float, upper: float) -> bool:
     return statistic <= lower or statistic >= upper
 
 
-def critical_value(method: str, n: int, dim: int, alpha: float) -> float:
-    """Upper threshold c of a method's symmetric acceptance region (-c, c)
-    at level alpha.
-
-    ``umpu`` and ``partial_corr`` share c = 1 - 2q, q the (alpha/2)-quantile
-    of Beta((n-N)/2, (n-N)/2); ``fisher`` uses the normal quantile.
-    """
-    if method == "fisher":
-        return std_normal_quantile(1.0 - alpha / 2.0)
-    return null_corr_quantile(alpha, n, dim)
-
-
 def _validate_test_inputs(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> Factorization:
@@ -167,12 +157,16 @@ def umpu_test(
     :func:`umpu_raw_thresholds`; the standardized form is authoritative
     because it stays well conditioned when the feasible interval is short.
     p-values use the exact null law of r, legitimate because t == r.
+
+    t is computed on the correlation-scaled matrix R of the covariance
+    matrix's factorization, so it does not depend on the units of the
+    variables.
     """
-    _validate_test_inputs(s, i, j, n, alpha)
-    coeffs = quadratic_decomposition(s, i, j)
+    r = _validate_test_inputs(s, i, j, n, alpha).correlation
+    coeffs = quadratic_decomposition(r, i, j)
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
     upper = 1.0 - 2.0 * q
-    statistic = edge_statistic(coeffs, float(s.entries[i, j]))
+    statistic = edge_statistic(coeffs, float(r.entries[i, j]))
     return EdgeDecision(
         i=i,
         j=j,
@@ -209,7 +203,7 @@ def partial_correlation_test(
     """Exact two-sided test of the sample partial correlation, read from
     the covariance matrix's one factorization."""
     r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
-    c = critical_value("partial_corr", n, s.dim, alpha)
+    c = null_corr_quantile(alpha, n, s.dim)
     return EdgeDecision(
         i=i,
         j=j,
@@ -233,7 +227,7 @@ def fisher_test(
     """
     r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
     z = fisher_z(r, n)
-    zc = critical_value("fisher", n, s.dim, alpha)
+    zc = std_normal_quantile(1.0 - alpha / 2.0)
     return EdgeDecision(
         i=i,
         j=j,

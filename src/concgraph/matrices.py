@@ -7,10 +7,11 @@ yields R^-1, from which every partial correlation follows as
 r_ij = -K_ij / sqrt(K_ii K_jj) with K = R^-1.  Partial correlations are
 invariant to the scale of each variable, and so is the factorization.
 
-Determinants and cofactors remain for the verification route: the
-quadratic behaviour of the determinant when a single off-diagonal pair of
-entries is treated as a free variable.  Writing
-``M(x)`` for the matrix with entries (i, j) and (j, i) replaced by x,
+Determinants and cofactors remain for the verification route, which the
+umpu test runs on R: the quadratic behaviour of the determinant when a
+single off-diagonal pair of entries is treated as a free variable.
+Writing ``M(x)`` for the matrix with entries (i, j) and (j, i) replaced
+by x,
 
     det M(x) = -a x**2 + b x + c
 
@@ -57,13 +58,14 @@ class Factorization:
     """Correlation-scaled factorization of a symmetric matrix.
 
     ``pivot`` is the index of the first pivot of R at or below
-    PIVOT_FLOOR, or None when the matrix is positive definite.
-    ``partial_correlations`` is then the write-locked N x N array whose
-    off-diagonal entry (i, j) is r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1;
-    it is None when the matrix is not positive definite.
+    PIVOT_FLOOR, or None when the matrix is positive definite.  When it
+    is, ``correlation`` is R itself and ``partial_correlations`` the
+    write-locked N x N array whose off-diagonal entry (i, j) is
+    r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1; both are None otherwise.
     """
 
     pivot: int | None
+    correlation: "SymmetricMatrix | None"
     partial_correlations: np.ndarray | None
 
 
@@ -78,12 +80,15 @@ def _factorize(entries: np.ndarray) -> Factorization:
     """
     diag = np.diag(entries)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    a = entries / scale[:, None] / scale[None, :]
+    # Dividing by the product sqrt(s_ii) sqrt(s_jj), which commutes,
+    # keeps R exactly symmetric.
+    r = entries / np.outer(scale, scale)
+    a = r.copy()
     for k in range(a.shape[0]):
         piv = a[k, k]
         # Written so that a NaN pivot fails as well.
         if not piv > PIVOT_FLOOR:
-            return Factorization(pivot=k, partial_correlations=None)
+            return Factorization(pivot=k, correlation=None, partial_correlations=None)
         row = a[k].copy()
         a -= np.outer(row, row) / piv
         a[k, :] = row / piv
@@ -95,7 +100,9 @@ def _factorize(entries: np.ndarray) -> Factorization:
     root = np.sqrt(-np.diag(a))
     partial = a / np.outer(root, root)
     partial.setflags(write=False)
-    return Factorization(pivot=None, partial_correlations=partial)
+    return Factorization(
+        pivot=None, correlation=SymmetricMatrix(r), partial_correlations=partial
+    )
 
 
 class SymmetricMatrix:

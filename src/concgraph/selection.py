@@ -5,15 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from .distributions import null_corr_quantile, std_normal_quantile
 from .errors import DomainError, InsufficientSample, NotPositiveDefinite
 from .estimators import Dataset, sample_covariance
-from .independence import (
-    EdgeDecision,
-    TestConfig,
-    critical_value,
-    run_edge_test,
-    threshold_reject,
-)
+from .independence import EdgeDecision, TestConfig, run_edge_test, threshold_reject
 from .matrices import SymmetricMatrix, first_nonpositive_pivot
 
 __all__ = [
@@ -55,6 +52,19 @@ def _validated_covariance(data: Dataset) -> SymmetricMatrix:
         raise InsufficientSample(
             f"insufficient sample: need n > N, got n = {data.n}, N = {data.dim}"
         )
+    # Centering a column leaves rounding residue of up to about
+    # n * eps * max|x|, which the correlation scaling would blow up to unit
+    # variance; a column whose range is at that level counts as constant.
+    # Both sides scale with the column, so the check ignores its units.
+    hi = data.values.max(axis=0)
+    lo = data.values.min(axis=0)
+    noise = data.n * np.finfo(float).eps * np.maximum(np.abs(hi), np.abs(lo))
+    constant = np.flatnonzero(hi - lo <= noise)
+    if constant.size:
+        raise NotPositiveDefinite(
+            "sample covariance is not positive definite "
+            f"(variable {data.names[constant[0]]!r} is constant)"
+        )
     s = sample_covariance(data)
     pivot = first_nonpositive_pivot(s)
     if pivot is not None:
@@ -84,6 +94,15 @@ def _holm_levels(pvalues: list[float], alpha: float) -> list[float]:
     return levels
 
 
+def _critical_value(method: str, n: int, dim: int, alpha: float) -> float:
+    """Upper threshold c of a method's symmetric acceptance region (-c, c)
+    at level alpha: umpu and partial_corr share the exact null-law
+    quantile, fisher uses the normal one."""
+    if method == "fisher":
+        return std_normal_quantile(1.0 - alpha / 2.0)
+    return null_corr_quantile(alpha, n, dim)
+
+
 def _holm_decisions(
     decisions: tuple[EdgeDecision, ...], config: TestConfig, n: int, dim: int
 ) -> tuple[EdgeDecision, ...]:
@@ -95,7 +114,7 @@ def _holm_decisions(
     """
     levels = _holm_levels([d.p_value for d in decisions], config.alpha)
     critical = {
-        level: critical_value(config.method, n, dim, level)
+        level: _critical_value(config.method, n, dim, level)
         for level in dict.fromkeys(levels)
     }
     decided = []

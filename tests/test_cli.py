@@ -165,9 +165,11 @@ class TestSelectCommand:
         assert code == 2
         assert "positive definite" in capsys.readouterr().err
 
-    def test_raw_unit_csv_gives_the_same_edges(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["partial-corr", "umpu"])
+    def test_raw_unit_csv_gives_the_same_edges(self, tmp_path, capsys, method):
         # half the columns x 1e5 and half x 1e-5, each shifted: once a false
-        # NotPositiveDefinite under a trace-relative pivot floor
+        # NotPositiveDefinite under a trace-relative pivot floor, and a
+        # different graph from umpu's determinant quadratic on raw units
         k = np.eye(40)
         idx = np.arange(39)
         k[idx, idx + 1] = k[idx + 1, idx] = -0.3
@@ -178,7 +180,7 @@ class TestSelectCommand:
         for name, values in (("std", data.values), ("raw", data.values * scales + shifts)):
             path = tmp_path / f"{name}.csv"
             write_csv(path, data.names, values.tolist())
-            assert main(["select", "--input", str(path)]) == 0
+            assert main(["select", "--input", str(path), "--method", method]) == 0
             docs.append(json.loads(capsys.readouterr().out))
         std, raw = docs
         assert std["edges"]

@@ -9,6 +9,7 @@ from concgraph import (
     Dataset,
     DomainError,
     InsufficientSample,
+    METHODS,
     NotPositiveDefinite,
     PrecisionSpec,
     SymmetricMatrix,
@@ -80,6 +81,16 @@ class TestSelectGraph:
         x[:, 2] = x[:, 0]  # duplicated column makes the covariance singular
         data = Dataset(values=x, names=("a", "b", "c"))
         with pytest.raises(NotPositiveDefinite, match="pivot"):
+            select_graph(data, TestConfig(alpha=0.05))
+
+    @pytest.mark.parametrize("value", [0.1, 4.2, 0.0, -3e7])
+    def test_constant_column_names_the_variable(self, rng, value):
+        # 0.1 at n = 10 centres to a constant rounding residue, not to zero,
+        # which the correlation scaling alone would turn into unit variance
+        x = rng.standard_normal((10, 3))
+        x[:, 1] = value
+        data = Dataset(values=x, names=("a", "b", "c"))
+        with pytest.raises(NotPositiveDefinite, match="variable 'b' is constant"):
             select_graph(data, TestConfig(alpha=0.05))
 
     def test_unknown_correction(self, rng):
@@ -211,11 +222,12 @@ RESCALINGS = {
 
 
 class TestScaleInvariance:
+    @pytest.mark.parametrize("method", ["partial_corr", "umpu"])
     @pytest.mark.parametrize("name", sorted(RESCALINGS))
-    def test_rescaled_columns_keep_the_graph(self, name):
+    def test_rescaled_columns_keep_the_graph(self, name, method):
         data = chain_dataset()
         scaled = Dataset(values=data.values * RESCALINGS[name], names=data.names)
-        cfg = TestConfig(alpha=0.05)
+        cfg = TestConfig(alpha=0.05, method=method)
         base = select_graph(data, cfg)
         got = select_graph(scaled, cfg)
         assert base.edges  # the chain is detected, so the check has teeth
@@ -238,18 +250,12 @@ def mixed_datasets(draw):
     return Dataset(values=values, names=tuple(f"v{k}" for k in range(dim)))
 
 
-# The umpu statistic is standardized through the raw-scale determinant
-# quadratic, which is not scale-invariant in floating point; the
-# properties below cover the tests that read the factorization.
-FACTORIZED_METHODS = ("partial_corr", "fisher")
-
-
 class TestInvarianceProperties:
     @given(
         data=mixed_datasets(),
         exponents=st.lists(st.floats(-8.0, 8.0), min_size=7, max_size=7),
         offsets=st.lists(st.floats(-100.0, 100.0), min_size=7, max_size=7),
-        method=st.sampled_from(FACTORIZED_METHODS),
+        method=st.sampled_from(METHODS),
         correction=st.sampled_from(CORRECTIONS),
     )
     @settings(max_examples=60)
