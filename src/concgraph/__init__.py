@@ -59,7 +59,6 @@ from .selection import (
     CORRECTIONS,
     ConcentrationGraph,
     all_pairs,
-    edge_pvalues,
     select_graph,
 )
 from .simulate import (
@@ -122,7 +121,6 @@ __all__ = [
     "ConcentrationGraph",
     "all_pairs",
     "select_graph",
-    "edge_pvalues",
     "PrecisionSpec",
     "MethodOutcome",
     "MonteCarloReport",

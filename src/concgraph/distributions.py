@@ -249,11 +249,14 @@ def _normal_quantile_lower(p: float) -> float:
     return q * num / den
 
 
+@lru_cache(maxsize=QUANTILE_CACHE_SIZE)
 def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF, absolute error below 1e-10.
 
     Upper-tail arguments are reflected to the lower tail before refinement
     so that accuracy does not degrade where 1 - CDF loses resolution.
+    Cached like :func:`beta_sym_quantile`, since the Fisher test asks for
+    the same critical value on every call.
     """
     if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
         raise DomainError(f"probability must lie in (0, 1), got {p!r}")

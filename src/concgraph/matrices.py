@@ -6,6 +6,8 @@ one sweep over the pivots of R both checks positive definiteness and
 yields R^-1, from which every partial correlation follows as
 r_ij = -K_ij / sqrt(K_ii K_jj) with K = R^-1.  Partial correlations are
 invariant to the scale of each variable, and so is the factorization.
+A stack of matrices, such as the covariances of a chunk of Monte Carlo
+replications, is factored with one sweep of the whole stack.
 
 Determinants and cofactors remain for the verification route, which the
 umpu test runs on R: the quadratic behaviour of the determinant when a
@@ -69,40 +71,68 @@ class Factorization:
     partial_correlations: np.ndarray | None
 
 
-def _factorize(entries: np.ndarray) -> Factorization:
-    """Sweep the pivots of R = D^-1/2 S D^-1/2 in order.
+def _factorize(entries: np.ndarray) -> list[Factorization]:
+    """Sweep the pivots of R = D^-1/2 S D^-1/2 in order, for every matrix
+    of a (count, N, N) stack at once; a single matrix is a stack of one.
 
     Sweeping pivot k replaces the unswept block by its Schur complement,
     so the pivots are those of the symmetric triangular decomposition;
     after all N sweeps the array holds -R^-1.  A nonpositive diagonal
     entry is left unscaled: its pivot cannot exceed it, so the sweep
-    fails there or earlier.
+    fails there or earlier.  Every operation acts on each matrix
+    separately, so each result is bit for bit the one a stack of that
+    matrix alone gives.
     """
-    diag = np.diag(entries)
+    dim = entries.shape[-1]
+    diag = np.diagonal(entries, axis1=-2, axis2=-1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     # Dividing by the product sqrt(s_ii) sqrt(s_jj), which commutes,
     # keeps R exactly symmetric.
-    r = entries / np.outer(scale, scale)
+    r = entries / (scale[..., :, None] * scale[..., None, :])
     a = r.copy()
-    for k in range(a.shape[0]):
-        piv = a[k, k]
+    # First failing pivot of each matrix; -1 while none has failed.
+    pivots = np.full(entries.shape[:-2], -1)
+    for k in range(dim):
         # Written so that a NaN pivot fails as well.
-        if not piv > PIVOT_FLOOR:
-            return Factorization(pivot=k, correlation=None, partial_correlations=None)
-        row = a[k].copy()
-        a -= np.outer(row, row) / piv
-        a[k, :] = row / piv
-        a[:, k] = row / piv
-        a[k, k] = -1.0 / piv
+        failed = ~(a[..., k, k] > PIVOT_FLOOR)
+        if failed.any():
+            pivots[failed] = k
+            # A failed matrix's result is discarded.  It is replaced by
+            # the identity with pivots 0..k-1 already swept, so its
+            # remaining sweeps stay finite and end at -K = -I.
+            a[failed] = np.diag(np.where(np.arange(dim) < k, -1.0, 1.0))
+        piv = a[..., k, k].copy()
+        row = a[..., k, :].copy()
+        a -= row[..., :, None] * row[..., None, :] / piv[..., None, None]
+        a[..., k, :] = row / piv[..., None]
+        a[..., :, k] = row / piv[..., None]
+        a[..., k, k] = -1.0 / piv
     # a = -K.  Sweeping k writes row k into column k and updates the rest
     # by a symmetric outer product, so once every pivot is swept a is
     # exactly symmetric and r_ij == r_ji bit for bit.
-    root = np.sqrt(-np.diag(a))
-    partial = a / np.outer(root, root)
+    root = np.sqrt(-np.diagonal(a, axis1=-2, axis2=-1))
+    partial = a / (root[..., :, None] * root[..., None, :])
     partial.setflags(write=False)
-    return Factorization(
-        pivot=None, correlation=SymmetricMatrix(r), partial_correlations=partial
-    )
+    return [
+        Factorization(
+            pivot=None,
+            correlation=SymmetricMatrix(r[m]),
+            partial_correlations=partial[m],
+        )
+        if pivot < 0
+        else Factorization(pivot=int(pivot), correlation=None, partial_correlations=None)
+        for m, pivot in enumerate(pivots)
+    ]
+
+
+def _matrix_stack(entries: np.ndarray) -> list[SymmetricMatrix]:
+    """One SymmetricMatrix per matrix of a (count, N, N) stack, each
+    validated as usual and given its factorization from one sweep of the
+    whole stack."""
+    matrices = [SymmetricMatrix(e) for e in entries]
+    for m, factorization in zip(matrices, _factorize(entries)):
+        m._factorization = factorization
+    return matrices
 
 
 class SymmetricMatrix:
@@ -145,7 +175,7 @@ class SymmetricMatrix:
     def factorization(self) -> Factorization:
         """The correlation-scaled factorization, computed once."""
         if self._factorization is None:
-            self._factorization = _factorize(self._entries)
+            (self._factorization,) = _factorize(self._entries[np.newaxis])
         return self._factorization
 
     def with_edge(self, i: int, j: int, x: float) -> "SymmetricMatrix":

@@ -18,7 +18,6 @@ __all__ = [
     "ConcentrationGraph",
     "all_pairs",
     "select_graph",
-    "edge_pvalues",
 ]
 
 CORRECTIONS = ("none", "bonferroni", "holm")
@@ -158,17 +157,3 @@ def select_graph(
         decisions = _holm_decisions(decisions, config, data.n, data.dim)
     edges = frozenset((d.i, d.j) for d in decisions if d.reject)
     return ConcentrationGraph(names=data.names, edges=edges, decisions=decisions)
-
-
-def edge_pvalues(
-    data: Dataset, method: str = "partial_corr"
-) -> list[tuple[tuple[int, int], float]]:
-    """p-value of every pair under the method's null law, sorted by edge
-    index.  Deterministic; the significance level plays no role here."""
-    s = _validated_covariance(data)
-    # Any valid level works: p-values do not depend on it.
-    probe_alpha = 0.5
-    return [
-        ((i, j), run_edge_test(method, s, i, j, data.n, probe_alpha).p_value)
-        for i, j in all_pairs(data.dim)
-    ]

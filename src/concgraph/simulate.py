@@ -1,9 +1,19 @@
 """Synthetic Gaussian data and Monte Carlo checks of test size and power.
 
-Replication k of a run with master seed s draws its data from an RNG
-seeded by the pair (s, k), so reports are reproducible regardless of how
-replications are scheduled, and rejection counts reduce by integer
-summation.
+Substream contract: replication k of a run with master seed s draws its
+n x N standard normals from an RNG seeded by the pair (s, k), so reports
+are reproducible regardless of how replications are scheduled, and
+rejection counts reduce by integer summation.
+
+Replications run in chunks.  A spec computes its covariance Cholesky
+factor once.  Each chunk stacks its replications' draws into one
+(chunk, n, N) array, colors them with one matrix product, forms every
+sample covariance at once and factors them all with one
+correlation-scaled sweep; each replication then runs its edge tests one
+by one.  Every stacked step acts on each replication separately, so a
+replication's covariance, statistics and decisions are bit for bit those
+of ``sample_gaussian`` -> ``sample_covariance`` -> ``run_edge_test`` on
+its substream, and the chunk length changes no result.
 """
 
 from __future__ import annotations
@@ -11,15 +21,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
-from .estimators import Dataset, sample_covariance, sample_partial_correlation
+from .estimators import (
+    Dataset,
+    _covariances,
+    sample_covariance,
+    sample_partial_correlation,
+)
 from .distributions import reg_inc_beta
 from .independence import METHODS, run_edge_test
-from .matrices import SymmetricMatrix, _check_offdiagonal, first_nonpositive_pivot
+from .matrices import (
+    SymmetricMatrix,
+    _check_offdiagonal,
+    _matrix_stack,
+    first_nonpositive_pivot,
+)
 
 __all__ = [
     "PrecisionSpec",
@@ -32,6 +53,23 @@ __all__ = [
     "ks_statistic",
     "random_covariance_instances",
 ]
+
+# Replications per chunk: a chunk's stacked draws hold at most this many
+# doubles (32 KiB), and at least one replication, so memory stays flat
+# however many replications a run has.  At N = 5, n = 25 a budget of
+# 16,384 ran a 1000-replication size study about 8% faster but raised
+# the peak resident memory of the process by about 0.6 MB; this one
+# keeps the peak where one replication at a time left it.
+_CHUNK_ELEMENTS = 4096
+
+
+def _chunk_length(n: int, dim: int) -> int:
+    return max(1, _CHUNK_ELEMENTS // (n * dim))
+
+
+def _check_dim(dim) -> None:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
+        raise DomainError(f"dimension must be an integer >= 2, got {dim!r}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +104,17 @@ class PrecisionSpec:
         cov = np.linalg.solve(self.matrix.entries, np.eye(self.dim))
         return (cov + cov.T) / 2.0
 
+    @cached_property
+    def _cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor L of the model covariance, computed once
+        and write-locked; n draws are z @ L.T with z standard normal."""
+        try:
+            chol = np.linalg.cholesky(self.covariance())
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - spec is p.d.
+            raise NotPositiveDefinite(str(exc)) from exc
+        chol.setflags(write=False)
+        return chol
+
     def with_edge(self, i: int, j: int, value: float) -> "PrecisionSpec":
         """Spec with the (i, j) precision entry replaced (e.g. zeroed for a
         matched null)."""
@@ -73,12 +122,14 @@ class PrecisionSpec:
 
     @classmethod
     def identity(cls, dim: int) -> "PrecisionSpec":
+        _check_dim(dim)
         return cls(SymmetricMatrix(np.eye(dim)))
 
     @classmethod
     def single_edge(cls, dim: int, i: int, j: int, rho: float) -> "PrecisionSpec":
         """Unit-diagonal spec whose only nonzero partial correlation is
         exactly rho on edge (i, j)."""
+        _check_dim(dim)
         if not (isinstance(rho, (int, float)) and -1.0 < rho < 1.0):
             raise DomainError(f"partial correlation must lie in (-1, 1), got {rho!r}")
         arr = np.eye(dim)
@@ -96,8 +147,7 @@ def random_precision_matrix(dim: int, level: float, seed) -> PrecisionSpec:
     guarantees positive definiteness.  Derived partial correlations never
     exceed ``level`` in magnitude.
     """
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {dim!r}")
+    _check_dim(dim)
     if not (isinstance(level, (int, float)) and 0.0 <= level < 1.0):
         raise DomainError(f"level must lie in [0, 1), got {level!r}")
     if level == 0.0:
@@ -119,11 +169,7 @@ def sample_gaussian(spec: PrecisionSpec, n: int, seed) -> Dataset:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"sample size must be an integer >= 2, got {n!r}")
     rng = np.random.default_rng(seed)
-    try:
-        chol = np.linalg.cholesky(spec.covariance())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - spec is p.d.
-        raise NotPositiveDefinite(str(exc)) from exc
-    values = rng.standard_normal((n, spec.dim)) @ chol.T
+    values = rng.standard_normal((n, spec.dim)) @ spec._cholesky.T
     names = tuple(f"x{k + 1}" for k in range(spec.dim))
     return Dataset(values=values, names=names)
 
@@ -210,26 +256,39 @@ def _validate_run(spec, n, alpha, reps, seed, edge) -> None:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _replication_covariances(spec, n, seed, start, stop) -> list[SymmetricMatrix]:
+    """Sample covariances of replications start, ..., stop - 1, each with
+    its factorization attached, from one stack of draws."""
+    z = np.empty((stop - start, n, spec.dim))
+    for row, k in enumerate(range(start, stop)):
+        np.random.default_rng((seed, k)).standard_normal(out=z[row])
+    return _matrix_stack(_covariances(z @ spec._cholesky.T))
+
+
 def _run_replications(spec, n, alpha, methods, reps, seed, edge):
     i, j = edge
     counts = dict.fromkeys(methods, 0)
     pairs = list(itertools.combinations(methods, 2))
     agree_counts = dict.fromkeys(pairs, 0)
     r_values = np.empty(reps)
-    for k in range(reps):
-        data = sample_gaussian(spec, n, seed=(seed, k))
-        s = sample_covariance(data)
-        decisions = {
-            name: run_edge_test(name, s, i, j, n, alpha) for name in methods
-        }
-        if "partial_corr" in decisions:
-            r_values[k] = decisions["partial_corr"].statistic
-        else:
-            r_values[k] = sample_partial_correlation(s, i, j)
-        for name, decision in decisions.items():
-            counts[name] += decision.reject
-        for pair in pairs:
-            agree_counts[pair] += decisions[pair[0]].reject == decisions[pair[1]].reject
+    chunk = _chunk_length(n, spec.dim)
+    for start in range(0, reps, chunk):
+        stop = min(start + chunk, reps)
+        covariances = _replication_covariances(spec, n, seed, start, stop)
+        for k, s in enumerate(covariances, start):
+            decisions = {
+                name: run_edge_test(name, s, i, j, n, alpha) for name in methods
+            }
+            if "partial_corr" in decisions:
+                r_values[k] = decisions["partial_corr"].statistic
+            else:
+                r_values[k] = sample_partial_correlation(s, i, j)
+            for name, decision in decisions.items():
+                counts[name] += decision.reject
+            for pair in pairs:
+                agree_counts[pair] += (
+                    decisions[pair[0]].reject == decisions[pair[1]].reject
+                )
     return counts, agree_counts, r_values
 
 

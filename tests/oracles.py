@@ -3,16 +3,24 @@
 Everything here deliberately avoids the implementation paths it checks:
 determinants by recursive cofactor expansion, beta and correlation CDFs by
 adaptive quadrature of smooth trig-substituted integrands, quantiles by
-bisection of those quadrature CDFs, and the normal quantile by bisection
-of an erf-based CDF.
+bisection of those quadrature CDFs, the normal quantile by bisection
+of an erf-based CDF, and Monte Carlo runs one replication at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 from scipy import integrate
+
+from concgraph import (
+    run_edge_test,
+    sample_covariance,
+    sample_gaussian,
+    sample_partial_correlation,
+)
 
 
 def det_cofactor_expansion(arr) -> float:
@@ -177,3 +185,26 @@ def dataset_with_exact_covariance(target, n: int, rng: np.random.Generator):
     q, _ = np.linalg.qr(q)
     chol = np.linalg.cholesky(t)
     return math.sqrt(n) * q @ chol.T
+
+
+def replication_loop(spec, n, alpha, methods, reps, seed, edge=(0, 1)):
+    """Monte Carlo run one replication at a time on substream (seed, k):
+    sample_gaussian -> sample_covariance -> run_edge_test.
+
+    Returns the rejection count per method, the count of agreeing
+    decisions per method pair and the sample partial correlation of every
+    replication.
+    """
+    i, j = edge
+    counts = dict.fromkeys(methods, 0)
+    agree = dict.fromkeys(itertools.combinations(methods, 2), 0)
+    r = np.empty(reps)
+    for k in range(reps):
+        s = sample_covariance(sample_gaussian(spec, n, seed=(seed, k)))
+        decisions = {name: run_edge_test(name, s, i, j, n, alpha) for name in methods}
+        r[k] = sample_partial_correlation(s, i, j)
+        for name, decision in decisions.items():
+            counts[name] += decision.reject
+        for a, b in agree:
+            agree[(a, b)] += decisions[a].reject == decisions[b].reject
+    return counts, agree, r

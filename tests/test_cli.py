@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,61 @@ class TestMonteCarloCommand:
             "montecarlo", "--dim", "5", "--n", "5", "--reps", "1000", "--seed", "0",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("rho", ["0", "0.3"])
+    @pytest.mark.parametrize("dim", ["-1", "0", "1"])
+    def test_dim_below_two_exit_1(self, capsys, dim, rho):
+        code = main([
+            "montecarlo", "--dim", dim, "--n", "25", "--reps", "1000",
+            "--seed", "0", "--rho", rho,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: dimension must be an integer >= 2, got {dim}\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Reports recorded before replications ran in chunks: a size call and a
+# power call, 2000 replications each.  name -> (flags, stdout)
+PINNED_REPORTS = {
+    "size-umpu": (
+        ("--n", "25", "--method", "umpu"),
+        '{"replications": 2000, "seed": 3, "dim": 5, "n": 25, '
+        '"alpha": 0.050000000000000003, "edge": [0, 1], "rho": -0, '
+        '"methods": ["umpu"], "per_method": {"umpu": {"rejections": 100, '
+        '"rate": 0.050000000000000003, "std_error": 0.004873397172404482}}, '
+        '"agreement": {}, "ks_statistic": 0.023832466157363119, '
+        '"null_rate": null, "null_std_error": null}\n',
+    ),
+    "power-fisher": (
+        ("--n", "50", "--rho", "0.3", "--method", "fisher"),
+        '{"replications": 2000, "seed": 3, "dim": 5, "n": 50, '
+        '"alpha": 0.050000000000000003, "edge": [0, 1], '
+        '"rho": 0.29999999999999999, "methods": ["fisher"], '
+        '"per_method": {"fisher": {"rejections": 1167, '
+        '"rate": 0.58350000000000002, "std_error": 0.011023333207337969}}, '
+        '"agreement": {}, "ks_statistic": null, '
+        '"null_rate": 0.069500000000000006, '
+        '"null_std_error": 0.0056863762626122452}\n',
+    ),
+}
+
+
+class TestMonteCarloBytes:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("call", list(PINNED_REPORTS))
+    def test_report_bytes_pinned(self, call, threads):
+        flags, expected = PINNED_REPORTS[call]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["montecarlo", "--dim", "5", "--reps", "2000", "--seed", "3", *flags]
+        done = subprocess.run(
+            [sys.executable, "-m", "concgraph", *argv],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == expected
 
 
 class TestQuantileCommand:

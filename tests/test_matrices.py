@@ -21,6 +21,7 @@ from concgraph import (
     quadratic_decomposition,
     sylvester_residual,
 )
+from concgraph.matrices import _factorize, _matrix_stack
 
 WORKED = SymmetricMatrix([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
 
@@ -110,6 +111,84 @@ class TestPositiveDefinite:
             mine = is_positive_definite(SymmetricMatrix(m))
             theirs = bool(np.min(np.linalg.eigvalsh(m)) > 1e-12 * max(np.trace(m), 0.0))
             assert mine == theirs
+
+
+def failing_at(rng, dim: int, k: int) -> np.ndarray:
+    """Random symmetric matrix whose leading k x k block is positive
+    definite and whose k-th correlation-scaled pivot is -1."""
+    a = oracles.random_pd_matrix(rng, dim)
+    head = a[:k, :k]
+    a[k, k] = a[k, :k] @ np.linalg.solve(head, a[:k, k]) - 1.0 if k else -1.0
+    return a
+
+
+class TestFactorizationStack:
+    def test_stack_matches_each_matrix_alone(self, rng):
+        dim = 6
+        stack = np.array(
+            [oracles.random_pd_matrix(rng, dim) for _ in range(5)]
+            + [failing_at(rng, dim, k) for k in range(dim)]
+        )
+        stack = stack[rng.permutation(len(stack))]
+        for entries, got in zip(stack, _factorize(stack)):
+            alone = SymmetricMatrix(entries).factorization
+            assert got.pivot == alone.pivot
+            if got.pivot is None:
+                assert np.array_equal(got.partial_correlations, alone.partial_correlations)
+                assert np.array_equal(got.correlation.entries, alone.correlation.entries)
+            else:
+                assert got.correlation is None and got.partial_correlations is None
+
+    def test_reports_the_first_failing_pivot(self, rng):
+        dim = 5
+        # every pivot of -I fails; only the first may be reported
+        stack = np.array([failing_at(rng, dim, k) for k in range(dim)] + [-np.eye(dim)])
+        assert [f.pivot for f in _factorize(stack)] == list(range(dim)) + [0]
+
+    def test_bits_recorded_before_stacking(self):
+        # The sweep is elementwise (no BLAS), so its bits do not depend on
+        # the machine; these were recorded from the one-matrix sweep.
+        s = np.array([
+            [2.0, 0.3, -0.7, 0.1],
+            [0.3, 1.5, 0.2, -0.4],
+            [-0.7, 0.2, 3.0, 0.6],
+            [0.1, -0.4, 0.6, 0.9],
+        ])
+        (f,) = _factorize(s[np.newaxis])
+        upper = np.triu_indices(4, 1)
+        assert [float(v).hex() for v in f.partial_correlations[upper]] == [
+            "0x1.4e13f86cd4975p-2", "-0x1.a6eed696b7764p-2", "0x1.487278f232bd9p-2",
+            "0x1.67dc23e877abep-2", "-0x1.e1c568c0790a9p-2", "0x1.ff6723c377d87p-2",
+        ]
+        assert [float(v).hex() for v in f.correlation.entries[upper]] == [
+            "0x1.62b9586ad0a22p-3", "-0x1.24a1e34d5522bp-2", "0x1.314c3d92a9e91p-4",
+            "0x1.822cb17ff2eb9p-4", "-0x1.60870d91bf3cfp-2", "0x1.75e9746a0b099p-2",
+        ]
+
+    def test_partial_correlations_match_numpy_inverse(self, rng):
+        stack = np.array([oracles.random_pd_matrix(rng, 4) for _ in range(20)])
+        for entries, got in zip(stack, _factorize(stack)):
+            sd = np.sqrt(np.diag(entries))
+            k = np.linalg.inv(entries / np.outer(sd, sd))
+            d = np.sqrt(np.diag(k))
+            expected = -k / np.outer(d, d)
+            off = ~np.eye(4, dtype=bool)
+            assert np.max(np.abs(got.partial_correlations - expected)[off]) < 1e-12
+            assert not got.partial_correlations.flags.writeable
+
+    def test_matrix_stack_attaches_factorizations(self, rng):
+        stack = np.array([oracles.random_pd_matrix(rng, 3), failing_at(rng, 3, 2)])
+        matrices = _matrix_stack(stack)
+        assert all(m._factorization is not None for m in matrices)
+        assert [np.array_equal(m.entries, e) for m, e in zip(matrices, stack)] == [True, True]
+        assert first_nonpositive_pivot(matrices[0]) is None
+        assert first_nonpositive_pivot(matrices[1]) == 2
+
+    def test_matrix_stack_validates_every_matrix(self, rng):
+        stack = np.array([oracles.random_pd_matrix(rng, 3)] * 2)
+        stack[1, 0, 1] += 1.0
+        with pytest.raises(DomainError, match="symmetric"):
+            _matrix_stack(stack)
 
 
 class TestDeterminant:

@@ -15,7 +15,6 @@ from concgraph import (
     SymmetricMatrix,
     TestConfig,
     all_pairs,
-    edge_pvalues,
     run_edge_test,
     sample_covariance,
     sample_gaussian,
@@ -37,6 +36,13 @@ def strong_pair_dataset(rng, rho=0.99, dim=3, n=30):
 def null_dataset(rng, dim=4, n=40):
     values = rng.standard_normal((n, dim))
     return Dataset(values=values, names=tuple(f"v{k}" for k in range(dim)))
+
+
+def decision_pvalues(data, method="partial_corr", alpha=0.5):
+    """Each pair's p-value, read from select_graph's decisions in order;
+    p-values do not depend on the level."""
+    graph = select_graph(data, TestConfig(alpha=alpha, method=method))
+    return {(d.i, d.j): d.p_value for d in graph.decisions}
 
 
 class TestAllPairs:
@@ -153,7 +159,7 @@ class TestCorrections:
         for _ in range(10):
             data = null_dataset(rng, dim=5, n=12)
             cfg = TestConfig(alpha=0.4, method="partial_corr")
-            pvals = [p for _, p in edge_pvalues(data, "partial_corr")]
+            pvals = list(decision_pvalues(data, "partial_corr").values())
             count = len(pvals)
             order = sorted(range(count), key=lambda k: (pvals[k], k))
             expected = [False] * count
@@ -170,14 +176,14 @@ class TestCorrections:
 class TestEdgePvalues:
     def test_sorted_by_edge_and_deterministic(self, rng):
         data = null_dataset(rng)
-        out1 = edge_pvalues(data, "partial_corr")
-        out2 = edge_pvalues(data, "partial_corr")
+        out1 = list(decision_pvalues(data, "partial_corr").items())
+        out2 = list(decision_pvalues(data, "partial_corr").items())
         assert out1 == out2
         assert [edge for edge, _ in out1] == all_pairs(data.dim)
 
     def test_strong_pair_has_tiny_pvalue(self, rng):
         data = strong_pair_dataset(rng)
-        pvals = dict(edge_pvalues(data, "partial_corr"))
+        pvals = decision_pvalues(data, "partial_corr")
         assert pvals[(0, 1)] <= 1e-6
 
     def test_near_uniform_under_null(self, rng):
@@ -185,7 +191,7 @@ class TestEdgePvalues:
         pooled = []
         for _ in range(60):
             data = null_dataset(rng, dim=3, n=15)
-            pooled.extend(p for _, p in edge_pvalues(data, "partial_corr"))
+            pooled.extend(decision_pvalues(data, "partial_corr").values())
         pooled = np.asarray(pooled)
         assert abs(pooled.mean() - 0.5) < 0.1
         assert abs((pooled < 0.25).mean() - 0.25) < 0.12
@@ -193,13 +199,13 @@ class TestEdgePvalues:
     def test_matches_method_pvalues(self, rng):
         data = null_dataset(rng)
         s = sample_covariance(data)
-        for (i, j), p in edge_pvalues(data, "fisher"):
+        for (i, j), p in decision_pvalues(data, "fisher").items():
             assert p == run_edge_test("fisher", s, i, j, data.n, 0.05).p_value
 
     def test_propagates_data_errors(self, rng):
         data = Dataset(values=rng.standard_normal((3, 4)), names=tuple("abcd"))
         with pytest.raises(InsufficientSample):
-            edge_pvalues(data, "partial_corr")
+            decision_pvalues(data, "partial_corr")
 
 
 def chain_dataset(dim=40, n=160, seed=0):

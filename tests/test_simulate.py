@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from concgraph import (
+    METHODS,
     Dataset,
     DomainError,
     NotPositiveDefinite,
@@ -21,6 +23,7 @@ from concgraph import (
     sample_partial_correlation,
     verify_equivalence,
 )
+from concgraph import simulate
 
 
 class TestPrecisionSpec:
@@ -46,6 +49,14 @@ class TestPrecisionSpec:
         spec = PrecisionSpec.single_edge(4, 0, 1, 0.4)
         null = spec.with_edge(0, 1, 0.0)
         assert null.partial_correlation(0, 1) == 0.0
+
+    @pytest.mark.parametrize("dim", [-1, 0, 1, 2.0, True])
+    def test_dimension_validated(self, dim):
+        message = "dimension must be an integer >= 2"
+        with pytest.raises(DomainError, match=message):
+            PrecisionSpec.identity(dim)
+        with pytest.raises(DomainError, match=message):
+            PrecisionSpec.single_edge(dim, 0, 1, 0.3)
 
     def test_covariance_is_inverse(self):
         spec = PrecisionSpec.single_edge(3, 0, 1, 0.5)
@@ -242,6 +253,51 @@ class TestEstimatePower:
         for lo, hi in zip(reports, reports[1:]):
             slack = 3.0 * math.sqrt(lo.std_error**2 + hi.std_error**2)
             assert hi.rejection_rate >= lo.rejection_rate - slack
+
+
+def agreement_rates(agree, reps):
+    return {f"{a}~{b}": hits / reps for (a, b), hits in agree.items()}
+
+
+class TestChunkedEngine:
+    """The chunked engine against the one-replication-at-a-time route."""
+
+    @staticmethod
+    def check_against_oracle(spec, n, reps, seed):
+        chunk = simulate._chunk_length(n, spec.dim)
+        # several chunks and a short last one
+        assert reps >= 3 * chunk and reps % chunk
+        want_counts, want_agree, want_r = oracles.replication_loop(
+            spec, n, 0.05, METHODS, reps, seed
+        )
+        counts, agree, r = simulate._run_replications(
+            spec, n, 0.05, METHODS, reps, seed, (0, 1)
+        )
+        assert np.array_equal(r, want_r)
+        assert counts == want_counts
+        assert agree == want_agree
+        return want_counts, want_agree, want_r
+
+    def test_size_run(self):
+        spec, n, reps, seed = PrecisionSpec.identity(5), 25, 1000, 19
+        counts, agree, r = self.check_against_oracle(spec, n, reps, seed)
+        report = estimate_size(spec, n, 0.05, METHODS, reps=reps, seed=seed)
+        assert {name: o.rejections for name, o in report.per_method.items()} == counts
+        assert report.agreement == agreement_rates(agree, reps)
+        m = (n - spec.dim) / 2.0
+        ks = ks_statistic((1.0 + r) / 2.0, lambda u: reg_inc_beta(u, m, m))
+        assert report.ks_statistic == ks
+
+    def test_power_run(self):
+        spec, n, reps, seed = PrecisionSpec.single_edge(5, 0, 1, 0.3), 50, 1000, 23
+        counts, agree, _ = self.check_against_oracle(spec, n, reps, seed)
+        null_counts, _, _ = oracles.replication_loop(
+            spec.with_edge(0, 1, 0.0), n, 0.05, METHODS[:1], reps, seed
+        )
+        report = estimate_power(spec, n, 0.05, METHODS, reps=reps, seed=seed)
+        assert {name: o.rejections for name, o in report.per_method.items()} == counts
+        assert report.agreement == agreement_rates(agree, reps)
+        assert report.null_rate == null_counts[METHODS[0]] / reps
 
 
 class TestInstanceStream:
