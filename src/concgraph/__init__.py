@@ -31,8 +31,6 @@ from .matrices import (
     sylvester_residual,
 )
 from .distributions import (
-    BetaSymmetric,
-    NullCorrLaw,
     beta_sym_quantile,
     fisher_z,
     null_corr_cdf,
@@ -94,8 +92,6 @@ __all__ = [
     "edge_statistic",
     "lemma_residual",
     "sylvester_residual",
-    "BetaSymmetric",
-    "NullCorrLaw",
     "reg_inc_beta",
     "beta_sym_quantile",
     "null_corr_cdf",

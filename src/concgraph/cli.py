@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .estimators import Dataset
 from .distributions import beta_sym_quantile, null_corr_quantile
-from .independence import METHODS, TestConfig, verify_equivalence
+from .independence import TestConfig, verify_equivalence
 from .selection import CORRECTIONS, _validated_covariance, all_pairs, select_graph
 from .simulate import (
     PrecisionSpec,
@@ -42,7 +42,7 @@ from .simulate import (
     random_covariance_instances,
 )
 
-__all__ = ["main", "RunConfig", "read_dataset_csv", "json_dumps"]
+__all__ = ["main", "read_dataset_csv", "json_dumps"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,27 +62,6 @@ _DATA_ERRORS = (
 
 _METHOD_FLAGS = {"umpu": "umpu", "partial-corr": "partial_corr", "fisher": "fisher"}
 _P_VALUE_KIND = {"umpu": "exact", "partial_corr": "exact", "fisher": "asymptotic"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command-line options for one invocation."""
-
-    subcommand: str
-    input: str | None = None
-    alpha: float = 0.05
-    method: str = "partial_corr"
-    correction: str = "none"
-    fmt: str = "json"
-    seed: int = 0
-    reps: int = 10000
-    n: int = 0
-    dim: int = 0
-    out: str | None = None
-    rho: float = 0.0
-    prob: float | None = None
-    m: float | None = None
-    inject_sign_flip: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,8 +125,8 @@ def _emit(obj, pieces: list[str]) -> None:
 
 def read_dataset_csv(path: str) -> Dataset:
     """Read a dataset: header row of unique variable names, then one row
-    of decimal values per observation.  Missing or non-numeric cells are
-    errors that name the offending row and column."""
+    of decimal values per observation.  Missing, non-numeric or non-finite
+    cells are errors that name the offending row and column."""
     with open(path, newline="", encoding="utf-8") as handle:
         rows = [row for row in csv.reader(handle) if row]
     if not rows:
@@ -165,24 +144,25 @@ def read_dataset_csv(path: str) -> Dataset:
             )
         parsed = []
         for col, cell in enumerate(row):
-            text = cell.strip()
             try:
-                value = float(text)
+                parsed.append(float(cell.strip()))
             except ValueError:
                 raise DataError(
                     f"{path}: row {line_no}, column {names[col]!r}: "
                     f"non-numeric value {cell!r}"
                 ) from None
-            if not np.isfinite(value):
-                raise DataError(
-                    f"{path}: row {line_no}, column {names[col]!r}: "
-                    f"non-finite value {cell!r}"
-                )
-            parsed.append(value)
         values.append(parsed)
+    array = np.array(values)
+    bad = np.argwhere(~np.isfinite(array))
+    if len(bad):
+        obs, col = bad[0]
+        raise DataError(
+            f"{path}: row {obs + 2}, column {names[col]!r}: "
+            f"non-finite value {rows[obs + 1][col]!r}"
+        )
     if len(values) < 2:
         raise DataError(f"{path}: need at least two observation rows")
-    return Dataset(values=np.array(values), names=names)
+    return Dataset(values=array, names=names)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -197,7 +177,7 @@ def _write_output(text: str, out: str | None) -> None:
                 handle.write("\n")
 
 
-def _graph_json(graph, data, cfg: RunConfig) -> str:
+def _graph_json(graph, data, args: argparse.Namespace) -> str:
     decisions = [
         {
             "i": d.i,
@@ -211,10 +191,10 @@ def _graph_json(graph, data, cfg: RunConfig) -> str:
     doc = {
         "n": data.n,
         "N": data.dim,
-        "alpha": cfg.alpha,
-        "method": cfg.method,
-        "correction": cfg.correction,
-        "p_value_kind": _P_VALUE_KIND[cfg.method],
+        "alpha": args.alpha,
+        "method": args.method,
+        "correction": args.correction,
+        "p_value_kind": _P_VALUE_KIND[args.method],
         "names": list(graph.names),
         "edges": [[i, j] for i, j in graph.edge_list()],
         "decisions": decisions,
@@ -255,22 +235,22 @@ def _graph_tsv(graph) -> str:
     return "\n".join(lines)
 
 
-def _cmd_select(cfg: RunConfig) -> int:
+def _cmd_select(args: argparse.Namespace) -> int:
     try:
-        data = read_dataset_csv(cfg.input)
+        data = read_dataset_csv(args.input)
         graph = select_graph(
-            data, TestConfig(alpha=cfg.alpha, method=cfg.method), cfg.correction
+            data, TestConfig(alpha=args.alpha, method=args.method), args.correction
         )
     except _DATA_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-    if cfg.fmt == "json":
-        text = _graph_json(graph, data, cfg)
-    elif cfg.fmt == "dot":
+    if args.fmt == "json":
+        text = _graph_json(graph, data, args)
+    elif args.fmt == "dot":
         text = _graph_dot(graph)
     else:
         text = _graph_tsv(graph)
-    _write_output(text, cfg.out)
+    _write_output(text, args.out)
     return EXIT_OK
 
 
@@ -288,19 +268,19 @@ def _verify_one(s, i, j, n, alpha, inject: bool):
     return report
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.input is not None:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.input is not None:
         try:
-            data = read_dataset_csv(cfg.input)
+            data = read_dataset_csv(args.input)
             s = _validated_covariance(data)
             instances = [
-                (s, i, j, data.n, cfg.alpha) for i, j in all_pairs(data.dim)
+                (s, i, j, data.n, args.alpha) for i, j in all_pairs(data.dim)
             ]
         except _DATA_ERRORS as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_DATA
     else:
-        instances = random_covariance_instances(cfg.reps, cfg.seed)
+        instances = random_covariance_instances(args.reps, args.seed)
 
     disagreements = 0
     raw_disagreements = 0
@@ -309,13 +289,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
     count = 0
     rows = []
     for s, i, j, n, alpha in instances:
-        report = _verify_one(s, i, j, n, alpha, cfg.inject_sign_flip)
+        report = _verify_one(s, i, j, n, alpha, args.inject_sign_flip)
         count += 1
         disagreements += not report.same_decision
         raw_disagreements += not report.raw_scale_agrees
         max_gap = max(max_gap, report.statistic_gap)
         max_threshold_gap = max(max_threshold_gap, report.threshold_gap)
-        if cfg.input is not None:
+        if args.input is not None:
             pc = report.partial_corr
             rows.append(
                 {
@@ -337,12 +317,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "max_statistic_gap": max_gap,
         "max_threshold_gap": max_threshold_gap,
         "gap_limit": STATISTIC_GAP_LIMIT,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "equivalent": ok,
     }
     if rows:
         doc["edges"] = rows
-    _write_output(json_dumps(doc), cfg.out)
+    _write_output(json_dumps(doc), args.out)
     return EXIT_OK if ok else EXIT_EQUIVALENCE
 
 
@@ -372,28 +352,28 @@ def _report_doc(report) -> dict:
     return doc
 
 
-def _cmd_montecarlo(cfg: RunConfig) -> int:
+def _cmd_montecarlo(args: argparse.Namespace) -> int:
     try:
-        if cfg.rho == 0.0:
-            spec = PrecisionSpec.identity(cfg.dim)
+        if args.rho == 0.0:
+            spec = PrecisionSpec.identity(args.dim)
             report = estimate_size(
-                spec, cfg.n, cfg.alpha, cfg.method, cfg.reps, cfg.seed
+                spec, args.n, args.alpha, args.method, args.reps, args.seed
             )
         else:
-            spec = PrecisionSpec.single_edge(cfg.dim, 0, 1, cfg.rho)
+            spec = PrecisionSpec.single_edge(args.dim, 0, 1, args.rho)
             report = estimate_power(
-                spec, cfg.n, cfg.alpha, cfg.method, cfg.reps, cfg.seed
+                spec, args.n, args.alpha, args.method, args.reps, args.seed
             )
     except (DomainError, InsufficientSample, NotPositiveDefinite) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _write_output(json_dumps(_report_doc(report)), cfg.out)
+    _write_output(json_dumps(_report_doc(report)), args.out)
     return EXIT_OK
 
 
-def _cmd_quantile(cfg: RunConfig) -> int:
-    beta_args = cfg.prob is not None or cfg.m is not None
-    corr_args = cfg.n > 0 or cfg.dim > 0
+def _cmd_quantile(args: argparse.Namespace) -> int:
+    beta_args = args.prob is not None or args.m is not None
+    corr_args = args.n > 0 or args.dim > 0
     if beta_args == corr_args:
         sys.stderr.write(
             "error: give either --prob with --m, or --alpha with --n and --dim\n"
@@ -401,28 +381,28 @@ def _cmd_quantile(cfg: RunConfig) -> int:
         return EXIT_USAGE
     try:
         if beta_args:
-            if cfg.prob is None or cfg.m is None:
+            if args.prob is None or args.m is None:
                 raise DomainError("--prob and --m must be given together")
             doc = {
                 "kind": "beta_sym_quantile",
-                "prob": cfg.prob,
-                "m": cfg.m,
-                "value": beta_sym_quantile(cfg.prob, cfg.m),
+                "prob": args.prob,
+                "m": args.m,
+                "value": beta_sym_quantile(args.prob, args.m),
             }
         else:
-            if cfg.n <= 0 or cfg.dim <= 0:
+            if args.n <= 0 or args.dim <= 0:
                 raise DomainError("--n and --dim must both be positive")
             doc = {
                 "kind": "null_corr_quantile",
-                "alpha": cfg.alpha,
-                "n": cfg.n,
-                "dim": cfg.dim,
-                "value": null_corr_quantile(cfg.alpha, cfg.n, cfg.dim),
+                "alpha": args.alpha,
+                "n": args.n,
+                "dim": args.dim,
+                "value": null_corr_quantile(args.alpha, args.n, args.dim),
             }
     except (DomainError, InsufficientSample) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _write_output(json_dumps(doc), cfg.out)
+    _write_output(json_dumps(doc), args.out)
     return EXIT_OK
 
 
@@ -488,27 +468,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    method = _METHOD_FLAGS.get(getattr(ns, "method", "partial-corr"), "partial_corr")
-    return RunConfig(
-        subcommand=ns.subcommand,
-        input=getattr(ns, "input", None),
-        alpha=getattr(ns, "alpha", 0.05),
-        method=method,
-        correction=getattr(ns, "correction", "none"),
-        fmt=getattr(ns, "fmt", "json"),
-        seed=getattr(ns, "seed", 0),
-        reps=getattr(ns, "reps", 10000),
-        n=getattr(ns, "n", 0),
-        dim=getattr(ns, "dim", 0),
-        out=getattr(ns, "out", None),
-        rho=getattr(ns, "rho", 0.0),
-        prob=getattr(ns, "prob", None),
-        m=getattr(ns, "m", None),
-        inject_sign_flip=getattr(ns, "inject_sign_flip", False),
-    )
-
-
 _COMMANDS = {
     "select": _cmd_select,
     "verify": _cmd_verify,
@@ -520,18 +479,19 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _to_config(ns)
-    if not 0.0 < cfg.alpha < 1.0 and cfg.subcommand != "quantile":
-        sys.stderr.write(f"error: --alpha must lie in (0, 1), got {cfg.alpha}\n")
+    if hasattr(args, "method"):
+        args.method = _METHOD_FLAGS[args.method]
+    if not 0.0 < args.alpha < 1.0 and args.subcommand != "quantile":
+        sys.stderr.write(f"error: --alpha must lie in (0, 1), got {args.alpha}\n")
         return EXIT_USAGE
-    if cfg.seed < 0:
+    if args.seed < 0:
         sys.stderr.write("error: --seed must be non-negative\n")
         return EXIT_USAGE
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
+        return _COMMANDS[args.subcommand](args)
     except ConcgraphError as exc:  # fallback: uncategorized library error
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA

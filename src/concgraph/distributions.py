@@ -14,14 +14,11 @@ All quantiles are exact for half-integer shapes, including m = 0.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InsufficientSample
 
 __all__ = [
-    "BetaSymmetric",
-    "NullCorrLaw",
     "reg_inc_beta",
     "beta_sym_quantile",
     "null_corr_cdf",
@@ -268,45 +265,3 @@ def std_normal_quantile(p: float) -> float:
     x = _normal_quantile_lower(p)
     pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return x - (std_normal_cdf(x) - p) / pdf
-
-
-@dataclass(frozen=True)
-class BetaSymmetric:
-    """Beta(m, m) law: symmetric about 1/2 with mean 1/2."""
-
-    m: float
-
-    def __post_init__(self) -> None:
-        _check_shape(self.m, "shape")
-
-    def cdf(self, x: float) -> float:
-        return reg_inc_beta(x, self.m, self.m)
-
-    def quantile(self, prob: float) -> float:
-        return beta_sym_quantile(prob, self.m)
-
-
-@dataclass(frozen=True)
-class NullCorrLaw:
-    """Null law of the sample partial correlation for n observations of
-    dim variables; symmetric about 0 on [-1, 1] with n - dim degrees."""
-
-    n: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        _half_shape(self.n, self.dim)
-
-    @property
-    def degrees(self) -> int:
-        return self.n - self.dim
-
-    @property
-    def shape(self) -> float:
-        return (self.n - self.dim) / 2.0
-
-    def cdf(self, r: float) -> float:
-        return null_corr_cdf(r, self.n, self.dim)
-
-    def critical_value(self, alpha: float) -> float:
-        return null_corr_quantile(alpha, self.n, self.dim)

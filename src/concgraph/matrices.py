@@ -10,10 +10,12 @@ A stack of matrices, such as the covariances of a chunk of Monte Carlo
 replications, is factored with one sweep of the whole stack.
 
 Determinants and cofactors remain for the verification route, which the
-umpu test runs on R: the quadratic behaviour of the determinant when a
-single off-diagonal pair of entries is treated as a free variable.
-Writing ``M(x)`` for the matrix with entries (i, j) and (j, i) replaced
-by x,
+umpu test runs on R.  They come from LAPACK's LU factorization with
+partial pivoting and never read the sweep above, so the route stays
+independent of what it checks: the quadratic behaviour of the
+determinant when a single off-diagonal pair of entries is treated as a
+free variable.  Writing ``M(x)`` for the matrix with entries (i, j) and
+(j, i) replaced by x,
 
     det M(x) = -a x**2 + b x + c
 
@@ -224,25 +226,13 @@ def _check_offdiagonal(dim: int, i: int, j: int) -> None:
 
 
 def _det(arr: np.ndarray) -> float:
-    """Determinant of a square array by Gaussian elimination with partial
-    pivoting.  O(N^3); accepts the empty 0 x 0 matrix (determinant 1)."""
-    a = np.array(arr, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        piv = a[k, k]
-        det *= piv
-        if k + 1 < n:
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / piv, a[k, k + 1 :])
-    return float(det)
+    """Determinant of a square array by LAPACK's LU factorization with
+    partial pivoting.  O(N^3); accepts the empty 0 x 0 matrix
+    (determinant 1) and gives exactly 0 when a pivot vanishes.  numpy
+    multiplies the pivots as sign * exp(sum log|u_kk|), so the result is
+    accurate relative to its size but not always the exact product: the
+    determinant of [[3.0]] is 3.0000000000000004."""
+    return float(np.linalg.det(arr))
 
 
 def determinant(m: SymmetricMatrix) -> float:

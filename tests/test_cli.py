@@ -75,6 +75,15 @@ class TestReadCsv:
         with pytest.raises(Exception, match="expected 2 fields"):
             read_dataset_csv(str(p))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_exit_2_names_row_and_column(self, tmp_path, capsys, cell):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"a,b,c\n1.0,2.0,3.0\n4.0,{cell},6.0\n7.0,8.0,9.5\n", encoding="utf-8")
+        assert main(["select", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "row 3, column 'b'" in err
+        assert "non-finite" in err and repr(cell) in err
+
     def test_duplicate_names(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("a,a\n1.0,2.0\n3.0,4.0\n", encoding="utf-8")
@@ -236,6 +245,26 @@ class TestVerifyCommand:
         assert len(doc["edges"]) == 3
         row = doc["edges"][0]
         assert {"i", "j", "t", "r", "lower", "upper", "reject", "gap"} <= set(row)
+
+    def test_input_at_twenty_variables_matches_select(self, tmp_path, capsys):
+        # every pair of an N = 20 file through the determinant quadratic:
+        # t meets r to rounding and the decisions are select's
+        k = np.eye(20)
+        idx = np.arange(19)
+        k[idx, idx + 1] = k[idx + 1, idx] = -0.35
+        data = sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), 80, seed=9)
+        path = tmp_path / "n20.csv"
+        write_csv(path, data.names, data.values.tolist())
+        assert main(["verify", "--input", str(path)]) == 0
+        verify = json.loads(capsys.readouterr().out)
+        assert main(["select", "--input", str(path)]) == 0
+        select = json.loads(capsys.readouterr().out)
+        assert verify["instances"] == 190
+        assert verify["equivalent"] is True
+        assert verify["max_statistic_gap"] <= 1e-14
+        rejects = [(e["i"], e["j"], e["reject"]) for e in verify["edges"]]
+        assert rejects == [(d["i"], d["j"], d["reject"]) for d in select["decisions"]]
+        assert any(reject for _, _, reject in rejects)
 
     def test_single_instance_data_error(self, tmp_path, capsys):
         p = tmp_path / "square.csv"

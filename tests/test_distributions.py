@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from concgraph import (
-    BetaSymmetric,
     DomainError,
     InsufficientSample,
-    NullCorrLaw,
     beta_sym_quantile,
     fisher_z,
     null_corr_cdf,
@@ -188,6 +186,17 @@ class TestNullCorrCdf:
         with pytest.raises(DomainError):
             null_corr_cdf(1.5, 12, 4)
 
+    def test_distribution_link(self):
+        # if U ~ Beta(m, m) then 2U - 1 follows the correlation law:
+        # the CDFs agree after the affine map
+        for degrees in (1, 3, 10):
+            n, dim = degrees + 5, 5
+            for r in (-0.8, -0.1, 0.4, 0.9):
+                u = (1.0 + r) / 2.0
+                assert null_corr_cdf(r, n, dim) == pytest.approx(
+                    reg_inc_beta(u, degrees / 2.0, degrees / 2.0), abs=1e-14
+                )
+
 
 class TestNullCorrQuantile:
     def test_uniform_law(self):
@@ -292,36 +301,3 @@ class TestStdNormal:
         info = std_normal_quantile.cache_info()
         assert info.maxsize == QUANTILE_CACHE_SIZE
         assert info.currsize <= QUANTILE_CACHE_SIZE
-
-
-class TestLawTypes:
-    def test_beta_symmetric_delegates(self):
-        law = BetaSymmetric(m=2.0)
-        assert law.cdf(0.25) == reg_inc_beta(0.25, 2.0, 2.0)
-        assert law.quantile(0.025) == beta_sym_quantile(0.025, 2.0)
-
-    def test_beta_symmetric_validates(self):
-        with pytest.raises(DomainError):
-            BetaSymmetric(m=0.0)
-
-    def test_null_corr_law(self):
-        law = NullCorrLaw(n=12, dim=4)
-        assert law.degrees == 8
-        assert law.shape == 4.0
-        assert law.cdf(0.3) == null_corr_cdf(0.3, 12, 4)
-        assert law.critical_value(0.05) == null_corr_quantile(0.05, 12, 4)
-
-    def test_null_corr_law_validates(self):
-        with pytest.raises(InsufficientSample):
-            NullCorrLaw(n=4, dim=4)
-
-    def test_distribution_link(self):
-        # if U ~ Beta(m, m) then 2U - 1 follows the correlation law:
-        # the CDFs agree after the affine map
-        for degrees in (1, 3, 10):
-            n, dim = degrees + 5, 5
-            for r in (-0.8, -0.1, 0.4, 0.9):
-                u = (1.0 + r) / 2.0
-                assert null_corr_cdf(r, n, dim) == pytest.approx(
-                    reg_inc_beta(u, degrees / 2.0, degrees / 2.0), abs=1e-14
-                )

@@ -21,7 +21,8 @@ from concgraph import (
     quadratic_decomposition,
     sylvester_residual,
 )
-from concgraph.matrices import _factorize, _matrix_stack
+from concgraph import matrices
+from concgraph.matrices import _det, _factorize, _matrix_stack
 
 WORKED = SymmetricMatrix([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
 
@@ -191,6 +192,19 @@ class TestFactorizationStack:
             _matrix_stack(stack)
 
 
+def well_conditioned(rng, dim: int, definite: bool) -> np.ndarray:
+    """Random exactly symmetric Q diag(lam) Q^T with |lam| in [0.5, 2];
+    the signs of lam are random unless ``definite``.  A determinant is
+    only accurate to rounding relative to its size when the matrix is
+    well conditioned, so the oracle comparisons use these."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    lam = rng.uniform(0.5, 2.0, dim)
+    if not definite:
+        lam *= rng.choice([-1.0, 1.0], dim)
+    m = (q * lam) @ q.T
+    return (m + m.T) / 2.0
+
+
 class TestDeterminant:
     def test_identity(self):
         assert determinant(SymmetricMatrix(np.eye(4))) == 1.0
@@ -199,9 +213,18 @@ class TestDeterminant:
         assert determinant(WORKED) == pytest.approx(4.0, abs=1e-12)
 
     def test_rank_deficient(self):
-        assert determinant(SymmetricMatrix([[1.0, 1.0], [1.0, 1.0]])) == pytest.approx(
-            0.0, abs=1e-15
-        )
+        assert determinant(SymmetricMatrix([[1.0, 1.0], [1.0, 1.0]])) == 0.0
+
+    def test_empty_matrix_is_one(self):
+        assert _det(np.empty((0, 0))) == 1.0
+
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_matches_elimination_oracle(self, definite):
+        rng = np.random.default_rng(17)
+        for dim in range(1, 31):
+            m = well_conditioned(rng, dim, definite)
+            expected = oracles.det_elimination(m)
+            assert determinant(SymmetricMatrix(m)) == pytest.approx(expected, rel=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6))
     @settings(max_examples=60)
@@ -279,6 +302,26 @@ class TestQuadraticDecomposition:
             expected = -q.a * x * x + q.b * x + q.c
             actual = determinant(m.with_edge(i, j, float(x)))
             assert actual == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
+
+
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_matches_elimination_oracle(self, definite, monkeypatch):
+        # the quadratic from the LAPACK determinant against the one from the
+        # hand-written elimination, each coefficient relative to the size of
+        # the probe determinants it combines
+        rng = np.random.default_rng(18)
+        for dim in range(2, 31):
+            m = SymmetricMatrix(well_conditioned(rng, dim, definite))
+            i, j = (int(k) for k in sorted(rng.choice(dim, 2, replace=False)))
+            got = quadratic_decomposition(m, i, j)
+            with monkeypatch.context() as patch:
+                patch.setattr(matrices, "_det", oracles.det_elimination)
+                want = quadratic_decomposition(m, i, j)
+            xbar = 1.0 + float(np.max(np.abs(m.entries)))
+            size = max(abs(got.c), abs(got.b) * xbar, abs(got.a) * xbar * xbar)
+            assert got.a == pytest.approx(want.a, rel=1e-12, abs=1e-12 * size / xbar**2)
+            assert got.b == pytest.approx(want.b, rel=1e-12, abs=1e-12 * size / xbar)
+            assert got.c == pytest.approx(want.c, rel=1e-12)
 
 
 class TestPdInterval:
