@@ -24,7 +24,6 @@ from .matrices import (
     determinant,
     edge_statistic,
     first_nonpositive_pivot,
-    is_positive_definite,
     lemma_residual,
     pd_interval,
     quadratic_decomposition,
@@ -85,7 +84,6 @@ __all__ = [
     "PdInterval",
     "determinant",
     "cofactor",
-    "is_positive_definite",
     "first_nonpositive_pivot",
     "quadratic_decomposition",
     "pd_interval",

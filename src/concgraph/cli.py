@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -126,7 +127,43 @@ def _emit(obj, pieces: list[str]) -> None:
 def read_dataset_csv(path: str) -> Dataset:
     """Read a dataset: header row of unique variable names, then one row
     of decimal values per observation.  Missing, non-numeric or non-finite
-    cells are errors that name the offending row and column."""
+    cells are errors that name the offending row and column.
+
+    The header is read with ``csv``; the body is parsed in bulk by numpy's
+    C reader.  A file the bulk read refuses, or whose values are not a
+    finite table of at least two rows, goes through the per-cell route,
+    which names the bad cell, or returns the values when every cell is one
+    Python's ``float`` accepts and numpy does not (a quoted number, ``1_0``,
+    non-ASCII digits).  Both routes convert text with the same C routine,
+    so a file both accept gives the same array.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        header = next(filter(None, csv.reader(handle)), None)
+        names = tuple(cell.strip() for cell in header or ())
+        values = None
+        if names and all(names) and len(set(names)) == len(names):
+            try:
+                with warnings.catch_warnings():
+                    # an empty body: the per-cell route reports it
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(
+                        handle, dtype=np.float64, delimiter=",", comments=None, ndmin=2
+                    )
+            except ValueError:
+                pass
+    if (
+        values is None
+        or values.shape[1] != len(names)
+        or len(values) < 2
+        or not np.isfinite(values).all()
+    ):
+        return _read_dataset_cells(path)
+    return Dataset(values=values, names=names)
+
+
+def _read_dataset_cells(path: str) -> Dataset:
+    """Read a dataset one cell at a time with ``float``, naming the first
+    bad cell (or row, or header) in the error."""
     with open(path, newline="", encoding="utf-8") as handle:
         rows = [row for row in csv.reader(handle) if row]
     if not rows:

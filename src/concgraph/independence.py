@@ -30,8 +30,11 @@ Rejection regions are closed: a statistic exactly at a threshold rejects.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import (
     beta_sym_quantile,
@@ -179,6 +182,14 @@ def umpu_test(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _geometric_scaling(s: SymmetricMatrix) -> tuple[float, SymmetricMatrix]:
+    """g, the geometric mean of the diagonal of S, and S / g.  The last
+    matrix's pair is kept, since verify checks every pair of one matrix."""
+    g = math.exp(float(np.mean(np.log(np.diagonal(s.entries)))))
+    return g, SymmetricMatrix(s.entries / g)
+
+
 def umpu_raw_thresholds(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> tuple[float, float]:
@@ -188,13 +199,20 @@ def umpu_raw_thresholds(
 
     with (x1, x2) the positive-definiteness interval.  Must produce the
     same decision as the standardized form of :func:`umpu_test`.
+
+    The quadratic runs on S / g, with g the geometric mean of the
+    diagonal of S, and the thresholds are scaled back by g: det(S / g)
+    equals det R, so it neither overflows nor underflows whatever the
+    units, and the interval scales with the matrix.  Unequal column
+    scales stay, so this is still the raw-scale route.
     """
     _validate_test_inputs(s, i, j, n, alpha)
-    coeffs = quadratic_decomposition(s, i, j)
+    g, scaled = _geometric_scaling(s)
+    coeffs = quadratic_decomposition(scaled, i, j)
     interval = pd_interval(coeffs)
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
     width = interval.x2 - interval.x1
-    return interval.x1 + width * q, interval.x2 - width * q
+    return g * (interval.x1 + width * q), g * (interval.x2 - width * q)
 
 
 def partial_correlation_test(

@@ -41,7 +41,6 @@ __all__ = [
     "PdInterval",
     "determinant",
     "cofactor",
-    "is_positive_definite",
     "first_nonpositive_pivot",
     "quadratic_decomposition",
     "pd_interval",
@@ -264,11 +263,6 @@ def first_nonpositive_pivot(m: SymmetricMatrix) -> int | None:
     diagonal, rescaling a variable cannot move the decision.
     """
     return m.factorization.pivot
-
-
-def is_positive_definite(m: SymmetricMatrix) -> bool:
-    """True iff all leading principal minors are strictly positive."""
-    return first_nonpositive_pivot(m) is None
 
 
 def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:

@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the implementation paths it checks:
 determinants by recursive cofactor expansion or by a hand-written
-Gaussian elimination (the package uses LAPACK), beta and correlation CDFs by
-adaptive quadrature of smooth trig-substituted integrands, quantiles by
-bisection of those quadrature CDFs, the normal quantile by bisection
-of an erf-based CDF, and Monte Carlo runs one replication at a time.
+Gaussian elimination (the package uses LAPACK), CSV cells one at a time
+with ``float`` (the package parses the body in bulk), beta and correlation
+CDFs by adaptive quadrature of smooth trig-substituted integrands,
+quantiles by bisection of those quadrature CDFs, the normal quantile by
+bisection of an erf-based CDF, and Monte Carlo runs one replication at a
+time.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -17,6 +20,8 @@ import numpy as np
 from scipy import integrate
 
 from concgraph import (
+    DataError,
+    Dataset,
     run_edge_test,
     sample_covariance,
     sample_gaussian,
@@ -71,6 +76,47 @@ def cofactor_expansion(arr, k: int, l: int) -> float:
     minor = np.delete(np.delete(a, k, axis=0), l, axis=1)
     sign = -1.0 if (k + l) % 2 else 1.0
     return sign * det_cofactor_expansion(minor)
+
+
+def read_dataset_cells(path: str) -> Dataset:
+    """The CSV reader as it was before the body was parsed in bulk: every
+    row through ``csv``, every cell through ``float``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    if not rows:
+        raise DataError(f"{path}: empty input")
+    names = tuple(cell.strip() for cell in rows[0])
+    if any(not name for name in names):
+        raise DataError(f"{path}: header contains an empty variable name")
+    if len(set(names)) != len(names):
+        raise DataError(f"{path}: duplicate variable names in header")
+    values = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(names):
+            raise DataError(
+                f"{path}: row {line_no}: expected {len(names)} fields, got {len(row)}"
+            )
+        parsed = []
+        for col, cell in enumerate(row):
+            try:
+                parsed.append(float(cell.strip()))
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {line_no}, column {names[col]!r}: "
+                    f"non-numeric value {cell!r}"
+                ) from None
+        values.append(parsed)
+    array = np.array(values)
+    bad = np.argwhere(~np.isfinite(array))
+    if len(bad):
+        obs, col = bad[0]
+        raise DataError(
+            f"{path}: row {obs + 2}, column {names[col]!r}: "
+            f"non-finite value {rows[obs + 1][col]!r}"
+        )
+    if len(values) < 2:
+        raise DataError(f"{path}: need at least two observation rows")
+    return Dataset(values=array, names=names)
 
 
 def beta_sym_cdf_quad(x: float, m: float) -> float:

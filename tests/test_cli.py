@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from concgraph import (
+    DataError,
     PrecisionSpec,
     SymmetricMatrix,
     TestConfig,
@@ -15,6 +20,7 @@ from concgraph import (
     sample_gaussian,
     select_graph,
 )
+from concgraph import cli
 from concgraph.cli import json_dumps, main, read_dataset_csv
 
 
@@ -22,6 +28,15 @@ def write_csv(path, names, rows):
     lines = [",".join(names)]
     lines.extend(",".join(repr(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def chain_data(dim, n, seed, rho=-0.3):
+    """n draws from a chain model: unit-diagonal precision with rho on
+    every (i, i + 1)."""
+    k = np.eye(dim)
+    idx = np.arange(dim - 1)
+    k[idx, idx + 1] = k[idx + 1, idx] = rho
+    return sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), n, seed=seed)
 
 
 @pytest.fixture
@@ -47,6 +62,53 @@ class TestJsonDumps:
         doc = {"v": [0.1, 1e-300, 123456.789, -4.0], "n": 7}
         parsed = json.loads(json_dumps(doc))
         assert parsed["v"] == doc["v"]
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: names, shape and array bits, or the
+    text of its DataError."""
+    try:
+        data = read(path)
+    except DataError as exc:
+        return str(exc)
+    return data.names, data.values.shape, data.values.tobytes()
+
+
+NUMBER_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+# Cells numpy parses, cells only Python's float parses, and cells neither
+# parses or that parse to a non-finite value.
+ODD_TEXTS = st.sampled_from(
+    [
+        '"1.5"', '" -2e3 "', " 4 ", "\t5", "6\x0b", "\xa07", "1_0",
+        "\u0661\u0662", "\u0663.5", "nan", "-Infinity", "1e400", "inf",
+        "", " ", "x", "#1", "2#3", '"9,1"', "0x10", "1 2",
+    ]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV file of one to three columns: quoted or padded header names,
+    zero to four data rows of numbers mixed with odd cells, and now and
+    then a ragged row, a trailing comma or a blank line (before the
+    header too), with LF or CRLF line endings."""
+    dim = draw(st.integers(1, 3))
+    cell = st.one_of(NUMBER_TEXTS, NUMBER_TEXTS, NUMBER_TEXTS, ODD_TEXTS)
+    rare = st.integers(0, 9).map(lambda k: k == 0)
+    lines = [""] if draw(rare) else []
+    names = [f"v{k}" for k in range(dim)]
+    lines.append(",".join(draw(st.sampled_from([v, f'"{v}"', f" {v}\t"])) for v in names))
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(rare):
+            lines.append("")
+        width = dim + draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
+        line = ",".join(draw(cell) for _ in range(width))
+        lines.append(line + "," if draw(rare) else line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
 
 
 class TestReadCsv:
@@ -89,6 +151,57 @@ class TestReadCsv:
         p.write_text("a,a\n1.0,2.0\n3.0,4.0\n", encoding="utf-8")
         with pytest.raises(Exception, match="duplicate"):
             read_dataset_csv(str(p))
+
+    def test_header_only_file_exit_2_without_a_warning(self, tmp_path, capsys):
+        p = tmp_path / "header.csv"
+        p.write_text("a,b\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["select", "--input", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: need at least two observation rows\n"
+
+    def test_blank_line_before_header(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("\na,b\n1.0,2.0\n\n3.0,4.5\n", encoding="utf-8")
+        d = read_dataset_csv(str(p))
+        assert d.names == ("a", "b")
+        assert d.values.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+
+    def test_quoted_numeric_cell(self, tmp_path):
+        p = tmp_path / "quoted.csv"
+        p.write_text('"a",b\n"1.5",2.0\n3.0," 4e1 "\n', encoding="utf-8")
+        d = read_dataset_csv(str(p))
+        assert d.names == ("a", "b")
+        assert d.values.tolist() == [[1.5, 2.0], [3.0, 40.0]]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-7, 1e9])
+    def test_plain_numeric_file_takes_the_bulk_route(self, tmp_path, monkeypatch, scale):
+        # files as scripts/make_dataset.py and the benchmark write them must
+        # never need the per-cell route, or the bulk parse gains nothing
+        data = chain_data(8, 500, seed=6)
+        values = data.values * scale + 3.0 * scale
+        p = tmp_path / "plain.csv"
+        write_csv(p, data.names, values.tolist())
+        expected = oracles.read_dataset_cells(str(p))
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read cell by cell")
+
+        monkeypatch.setattr(cli, "_read_dataset_cells", refuse)
+        d = read_dataset_csv(str(p))
+        assert d.names == expected.names
+        assert d.values.tobytes() == expected.values.tobytes()
+
+    @given(text=csv_texts())
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_the_per_cell_reader(self, tmp_path, text):
+        p = tmp_path / "fuzz.csv"
+        with open(p, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mine = read_outcome(read_dataset_csv, str(p))
+        assert mine == read_outcome(oracles.read_dataset_cells, str(p))
 
 
 class TestSelectCommand:
@@ -265,6 +378,19 @@ class TestVerifyCommand:
         rejects = [(e["i"], e["j"], e["reject"]) for e in verify["edges"]]
         assert rejects == [(d["i"], d["j"], d["reject"]) for d in select["decisions"]]
         assert any(reject for _, _, reject in rejects)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8, 1e-4])
+    def test_input_in_large_or_small_units_passes(self, tmp_path, capsys, scale):
+        # the raw-scale thresholds once came from det S, which overflowed
+        # or underflowed at these scales
+        data = chain_data(40, 160, seed=4)
+        path = tmp_path / "scaled.csv"
+        write_csv(path, data.names, (data.values * scale).tolist())
+        assert main(["verify", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["instances"] == 780
+        assert doc["raw_scale_disagreements"] == 0
+        assert doc["equivalent"] is True
 
     def test_single_instance_data_error(self, tmp_path, capsys):
         p = tmp_path / "square.csv"

@@ -15,7 +15,6 @@ from concgraph import (
     determinant,
     edge_statistic,
     first_nonpositive_pivot,
-    is_positive_definite,
     lemma_residual,
     pd_interval,
     quadratic_decomposition,
@@ -69,14 +68,14 @@ class TestSymmetricMatrix:
 
 class TestPositiveDefinite:
     def test_identity_is_pd(self):
-        assert is_positive_definite(SymmetricMatrix(np.eye(3)))
+        assert first_nonpositive_pivot(SymmetricMatrix(np.eye(3))) is None
 
     def test_indefinite_2x2(self):
-        assert not is_positive_definite(SymmetricMatrix([[1.0, 2.0], [2.0, 1.0]]))
+        assert first_nonpositive_pivot(SymmetricMatrix([[1.0, 2.0], [2.0, 1.0]])) is not None
 
     def test_worked_example_pd(self):
         # leading principal minors 2, 4, 4
-        assert is_positive_definite(WORKED)
+        assert first_nonpositive_pivot(WORKED) is None
 
     def test_first_failing_pivot_index(self):
         m = SymmetricMatrix([[1.0, 2.0], [2.0, 1.0]])
@@ -93,23 +92,23 @@ class TestPositiveDefinite:
         # second pivot 1e-13 is below the 1e-12 floor -> not positive definite
         assert first_nonpositive_pivot(corr(1e-13)) == 1
         # second pivot 1e-11 clears the floor
-        assert is_positive_definite(corr(1e-11))
+        assert first_nonpositive_pivot(corr(1e-11)) is None
         # the floor applies after scaling to a unit diagonal, so a small
         # variance alone is no failure and rescaling moves no decision
-        assert is_positive_definite(SymmetricMatrix(np.diag([1.0, 1e-13])))
+        assert first_nonpositive_pivot(SymmetricMatrix(np.diag([1.0, 1e-13]))) is None
         scale = np.outer([1e4, 1e-4], [1e4, 1e-4])
         assert first_nonpositive_pivot(SymmetricMatrix(scale * corr(1e-13).entries)) == 1
-        assert is_positive_definite(SymmetricMatrix(scale * corr(1e-11).entries))
+        assert first_nonpositive_pivot(SymmetricMatrix(scale * corr(1e-11).entries)) is None
 
     def test_negative_trace_not_pd(self):
-        assert not is_positive_definite(SymmetricMatrix(np.diag([-1.0, -2.0])))
+        assert first_nonpositive_pivot(SymmetricMatrix(np.diag([-1.0, -2.0]))) is not None
 
     def test_agrees_with_eigenvalues(self, rng):
         for _ in range(50):
             dim = int(rng.integers(1, 7))
             g = rng.uniform(-2, 2, size=(dim, dim))
             m = (g + g.T) / 2.0
-            mine = is_positive_definite(SymmetricMatrix(m))
+            mine = first_nonpositive_pivot(SymmetricMatrix(m)) is None
             theirs = bool(np.min(np.linalg.eigvalsh(m)) > 1e-12 * max(np.trace(m), 0.0))
             assert mine == theirs
 

@@ -13,7 +13,7 @@ from concgraph import (
     SymmetricMatrix,
     estimate_power,
     estimate_size,
-    is_positive_definite,
+    first_nonpositive_pivot,
     ks_statistic,
     random_covariance_instances,
     random_precision_matrix,
@@ -72,7 +72,7 @@ class TestRandomPrecision:
     def test_always_positive_definite(self):
         for seed in range(100):
             spec = random_precision_matrix(4, 0.6, seed=seed)
-            assert is_positive_definite(spec.matrix)
+            assert first_nonpositive_pivot(spec.matrix) is None
 
     def test_partial_correlations_bounded_by_level(self):
         for seed in range(100):
@@ -310,7 +310,7 @@ class TestInstanceStream:
 
     def test_instances_are_valid(self):
         for s, i, j, n, alpha in random_covariance_instances(30, seed=8):
-            assert is_positive_definite(s)
+            assert first_nonpositive_pivot(s) is None
             assert 0 <= i < j < s.dim
             assert n > s.dim
             assert 0.0 < alpha < 1.0
