@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Print one sha256 per fixed CLI call, so that a claim that a change
+keeps every report byte-identical is one command and one diff:
+
+    python scripts/output_digest.py > before.txt
+    # ... change the program ...
+    python scripts/output_digest.py > after.txt
+    diff before.txt after.txt
+
+Each line is ``<sha256 of stdout>  exit=<code>  <call>``.  The calls are
+the reference Monte Carlo, verify and size/power commands, ``select`` on
+two ``scripts/make_dataset.py`` files for every method, correction and
+output format, and ``verify --input`` on both files.  Every call runs in
+a fresh interpreter with ``src/`` first on the path.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# make_dataset.py arguments of each input file: (name, arguments).
+DATASETS = (
+    ("chain6", ["--dim", "6", "--n", "40", "--rho", "0.6", "--seed", "3"]),
+    ("edge12", ["--dim", "12", "--n", "90", "--rho", "0.35", "--seed", "11"]),
+)
+METHODS = ("umpu", "partial-corr", "fisher")
+CORRECTIONS = ("none", "bonferroni", "holm")
+FORMATS = ("json", "tsv", "dot")
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env["PYTHONHASHSEED"] = "0"
+    return env
+
+
+def _run(argv: list[str]) -> tuple[str, int]:
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=_env(), capture_output=True, check=False
+    )
+    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
+
+
+def calls(workdir: str) -> list[tuple[str, list[str]]]:
+    """(label, interpreter arguments) of every digested call."""
+    out = [
+        ("montecarlo --dim 5 --n 25 --reps 20000 --seed 7",
+         ["-m", "concgraph", "montecarlo", "--dim", "5", "--n", "25", "--reps", "20000", "--seed", "7"]),
+        ("verify --reps 2000 --seed 1",
+         ["-m", "concgraph", "verify", "--reps", "2000", "--seed", "1"]),
+        ("scripts/run_size_power.py --reps 1000",
+         ["scripts/run_size_power.py", "--reps", "1000"]),
+    ]
+    for name, _ in DATASETS:
+        path = os.path.join(workdir, f"{name}.csv")
+        for method in METHODS:
+            for correction in CORRECTIONS:
+                for fmt in FORMATS:
+                    flags = ["--method", method, "--correction", correction, "--format", fmt]
+                    out.append((f"select {name} {' '.join(flags)}",
+                                ["-m", "concgraph", "select", "--input", path, *flags]))
+        out.append((f"verify --input {name}", ["-m", "concgraph", "verify", "--input", path]))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, args in DATASETS:
+            path = os.path.join(workdir, f"{name}.csv")
+            subprocess.run(
+                [sys.executable, "scripts/make_dataset.py", *args, "--out", path],
+                cwd=ROOT, env=_env(), check=True,
+            )
+        for label, args in calls(workdir):
+            digest, code = _run(args)
+            print(f"{digest}  exit={code}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

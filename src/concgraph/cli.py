@@ -138,7 +138,7 @@ def read_dataset_csv(path: str) -> Dataset:
     so a file both accept gives the same array.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        header = next(filter(None, csv.reader(handle)), None)
+        header = next(_csv_rows(handle, path), None)
         names = tuple(cell.strip() for cell in header or ())
         values = None
         if names and all(names) and len(set(names)) == len(names):
@@ -161,11 +161,24 @@ def read_dataset_csv(path: str) -> Dataset:
     return Dataset(values=values, names=names)
 
 
+def _csv_rows(handle, path: str):
+    """The non-blank rows of a CSV file.  A line ``csv`` cannot read, such
+    as one with a cell over its field-size limit, is a DataError naming
+    the file and line."""
+    reader = csv.reader(handle)
+    try:
+        for row in reader:
+            if row:
+                yield row
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_dataset_cells(path: str) -> Dataset:
     """Read a dataset one cell at a time with ``float``, naming the first
     bad cell (or row, or header) in the error."""
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        rows = list(_csv_rows(handle, path))
     if not rows:
         raise DataError(f"{path}: empty input")
     names = tuple(cell.strip() for cell in rows[0])

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,11 +93,15 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class EdgeDecision:
-    """Outcome of one per-edge test.
+    """Outcome of one per-edge test on n observations of dim variables.
 
     ``reject`` is True exactly when the statistic falls outside the open
     interval (lower, upper); the acceptance region is symmetric, so
-    lower == -upper for every method.
+    lower == -upper for every method.  ``p_value`` is computed the first
+    time it is read and kept, so a caller that reads only decisions, such
+    as a Monte Carlo count, never pays for it.  It is a pure function of
+    the method, the statistic, n and dim, so two threads that race to
+    compute it store equal values.
     """
 
     i: int
@@ -105,9 +109,22 @@ class EdgeDecision:
     statistic: float
     lower: float
     upper: float
-    p_value: float
     reject: bool
     method: str
+    n: int
+    dim: int
+    # The p-value once computed; dataclasses.replace carries it over.
+    _p_value: float | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def p_value(self) -> float:
+        if self._p_value is None:
+            if self.method == "fisher":
+                p = math.erfc(abs(self.statistic) / math.sqrt(2.0))
+            else:
+                p = _exact_p_value(self.statistic, self.n, self.dim)
+            object.__setattr__(self, "_p_value", p)
+        return self._p_value
 
 
 @dataclass(frozen=True)
@@ -145,8 +162,13 @@ def _validate_test_inputs(
 
 
 def _exact_p_value(statistic: float, n: int, dim: int) -> float:
-    cdf = null_corr_cdf(statistic, n, dim)
-    return min(1.0, 2.0 * min(cdf, 1.0 - cdf))
+    """Two-sided exact p-value 2 F(-|r|) of the null law of r, capped at 1.
+
+    The law is symmetric, so this is the near tail of either sign, never
+    1 minus a value close to 1: it keeps its relative accuracy however
+    small it is, and r and -r get the same p-value.
+    """
+    return min(1.0, 2.0 * null_corr_cdf(-abs(statistic), n, dim))
 
 
 def umpu_test(
@@ -176,9 +198,10 @@ def umpu_test(
         statistic=statistic,
         lower=-upper,
         upper=upper,
-        p_value=_exact_p_value(statistic, n, s.dim),
         reject=threshold_reject(statistic, -upper, upper),
         method="umpu",
+        n=n,
+        dim=s.dim,
     )
 
 
@@ -228,9 +251,10 @@ def partial_correlation_test(
         statistic=r,
         lower=-c,
         upper=c,
-        p_value=_exact_p_value(r, n, s.dim),
         reject=threshold_reject(r, -c, c),
         method="partial_corr",
+        n=n,
+        dim=s.dim,
     )
 
 
@@ -252,9 +276,10 @@ def fisher_test(
         statistic=z,
         lower=-zc,
         upper=zc,
-        p_value=math.erfc(abs(z) / math.sqrt(2.0)),
         reject=threshold_reject(z, -zc, zc),
         method="fisher",
+        n=n,
+        dim=s.dim,
     )
 
 

@@ -7,7 +7,8 @@ yields R^-1, from which every partial correlation follows as
 r_ij = -K_ij / sqrt(K_ii K_jj) with K = R^-1.  Partial correlations are
 invariant to the scale of each variable, and so is the factorization.
 A stack of matrices, such as the covariances of a chunk of Monte Carlo
-replications, is factored with one sweep of the whole stack.
+replications, is checked once and factored with one sweep of the whole
+stack.  R itself is wrapped as a SymmetricMatrix only when it is read.
 
 Determinants and cofactors remain for the verification route, which the
 umpu test runs on R.  They come from LAPACK's LU factorization with
@@ -28,7 +29,8 @@ covariance entry to the standardized edge statistic used by the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,14 +64,22 @@ class Factorization:
 
     ``pivot`` is the index of the first pivot of R at or below
     PIVOT_FLOOR, or None when the matrix is positive definite.  When it
-    is, ``correlation`` is R itself and ``partial_correlations`` the
-    write-locked N x N array whose off-diagonal entry (i, j) is
-    r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1; both are None otherwise.
+    is, ``partial_correlations`` is the write-locked N x N array whose
+    off-diagonal entry (i, j) is r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1,
+    and ``correlation`` is R itself, as a SymmetricMatrix built the first
+    time it is read (only the umpu test reads it); both are None
+    otherwise.  ``_scaled`` holds R's checked, write-locked entries.
     """
 
     pivot: int | None
-    correlation: "SymmetricMatrix | None"
     partial_correlations: np.ndarray | None
+    _scaled: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def correlation(self) -> "SymmetricMatrix | None":
+        if self._scaled is None:
+            return None
+        return SymmetricMatrix._checked(self._scaled)
 
 
 def _factorize(entries: np.ndarray) -> list[Factorization]:
@@ -82,7 +92,8 @@ def _factorize(entries: np.ndarray) -> list[Factorization]:
     entry is left unscaled: its pivot cannot exceed it, so the sweep
     fails there or earlier.  Every operation acts on each matrix
     separately, so each result is bit for bit the one a stack of that
-    matrix alone gives.
+    matrix alone gives.  R of the positive definite matrices gets the
+    checks of SymmetricMatrix once, as a stack.
     """
     dim = entries.shape[-1]
     diag = np.diagonal(entries, axis1=-2, axis2=-1)
@@ -114,25 +125,39 @@ def _factorize(entries: np.ndarray) -> list[Factorization]:
     root = np.sqrt(-np.diagonal(a, axis1=-2, axis2=-1))
     partial = a / (root[..., :, None] * root[..., None, :])
     partial.setflags(write=False)
+    _check_entries(r[pivots < 0])
+    r.setflags(write=False)
     return [
-        Factorization(
-            pivot=None,
-            correlation=SymmetricMatrix(r[m]),
-            partial_correlations=partial[m],
-        )
+        Factorization(pivot=None, partial_correlations=partial[m], _scaled=r[m])
         if pivot < 0
-        else Factorization(pivot=int(pivot), correlation=None, partial_correlations=None)
+        else Factorization(pivot=int(pivot), partial_correlations=None)
         for m, pivot in enumerate(pivots)
     ]
 
 
+def _check_entries(arr: np.ndarray) -> None:
+    """The value checks of SymmetricMatrix, on one matrix or on a
+    (count, N, N) stack at once: every entry finite, every matrix exactly
+    symmetric."""
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("matrix entries must be finite")
+    if not np.array_equal(arr, np.swapaxes(arr, -1, -2)):
+        raise DomainError("matrix must be exactly symmetric")
+
+
 def _matrix_stack(entries: np.ndarray) -> list[SymmetricMatrix]:
-    """One SymmetricMatrix per matrix of a (count, N, N) stack, each
-    validated as usual and given its factorization from one sweep of the
+    """One SymmetricMatrix per matrix of a (count, N, N) stack.  The
+    stack is copied and checked once, as SymmetricMatrix checks one
+    matrix, and each matrix gets its factorization from one sweep of the
     whole stack."""
-    matrices = [SymmetricMatrix(e) for e in entries]
-    for m, factorization in zip(matrices, _factorize(entries)):
+    stack = np.array(entries, dtype=float)
+    _check_entries(stack)
+    stack.setflags(write=False)
+    matrices = []
+    for arr, factorization in zip(stack, _factorize(stack)):
+        m = SymmetricMatrix._checked(arr)
         m._factorization = factorization
+        matrices.append(m)
     return matrices
 
 
@@ -155,13 +180,20 @@ class SymmetricMatrix:
             raise DomainError("expected a square matrix")
         if arr.shape[0] == 0:
             raise DomainError("matrix must have at least one row")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("matrix entries must be finite")
-        if not np.array_equal(arr, arr.T):
-            raise DomainError("matrix must be exactly symmetric")
+        _check_entries(arr)
         arr.setflags(write=False)
         self._entries = arr
         self._factorization: Factorization | None = None
+
+    @classmethod
+    def _checked(cls, entries: np.ndarray) -> "SymmetricMatrix":
+        """Wrap a write-locked N x N array that has passed the checks of
+        ``__init__``, such as one matrix of a checked stack, without
+        copying or checking it again."""
+        m = cls.__new__(cls)
+        m._entries = entries
+        m._factorization = None
+        return m
 
     @property
     def dim(self) -> int:
@@ -224,14 +256,17 @@ def _check_offdiagonal(dim: int, i: int, j: int) -> None:
         raise DomainError("edge indices must name an off-diagonal entry")
 
 
-def _det(arr: np.ndarray) -> float:
+def _det(arr: np.ndarray):
     """Determinant of a square array by LAPACK's LU factorization with
-    partial pivoting.  O(N^3); accepts the empty 0 x 0 matrix
+    partial pivoting, as a float; of a (count, N, N) stack, as an array
+    with one determinant per matrix, each bit for bit what that matrix
+    alone gives.  O(N^3) per matrix; accepts the empty 0 x 0 matrix
     (determinant 1) and gives exactly 0 when a pivot vanishes.  numpy
     multiplies the pivots as sign * exp(sum log|u_kk|), so the result is
     accurate relative to its size but not always the exact product: the
     determinant of [[3.0]] is 3.0000000000000004."""
-    return float(np.linalg.det(arr))
+    det = np.linalg.det(arr)
+    return float(det) if det.ndim == 0 else det
 
 
 def determinant(m: SymmetricMatrix) -> float:
@@ -270,20 +305,13 @@ def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
 
     Extracted by evaluating the determinant at x = 0 and x = +/- xbar with
     xbar = 1 + max |entry|, which is exact for a quadratic and needs no
-    symbolic algebra.
+    symbolic algebra.  The three probe matrices go to LAPACK as one stack.
     """
     _check_offdiagonal(m.dim, i, j)
-    base = np.array(m.entries)
-    xbar = 1.0 + float(np.max(np.abs(base)))
-
-    def det_at(x: float) -> float:
-        base[i, j] = x
-        base[j, i] = x
-        return _det(base)
-
-    d0 = det_at(0.0)
-    dplus = det_at(xbar)
-    dminus = det_at(-xbar)
+    xbar = 1.0 + float(np.max(np.abs(m.entries)))
+    probes = np.repeat(m.entries[np.newaxis], 3, axis=0)
+    probes[:, i, j] = probes[:, j, i] = (0.0, xbar, -xbar)
+    d0, dplus, dminus = _det(probes).tolist()
     c = d0
     b = (dplus - dminus) / (2.0 * xbar)
     a = (2.0 * d0 - dplus - dminus) / (2.0 * xbar * xbar)

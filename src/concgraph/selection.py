@@ -109,7 +109,8 @@ def _holm_decisions(
 
     A statistic and its p-value do not depend on the level, so each edge
     needs only the critical value of its level, computed once per
-    distinct level.
+    distinct level.  Each re-decided copy carries the p-value computed
+    here, so no p-value is computed twice.
     """
     levels = _holm_levels([d.p_value for d in decisions], config.alpha)
     critical = {

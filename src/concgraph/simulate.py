@@ -8,12 +8,18 @@ rejection counts reduce by integer summation.
 Replications run in chunks.  A spec computes its covariance Cholesky
 factor once.  Each chunk stacks its replications' draws into one
 (chunk, n, N) array, colors them with one matrix product, forms every
-sample covariance at once and factors them all with one
-correlation-scaled sweep; each replication then runs its edge tests one
-by one.  Every stacked step acts on each replication separately, so a
-replication's covariance, statistics and decisions are bit for bit those
-of ``sample_gaussian`` -> ``sample_covariance`` -> ``run_edge_test`` on
-its substream, and the chunk length changes no result.
+sample covariance at once, checks them once as a stack and factors them
+all with one correlation-scaled sweep; each replication then runs its
+edge tests one by one.  Every stacked step acts on each replication
+separately, so a replication's covariance, statistics and decisions are
+bit for bit those of ``sample_gaussian`` -> ``sample_covariance`` ->
+``run_edge_test`` on its substream, and the chunk length changes no
+result.
+
+A replication pays only for what its report reads: its decisions'
+p-values are never computed, and the correlation-scaled matrix R is
+built only for the umpu test.  A size run evaluates the null CDF for its
+Kolmogorov-Smirnov statistic once, over the whole sorted sample.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .estimators import (
     sample_covariance,
     sample_partial_correlation,
 )
-from .distributions import reg_inc_beta
+from .distributions import _reg_inc_beta_array
 from .independence import METHODS, run_edge_test
 from .matrices import (
     SymmetricMatrix,
@@ -177,10 +183,14 @@ def sample_gaussian(spec: PrecisionSpec, n: int, seed) -> Dataset:
 def ks_statistic(sample: Sequence[float], cdf: Callable[[float], float]) -> float:
     """One-sample Kolmogorov-Smirnov statistic against an exact CDF."""
     x = np.sort(np.asarray(sample, dtype=float))
-    count = x.size
-    if count == 0:
+    if x.size == 0:
         raise DomainError("KS statistic needs a non-empty sample")
-    f = np.array([cdf(float(v)) for v in x])
+    return _ks_distance(np.array([cdf(float(v)) for v in x]))
+
+
+def _ks_distance(f: np.ndarray) -> float:
+    """KS statistic from the CDF values f at the sorted sample."""
+    count = f.size
     grid = np.arange(1, count + 1) / count
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / count)))
@@ -334,7 +344,7 @@ def estimate_size(
         spec, n, alpha, methods, reps, seed, edge
     )
     m = (n - spec.dim) / 2.0
-    ks = ks_statistic((1.0 + r_values) / 2.0, lambda u: reg_inc_beta(u, m, m))
+    ks = _ks_distance(_reg_inc_beta_array(np.sort((1.0 + r_values) / 2.0), m, m))
     return MonteCarloReport(
         replications=reps,
         seed=seed,

@@ -48,10 +48,13 @@ def det_cofactor_expansion(arr) -> float:
     return total
 
 
-def det_elimination(arr) -> float:
+def det_elimination(arr):
     """Determinant by Gaussian elimination with partial pivoting, written
-    out in Python.  O(N^3); the empty 0 x 0 matrix has determinant 1."""
+    out in Python.  O(N^3); the empty 0 x 0 matrix has determinant 1.  A
+    (count, N, N) stack gives an array of determinants, like ``_det``."""
     a = np.array(arr, dtype=float)
+    if a.ndim == 3:
+        return np.array([det_elimination(m) for m in a])
     n = a.shape[0]
     if n == 0:
         return 1.0

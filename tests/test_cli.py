@@ -324,6 +324,24 @@ class TestSelectCommand:
         assert "positive definite" in err
         assert "variable 'd'" in err
 
+    @pytest.mark.parametrize("command", ["select", "verify"])
+    @pytest.mark.parametrize("where", ["body", "header"])
+    def test_cell_over_csv_field_limit_exit_2(self, tmp_path, capsys, command, where):
+        # csv refuses a field over 131,072 characters; once a traceback
+        long = "x" * 140_000
+        p = tmp_path / "long.csv"
+        if where == "body":
+            p.write_text(f"a,b,c\n1,2,3\n4,{long},6\n7,8,9\n", encoding="utf-8")
+        else:
+            p.write_text(f"a,{long},c\n1,2,3\n4,5,6\n7,8,9\n", encoding="utf-8")
+        assert main([command, "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = 3 if where == "body" else 1
+        assert captured.err == (
+            f"error: {p}: line {line}: field larger than field limit (131072)\n"
+        )
+
     def test_missing_input_flag_exit_1(self, capsys):
         assert main(["select"]) == 1
 

@@ -17,7 +17,7 @@ from concgraph import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from concgraph.distributions import QUANTILE_CACHE_SIZE
+from concgraph.distributions import QUANTILE_CACHE_SIZE, _reg_inc_beta_array
 
 SHAPES = (0.5, 1.0, 1.5, 2.0, 5.0, 10.0, 24.5)
 PROBS = (0.005, 0.025, 0.05, 0.25)
@@ -80,6 +80,44 @@ class TestRegIncBeta:
     def test_monotone_in_x(self, p, m):
         values = [reg_inc_beta(x, p, m) for x in np.linspace(0.0, 1.0, 21)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestRegIncBetaArray:
+    """The array form against the scalar routine, bit for bit."""
+
+    @pytest.mark.parametrize("m", (0.5, 1.0, 1.5, 2.5, 10.0, 10.5, 20.0, 150.0, 1500.0))
+    def test_bit_identical_to_scalar(self, m):
+        rng = np.random.default_rng(int(2 * m))
+        # endpoints, the symmetry point, both branches of the continued
+        # fraction ((p + 1) / (p + q + 2) splits them) and the bulk of the law
+        x = np.concatenate([
+            [0.0, 0.5, 1.0, 1e-300, 1e-12, 0.5 - 1e-16, 0.5 + 1e-16, 1.0 - 1e-16],
+            rng.uniform(0.0, 1.0, 200),
+            rng.beta(m, m, 200),
+        ])
+        for p, q in ((m, m), (m, 2.0), (0.5, m)):
+            got = _reg_inc_beta_array(x, p, q)
+            want = [reg_inc_beta(float(v), p, q) for v in x]
+            assert bits(got) == bits(want)
+
+    def test_both_branches_taken(self):
+        x = np.array([0.1, 0.9])
+        split = (3.0 + 1.0) / (3.0 + 3.0 + 2.0)
+        assert x[0] < split <= x[1]
+        assert bits(_reg_inc_beta_array(x, 3.0, 3.0)) == bits(
+            [reg_inc_beta(0.1, 3.0, 3.0), reg_inc_beta(0.9, 3.0, 3.0)]
+        )
+
+    def test_one_branch_empty(self):
+        x = np.array([0.0, 0.01, 0.2])
+        assert bits(_reg_inc_beta_array(x, 5.0, 5.0)) == bits(
+            [reg_inc_beta(v, 5.0, 5.0) for v in x]
+        )
+        assert _reg_inc_beta_array(np.array([]), 2.0, 2.0).size == 0
 
 
 class TestBetaSymQuantile:

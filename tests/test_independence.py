@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from concgraph import independence
 from concgraph import (
     DomainError,
     InsufficientSample,
@@ -141,6 +144,54 @@ class TestPartialCorrelation:
         s, i, j, n = random_instance(rng)
         d = partial_correlation_test(s, i, j, n, 0.05)
         assert d.statistic == sample_partial_correlation(s, i, j)
+
+
+class TestExactPValue:
+    """p = min(1, 2 I_{(1-|r|)/2}(m, m)), always from the near tail."""
+
+    def test_relative_error_against_scipy(self):
+        # The prefactor exp(lgamma(2m) - 2 lgamma(m) + ...) rounds its
+        # lgamma terms first, so its relative error grows like
+        # eps * (lgamma(2m) + 2 lgamma(m)): within 1e-13 up to m = 60,
+        # 2.4e-12 at m = 500, where scipy itself is 1.2e-13 from a
+        # 40-digit value.
+        eps = np.finfo(float).eps
+        r = np.concatenate([np.linspace(0.0, 0.999, 334), [0.5, 0.7, 0.8, 0.9, 0.99]])
+        for d in (1, 2, 3, 5, 8, 13, 20, 35, 50, 80, 99, 120, 200, 333, 500, 777, 999, 1000):
+            m = d / 2.0
+            tol = max(1e-13, eps * (math.lgamma(2 * m) + 2 * abs(math.lgamma(m))))
+            want = np.minimum(1.0, 2.0 * betainc(m, m, (1.0 - r) / 2.0))
+            for sign in (1.0, -1.0):
+                got = np.array([independence._exact_p_value(sign * v, d + 4, 4) for v in r])
+                normal = want >= np.finfo(float).tiny
+                assert np.all(got[~normal] < 1e-300)
+                rel = np.abs(got - want)[normal] / want[normal]
+                assert rel.max() <= tol, (d, float(rel.max()))
+
+    def test_sign_of_r_leaves_p_unchanged(self):
+        # n = 100, N = 10: p(+0.8) used to be 2 (1 - F), which cancels to 0
+        for r in (0.0, 0.1, 0.5, 0.7, 0.8, 0.9, 0.999):
+            assert independence._exact_p_value(r, 100, 10) == independence._exact_p_value(-r, 100, 10)
+        assert independence._exact_p_value(0.8, 100, 10) == pytest.approx(1.13e-21, rel=1e-2)
+        assert independence._exact_p_value(0.0, 100, 10) == 1.0
+
+    @pytest.mark.parametrize("test", [umpu_test, partial_correlation_test, fisher_test])
+    def test_computed_once_on_first_read(self, test, rng, monkeypatch):
+        s, i, j, n = random_instance(rng)
+        calls = []
+        exact = independence._exact_p_value
+        monkeypatch.setattr(
+            independence, "_exact_p_value", lambda *a: calls.append(a) or exact(*a)
+        )
+        d = test(s, i, j, n, 0.05)
+        assert d._p_value is None
+        p = d.p_value
+        assert d._p_value == p == d.p_value
+        assert len(calls) == (0 if test is fisher_test else 1)
+        # a re-decided copy keeps the computed value
+        again = replace(d, reject=not d.reject)
+        assert again._p_value == p
+        assert len(calls) == (0 if test is fisher_test else 1)
 
 
 class TestFisher:

@@ -190,6 +190,32 @@ class TestFactorizationStack:
         with pytest.raises(DomainError, match="symmetric"):
             _matrix_stack(stack)
 
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "matrix entries must be finite"),
+        (np.inf, "matrix entries must be finite"),
+        (None, "matrix must be exactly symmetric"),
+    ])
+    def test_matrix_stack_raises_what_one_matrix_raises(self, rng, value, message):
+        stack = np.array([oracles.random_pd_matrix(rng, 4) for _ in range(5)])
+        if value is None:
+            stack[3, 2, 0] = np.nextafter(stack[3, 2, 0], 9.0)
+        else:
+            stack[3, 1, 1] = value
+        with pytest.raises(DomainError, match=message):
+            SymmetricMatrix(stack[3])
+        with pytest.raises(DomainError, match=message):
+            _matrix_stack(stack)
+
+    def test_matrix_stack_shares_no_writable_array(self, rng):
+        stack = np.array([oracles.random_pd_matrix(rng, 3) for _ in range(2)])
+        matrices = _matrix_stack(stack)
+        stack[0, 0, 0] = 99.0
+        assert matrices[0].entries[0, 0] != 99.0
+        assert not matrices[0].entries.flags.writeable
+        r = matrices[0].factorization.correlation
+        assert not r.entries.flags.writeable
+        assert matrices[0].factorization.correlation is r
+
 
 def well_conditioned(rng, dim: int, definite: bool) -> np.ndarray:
     """Random exactly symmetric Q diag(lam) Q^T with |lam| in [0.5, 2];
@@ -216,6 +242,15 @@ class TestDeterminant:
 
     def test_empty_matrix_is_one(self):
         assert _det(np.empty((0, 0))) == 1.0
+
+    def test_stack_matches_each_matrix_alone(self):
+        rng = np.random.default_rng(29)
+        for dim in range(1, 31):
+            stack = np.array([well_conditioned(rng, dim, k % 2 == 0) for k in range(6)])
+            stack[5] = 0.0  # singular
+            got = _det(stack)
+            assert got.shape == (6,)
+            assert [float(v).hex() for v in got] == [_det(m).hex() for m in stack]
 
     @pytest.mark.parametrize("definite", [True, False])
     def test_matches_elimination_oracle(self, definite):
@@ -270,7 +305,33 @@ class TestCofactor:
         )
 
 
+def quadratic_one_probe_at_a_time(m: SymmetricMatrix, i: int, j: int):
+    """(a, b, c) from three separate determinant calls, one per probe."""
+    xbar = 1.0 + float(np.max(np.abs(m.entries)))
+    d0, dplus, dminus = (_det(m.with_edge(i, j, x).entries) for x in (0.0, xbar, -xbar))
+    return (
+        (2.0 * d0 - dplus - dminus) / (2.0 * xbar * xbar),
+        (dplus - dminus) / (2.0 * xbar),
+        d0,
+    )
+
+
 class TestQuadraticDecomposition:
+    def test_stacked_probes_match_one_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        calls = []
+        det = matrices._det
+        monkeypatch.setattr(matrices, "_det", lambda a: calls.append(a.shape) or det(a))
+        for dim in range(2, 31):
+            for definite in (True, False):
+                m = SymmetricMatrix(well_conditioned(rng, dim, definite))
+                for _ in range(3):
+                    i, j = (int(k) for k in sorted(rng.choice(dim, 2, replace=False)))
+                    del calls[:]
+                    q = quadratic_decomposition(m, i, j)
+                    assert calls == [(3, dim, dim)]
+                    assert (q.a, q.b, q.c) == quadratic_one_probe_at_a_time(m, i, j)
+
     def test_2x2_identity_edge(self):
         q = quadratic_decomposition(SymmetricMatrix(np.eye(2)), 0, 1)
         assert (q.a, q.b, q.c) == pytest.approx((1.0, 0.0, 1.0), abs=1e-12)

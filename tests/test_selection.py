@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from concgraph import independence
 from concgraph import (
     CORRECTIONS,
     Dataset,
@@ -173,6 +174,25 @@ class TestCorrections:
             assert got == expected
 
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_holm_computes_each_pvalue_once(self, method, monkeypatch):
+        calls = []
+        exact = independence._exact_p_value
+        monkeypatch.setattr(
+            independence, "_exact_p_value", lambda *a: calls.append(a) or exact(*a)
+        )
+        k = np.eye(30)
+        idx = np.arange(29)
+        k[idx, idx + 1] = k[idx + 1, idx] = -0.3
+        data = sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), 150, seed=5)
+        graph = select_graph(data, TestConfig(alpha=0.05, method=method), "holm")
+        assert graph.edges
+        # Holm reads every p-value, then the output reads them again
+        pvalues = [d.p_value for d in graph.decisions]
+        assert len(pvalues) == 435
+        assert len(calls) == (0 if method == "fisher" else 435)
+
+
 class TestEdgePvalues:
     def test_sorted_by_edge_and_deterministic(self, rng):
         data = null_dataset(rng)
@@ -291,6 +311,7 @@ class TestInvarianceProperties:
             sign = -1.0 if column in (a.i, a.j) else 1.0
             assert a.statistic == pytest.approx(sign * b.statistic, abs=1e-14)
             assert a.reject == b.reject
+            assert a.p_value == b.p_value
 
     @given(data=mixed_datasets(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40)

@@ -23,7 +23,7 @@ from concgraph import (
     sample_partial_correlation,
     verify_equivalence,
 )
-from concgraph import simulate
+from concgraph import distributions, simulate
 
 
 class TestPrecisionSpec:
@@ -298,6 +298,46 @@ class TestChunkedEngine:
         assert {name: o.rejections for name, o in report.per_method.items()} == counts
         assert report.agreement == agreement_rates(agree, reps)
         assert report.null_rate == null_counts[METHODS[0]] / reps
+
+
+class TestWorkPerReplication:
+    """A replication computes only what its report reads."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("estimate", [estimate_size, estimate_power])
+    def test_no_incomplete_beta_per_replication(self, estimate, method, monkeypatch):
+        calls = self.count_calls(monkeypatch, distributions, "reg_inc_beta")
+        spec = PrecisionSpec.identity(4) if estimate is estimate_size else (
+            PrecisionSpec.single_edge(4, 0, 1, 0.3))
+        counts = []
+        for reps in (1000, 2000):
+            # cold quantiles each time, so both runs pay the same fixed cost
+            distributions.beta_sym_quantile.cache_clear()
+            del calls[:]
+            estimate(spec, 20, 0.05, method, reps=reps, seed=3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 100
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_correlation_matrix_built_only_for_umpu(self, method, monkeypatch):
+        spec = PrecisionSpec.identity(4)
+        built = []
+        checked = SymmetricMatrix._checked
+        monkeypatch.setattr(
+            SymmetricMatrix, "_checked", classmethod(lambda cls, e: built.append(e) or checked(e))
+        )
+        inits = self.count_calls(monkeypatch, SymmetricMatrix, "__init__")
+        estimate_size(spec, 20, 0.05, method, reps=1000, seed=3)
+        # one S per replication, plus R for each umpu replication
+        assert len(built) == (2000 if method == "umpu" else 1000)
+        assert len(inits) == 0
 
 
 class TestInstanceStream:
