@@ -10,17 +10,24 @@ keeps every report byte-identical is one command and one diff:
 Each line is ``<sha256 of stdout>  exit=<code>  <call>``.  The calls are
 the reference Monte Carlo, verify and size/power commands, ``select`` on
 two ``scripts/make_dataset.py`` files for every method, correction and
-output format, and ``verify --input`` on both files.  Every call runs in
-a fresh interpreter with ``src/`` first on the path.
+output format, and ``verify --input`` on both files.  Two more files
+follow: an N = 30, n = 150 chain, selected with every method under
+``--correction holm`` in json and tsv (435 pairs over many Holm levels),
+and a file whose header names hold a tab and the control character
+U+0001, selected in every format.  Every call runs in a fresh interpreter
+with ``src/`` first on the path.
 """
 
 import argparse
+import csv
 import hashlib
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,6 +36,10 @@ DATASETS = (
     ("chain6", ["--dim", "6", "--n", "40", "--rho", "0.6", "--seed", "3"]),
     ("edge12", ["--dim", "12", "--n", "90", "--rho", "0.35", "--seed", "11"]),
 )
+# Written here with numpy alone, so the input does not depend on src/:
+# (name, dim, n, seed, header names or None for v0, v1, ...).
+CHAIN = ("chain30", 30, 150, 5, None)
+CONTROL = ("control", 4, 30, 2, ("a\tb", "c\x01d", "e\\f", "g"))
 METHODS = ("umpu", "partial-corr", "fisher")
 CORRECTIONS = ("none", "bonferroni", "holm")
 FORMATS = ("json", "tsv", "dot")
@@ -68,7 +79,30 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
                     out.append((f"select {name} {' '.join(flags)}",
                                 ["-m", "concgraph", "select", "--input", path, *flags]))
         out.append((f"verify --input {name}", ["-m", "concgraph", "verify", "--input", path]))
+    for method in METHODS:
+        for fmt in ("json", "tsv"):
+            flags = ["--method", method, "--correction", "holm", "--format", fmt]
+            out.append((f"select {CHAIN[0]} {' '.join(flags)}",
+                        ["-m", "concgraph", "select", "--input", os.path.join(workdir, "chain30.csv"), *flags]))
+    for fmt in FORMATS:
+        out.append((f"select {CONTROL[0]} --format {fmt}",
+                    ["-m", "concgraph", "select", "--input", os.path.join(workdir, "control.csv"),
+                     "--format", fmt]))
     return out
+
+
+def write_chain(path: str, dim: int, n: int, seed: int, names) -> None:
+    """n draws of a Gaussian chain: precision 1 on the diagonal and -0.3
+    between neighbours."""
+    k = np.eye(dim)
+    idx = np.arange(dim - 1)
+    k[idx, idx + 1] = k[idx + 1, idx] = -0.3
+    factor = np.linalg.cholesky(np.linalg.inv(k))
+    values = np.random.default_rng(seed).standard_normal((n, dim)) @ factor.T
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(names or [f"v{j}" for j in range(dim)])
+        writer.writerows([[repr(v) for v in row] for row in values.tolist()])
 
 
 def main(argv=None) -> int:
@@ -81,6 +115,8 @@ def main(argv=None) -> int:
                 [sys.executable, "scripts/make_dataset.py", *args, "--out", path],
                 cwd=ROOT, env=_env(), check=True,
             )
+        for name, dim, n, seed, names in (CHAIN, CONTROL):
+            write_chain(os.path.join(workdir, f"{name}.csv"), dim, n, seed, names)
         for label, args in calls(workdir):
             digest, code = _run(args)
             print(f"{digest}  exit={code}  {label}", flush=True)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -74,9 +76,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise DomainError(f"cannot serialize non-finite number {x!r}")
     return format(float(x), ".17g")
+
+
+# \u00XX for each control character that has no short form.
+_JSON_ESCAPES = str.maketrans(
+    {chr(k): f"\\u{k:04x}" for k in range(32)}
+    | {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+
+
+def _quote(text: str) -> str:
+    # Most names and keys need no escape; the regex finds that faster than
+    # str.translate walks the string.
+    if _NEEDS_ESCAPE.search(text):
+        text = text.translate(_JSON_ESCAPES)
+    return f'"{text}"'
 
 
 def json_dumps(obj) -> str:
@@ -85,43 +103,27 @@ def json_dumps(obj) -> str:
     Keys keep insertion order; only the types the reports use are
     supported (dict, list/tuple, str, bool, int, float, None).
     """
-    pieces: list[str] = []
-    _emit(obj, pieces)
-    return "".join(pieces)
+    return _emit(obj)
 
 
-def _emit(obj, pieces: list[str]) -> None:
+def _emit(obj) -> str:
+    if type(obj) is float:
+        return _format_float(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, dict):
+        return "{" + ", ".join([f"{_quote(str(k))}: {_emit(v)}" for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_emit(v) for v in obj]) + "]"
     if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        for raw, rep in (("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t")):
-            escaped = escaped.replace(raw, rep)
-        pieces.append(f'"{escaped}"')
-    elif isinstance(obj, dict):
-        pieces.append("{")
-        for idx, (key, value) in enumerate(obj.items()):
-            if idx:
-                pieces.append(", ")
-            _emit(str(key), pieces)
-            pieces.append(": ")
-            _emit(value, pieces)
-        pieces.append("}")
-    elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
-        for idx, value in enumerate(obj):
-            if idx:
-                pieces.append(", ")
-            _emit(value, pieces)
-        pieces.append("]")
-    else:
-        raise DomainError(f"cannot serialize {type(obj).__name__}")
+        return "null"
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, str):
+        return _quote(obj)
+    raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
 def read_dataset_csv(path: str) -> Dataset:
@@ -267,6 +269,9 @@ def _graph_dot(graph) -> str:
 
 
 def _graph_tsv(graph) -> str:
+    # Escapes as in JSON, so that a name cannot split a row.
+    escapes = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+    names = [name.translate(escapes) for name in graph.names]
     lines = ["i\tj\tname_i\tname_j\tstatistic\tp_value\treject"]
     for d in graph.decisions:
         lines.append(
@@ -274,8 +279,8 @@ def _graph_tsv(graph) -> str:
                 [
                     str(d.i),
                     str(d.j),
-                    graph.names[d.i],
-                    graph.names[d.j],
+                    names[d.i],
+                    names[d.j],
                     _format_float(d.statistic),
                     _format_float(d.p_value),
                     "true" if d.reject else "false",

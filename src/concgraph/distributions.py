@@ -4,10 +4,10 @@ Everything here is pure and reentrant: the regularized incomplete beta
 function and its symmetric-shape inverse, the exact null law of the
 sample partial correlation (density proportional to (1 - x**2)**((d-2)/2)
 on [-1, 1] with d = n - N degrees of freedom), the Fisher transformation
-and standard-normal helpers.  The public functions are scalar.  The
-incomplete beta function also has an array form, bit for bit the scalar
-one at every element, for callers that need it at many points at once,
-such as the Kolmogorov-Smirnov check of a Monte Carlo null sample.
+and standard-normal helpers.  The public functions are scalar, except
+:func:`null_corr_pvalues`, the exact p-values of a graph in one pass.  It
+and the Kolmogorov-Smirnov check of a Monte Carlo null sample use the
+array form of the incomplete beta function, bit for bit the scalar one.
 
 The two laws are linked by the change of variable r = 2u - 1: if
 u ~ Beta(m, m) with m = d / 2 then r follows the null correlation law.
@@ -28,6 +28,7 @@ __all__ = [
     "beta_sym_quantile",
     "null_corr_cdf",
     "null_corr_quantile",
+    "null_corr_pvalues",
     "fisher_z",
     "std_normal_cdf",
     "std_normal_quantile",
@@ -255,6 +256,17 @@ def null_corr_quantile(alpha: float, n: int, dim: int) -> float:
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 1.0):
         raise DomainError(f"significance level must lie in (0, 1], got {alpha!r}")
     return 1.0 - 2.0 * beta_sym_quantile(float(alpha) / 2.0, m)
+
+
+def null_corr_pvalues(r, n: int, dim: int) -> np.ndarray:
+    """Exact two-sided p-values min(1, 2 F(-|r_k|)) at every element of r,
+    as a 1-d array, bit for bit those with F = :func:`null_corr_cdf`."""
+    m = _half_shape(n, dim)
+    r = np.asarray(r, dtype=np.float64).ravel()
+    bad = np.flatnonzero(~(np.abs(r) <= 1.0))
+    if bad.size:
+        raise DomainError(f"correlation must lie in [-1, 1], got {r[bad[0]].item()!r}")
+    return np.minimum(1.0, 2.0 * _reg_inc_beta_array((1.0 - np.abs(r)) / 2.0, m, m))
 
 
 def fisher_z(r: float, n: int) -> float:

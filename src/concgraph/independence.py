@@ -101,7 +101,8 @@ class EdgeDecision:
     time it is read and kept, so a caller that reads only decisions, such
     as a Monte Carlo count, never pays for it.  It is a pure function of
     the method, the statistic, n and dim, so two threads that race to
-    compute it store equal values.
+    compute it store equal values.  Under Holm, ``select_graph`` fills the
+    exact p-values of a whole graph in one array pass.
     """
 
     i: int
@@ -113,8 +114,8 @@ class EdgeDecision:
     method: str
     n: int
     dim: int
-    # The p-value once computed; dataclasses.replace carries it over.
-    _p_value: float | None = field(default=None, repr=False, compare=False)
+    # The p-value once computed; dataclasses.replace starts a copy without it.
+    _p_value: float | None = field(init=False, default=None, repr=False, compare=False)
 
     @property
     def p_value(self) -> float:

@@ -3,11 +3,11 @@ edges whose null is rejected."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import null_corr_quantile, std_normal_quantile
+from .distributions import null_corr_pvalues, null_corr_quantile, std_normal_quantile
 from .errors import DomainError, InsufficientSample, NotPositiveDefinite
 from .estimators import Dataset, sample_covariance
 from .independence import EdgeDecision, TestConfig, run_edge_test, threshold_reject
@@ -103,27 +103,28 @@ def _critical_value(method: str, n: int, dim: int, alpha: float) -> float:
 
 
 def _holm_decisions(
-    decisions: tuple[EdgeDecision, ...], config: TestConfig, n: int, dim: int
-) -> tuple[EdgeDecision, ...]:
+    decisions: list[EdgeDecision], pvalues: list[float], config: TestConfig, n: int, dim: int
+) -> list[EdgeDecision]:
     """Re-decide edges tested at config.alpha at their Holm levels.
 
     A statistic and its p-value do not depend on the level, so each edge
     needs only the critical value of its level, computed once per
-    distinct level.  Each re-decided copy carries the p-value computed
-    here, so no p-value is computed twice.
+    distinct level.  Each re-decided edge carries its p-value from
+    pvalues, so no p-value is computed twice.
     """
-    levels = _holm_levels([d.p_value for d in decisions], config.alpha)
+    levels = _holm_levels(pvalues, config.alpha)
     critical = {
         level: _critical_value(config.method, n, dim, level)
         for level in dict.fromkeys(levels)
     }
     decided = []
-    for d, level in zip(decisions, levels):
-        c = critical[level]
-        decided.append(
-            replace(d, lower=-c, upper=c, reject=threshold_reject(d.statistic, -c, c))
-        )
-    return tuple(decided)
+    for d, p, level in zip(decisions, pvalues, levels):
+        c, t = critical[level], d.statistic
+        reject = threshold_reject(t, -c, c)
+        decision = EdgeDecision(d.i, d.j, t, -c, c, reject, d.method, n, dim)
+        object.__setattr__(decision, "_p_value", p)
+        decided.append(decision)
+    return decided
 
 
 def select_graph(
@@ -141,6 +142,8 @@ def select_graph(
     "holm" applies the step-down procedure to the p-values and decides
     each edge at its Holm level.  The corrections are standard plumbing
     for multiple testing, outside the per-edge optimality statement.
+    Under Holm the exact p-values are computed in one array pass over the
+    graph; otherwise each is computed when it is first read.
     """
     if correction not in CORRECTIONS:
         raise DomainError(
@@ -151,10 +154,13 @@ def select_graph(
     level = config.alpha
     if correction == "bonferroni" and len(pairs) > 1:
         level = config.alpha / len(pairs)
-    decisions = tuple(
-        run_edge_test(config.method, s, i, j, data.n, level) for i, j in pairs
-    )
+    decisions = [run_edge_test(config.method, s, i, j, data.n, level) for i, j in pairs]
     if correction == "holm":
-        decisions = _holm_decisions(decisions, config, data.n, data.dim)
+        if config.method == "fisher":
+            pvalues = [d.p_value for d in decisions]
+        else:
+            r = [d.statistic for d in decisions]
+            pvalues = null_corr_pvalues(r, data.n, data.dim).tolist()
+        decisions = _holm_decisions(decisions, pvalues, config, data.n, data.dim)
     edges = frozenset((d.i, d.j) for d in decisions if d.reject)
-    return ConcentrationGraph(names=data.names, edges=edges, decisions=decisions)
+    return ConcentrationGraph(names=data.names, edges=edges, decisions=tuple(decisions))

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the implementation paths it checks:
 determinants by recursive cofactor expansion or by a hand-written
 Gaussian elimination (the package uses LAPACK), CSV cells one at a time
-with ``float`` (the package parses the body in bulk), beta and correlation
+with ``float`` (the package parses the body in bulk), JSON by the
+recursive ``isinstance`` writer the CLI replaced, beta and correlation
 CDFs by adaptive quadrature of smooth trig-substituted integrands,
 quantiles by bisection of those quadrature CDFs, the normal quantile by
 bisection of an erf-based CDF, and Monte Carlo runs one replication at a
@@ -22,6 +23,7 @@ from scipy import integrate
 from concgraph import (
     DataError,
     Dataset,
+    DomainError,
     run_edge_test,
     sample_covariance,
     sample_gaussian,
@@ -120,6 +122,55 @@ def read_dataset_cells(path: str) -> Dataset:
     if len(values) < 2:
         raise DataError(f"{path}: need at least two observation rows")
     return Dataset(values=array, names=names)
+
+
+def _format_float(x: float) -> str:
+    if not np.isfinite(x):
+        raise DomainError(f"cannot serialize non-finite number {x!r}")
+    return format(float(x), ".17g")
+
+
+def json_dumps(obj) -> str:
+    """The CLI's JSON writer as it was before it dispatched on exact types:
+    one ``isinstance`` chain per value, escaping only backslash, quote,
+    newline, CR and tab."""
+    pieces: list[str] = []
+    _emit(obj, pieces)
+    return "".join(pieces)
+
+
+def _emit(obj, pieces: list[str]) -> None:
+    if obj is None:
+        pieces.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        pieces.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        pieces.append(_format_float(float(obj)))
+    elif isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        for raw, rep in (("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t")):
+            escaped = escaped.replace(raw, rep)
+        pieces.append(f'"{escaped}"')
+    elif isinstance(obj, dict):
+        pieces.append("{")
+        for idx, (key, value) in enumerate(obj.items()):
+            if idx:
+                pieces.append(", ")
+            _emit(str(key), pieces)
+            pieces.append(": ")
+            _emit(value, pieces)
+        pieces.append("}")
+    elif isinstance(obj, (list, tuple)):
+        pieces.append("[")
+        for idx, value in enumerate(obj):
+            if idx:
+                pieces.append(", ")
+            _emit(value, pieces)
+        pieces.append("]")
+    else:
+        raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
 def beta_sym_cdf_quad(x: float, m: float) -> float:

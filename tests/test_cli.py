@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from concgraph import (
     DataError,
+    DomainError,
     PrecisionSpec,
     SymmetricMatrix,
     TestConfig,
@@ -20,7 +21,7 @@ from concgraph import (
     sample_gaussian,
     select_graph,
 )
-from concgraph import cli
+from concgraph import cli, independence, selection
 from concgraph.cli import json_dumps, main, read_dataset_csv
 
 
@@ -62,6 +63,72 @@ class TestJsonDumps:
         doc = {"v": [0.1, 1e-300, 123456.789, -4.0], "n": 7}
         parsed = json.loads(json_dumps(doc))
         assert parsed["v"] == doc["v"]
+
+
+# Control characters other than newline, CR and tab, which the writer
+# before the exact-type dispatch left unescaped.
+_BARE_CONTROLS = [chr(k) for k in range(32) if chr(k) not in "\n\r\t"]
+
+_json_text = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters=_BARE_CONTROLS),
+    max_size=12,
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.05]),
+    _json_text,
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+)
+json_documents = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(_json_text, st.integers()), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+_UNWRITABLE = [
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    np.float64("inf"),
+    np.float32("nan"),
+    {1, 2},
+    b"bytes",
+    object(),
+    np.zeros(2),
+]
+
+
+class TestJsonWriterAgainstOracle:
+    @given(doc=json_documents)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_the_isinstance_writer(self, doc):
+        assert json_dumps(doc) == oracles.json_dumps(doc)
+
+    @given(doc=json_documents, bad=st.sampled_from(_UNWRITABLE), where=st.integers(0, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_same_error_text(self, doc, bad, where):
+        wrapped = ([doc, bad], {"k": doc, "x": [bad]}, bad)[where]
+        with pytest.raises(DomainError) as expected:
+            oracles.json_dumps(wrapped)
+        with pytest.raises(DomainError) as got:
+            json_dumps(wrapped)
+        assert str(got.value) == str(expected.value)
+
+    def test_every_control_character_round_trips(self):
+        names = ["".join(chr(k) for k in range(32)), "a\x01b", "d\x0ce", 'q"\\']
+        text = json_dumps({"names": names})
+        assert json.loads(text) == {"names": names}
+        assert "\\u0001" in text and "\\n" in text and "\\t" in text
 
 
 def read_outcome(read, path):
@@ -255,6 +322,40 @@ class TestSelectCommand:
         assert code == 0
         assert out[0] == "i\tj\tname_i\tname_j\tstatistic\tp_value\treject"
         assert len(out) == 4  # header + 3 pairs
+
+    def test_control_characters_in_names_give_valid_json(self, tmp_path, capsys):
+        data = chain_data(3, 30, seed=1)
+        path = tmp_path / "ctrl.csv"
+        write_csv(path, ["a\x01b", "c", "d\x0ce"], data.values.tolist())
+        code = main(["select", "--input", str(path)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["names"] == ["a\x01b", "c", "d\x0ce"]
+
+    def test_tsv_rows_keep_seven_fields(self, tmp_path, capsys):
+        data = chain_data(3, 30, seed=1)
+        path = tmp_path / "tab.csv"
+        write_csv(path, ['"a\tb"', '"c\nd"', '"e\\f\rg"'], data.values.tolist())
+        code = main(["select", "--input", str(path), "--format", "tsv"])
+        rows = capsys.readouterr().out.rstrip("\n").split("\n")
+        assert code == 0
+        assert len(rows) == 4
+        assert all(len(row.split("\t")) == 7 for row in rows)
+        assert rows[1].split("\t")[2:4] == ["a\\tb", "c\\nd"]
+        assert rows[2].split("\t")[3] == "e\\\\f\\rg"
+
+    @pytest.mark.parametrize("correction", ["none", "bonferroni"])
+    def test_dot_computes_no_pvalue(self, sample_csv, capsys, monkeypatch, correction):
+        def refuse(*args):
+            raise AssertionError("p-value computed")
+
+        monkeypatch.setattr(independence, "_exact_p_value", refuse)
+        monkeypatch.setattr(selection, "null_corr_pvalues", refuse)
+        path, _ = sample_csv
+        code = main(
+            ["select", "--input", str(path), "--format", "dot", "--correction", correction]
+        )
+        assert code == 0
+        assert '"x1" -- "x2";' in capsys.readouterr().out
 
     def test_out_file(self, sample_csv, tmp_path, capsys):
         path, _ = sample_csv

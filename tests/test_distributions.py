@@ -17,7 +17,8 @@ from concgraph import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from concgraph.distributions import QUANTILE_CACHE_SIZE, _reg_inc_beta_array
+from concgraph.distributions import QUANTILE_CACHE_SIZE, _reg_inc_beta_array, null_corr_pvalues
+from concgraph.independence import _exact_p_value
 
 SHAPES = (0.5, 1.0, 1.5, 2.0, 5.0, 10.0, 24.5)
 PROBS = (0.005, 0.025, 0.05, 0.25)
@@ -234,6 +235,34 @@ class TestNullCorrCdf:
                 assert null_corr_cdf(r, n, dim) == pytest.approx(
                     reg_inc_beta(u, degrees / 2.0, degrees / 2.0), abs=1e-14
                 )
+
+
+class TestNullCorrPvalues:
+    # (n, dim): n - dim odd gives a half-integer shape, dim = 2 one pair
+    SIZES = ((3, 2), (4, 2), (12, 5), (40, 10), (41, 10), (1001, 2), (1010, 10))
+
+    @pytest.mark.parametrize("n, dim", SIZES)
+    def test_bit_identical_to_scalar(self, n, dim):
+        grid = np.linspace(0.0, 1.0, 401)
+        tail = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.999, 0.9995, 0.9999, 1.0 - 1e-12, 1.0])
+        r = np.concatenate([grid, tail, -grid, -tail])
+        got = null_corr_pvalues(r, n, dim).tolist()
+        assert got == [_exact_p_value(v, n, dim) for v in r.tolist()]
+        assert got[:401] == got[410:811]  # r and -r
+
+    def test_flattens_and_takes_lists(self):
+        got = null_corr_pvalues([[0.0, 0.5], [-0.5, 1.0]], 12, 4)
+        assert got.tolist() == [1.0, _exact_p_value(0.5, 12, 4), _exact_p_value(0.5, 12, 4), 0.0]
+        assert null_corr_pvalues([], 12, 4).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0000001, float("nan"), float("inf")])
+    def test_domain_error(self, bad):
+        with pytest.raises(DomainError, match="correlation must lie in"):
+            null_corr_pvalues([0.1, bad, 0.2], 12, 4)
+
+    def test_insufficient_sample(self):
+        with pytest.raises(InsufficientSample):
+            null_corr_pvalues([0.1], 4, 4)
 
 
 class TestNullCorrQuantile:

@@ -188,10 +188,19 @@ class TestExactPValue:
         p = d.p_value
         assert d._p_value == p == d.p_value
         assert len(calls) == (0 if test is fisher_test else 1)
-        # a re-decided copy keeps the computed value
+        # a copy starts without it, since its statistic may differ
         again = replace(d, reject=not d.reject)
-        assert again._p_value == p
-        assert len(calls) == (0 if test is fisher_test else 1)
+        assert again._p_value is None
+        assert again.p_value == p
+        assert len(calls) == (0 if test is fisher_test else 2)
+
+    @pytest.mark.parametrize("test", [umpu_test, partial_correlation_test])
+    def test_copy_with_another_statistic_has_its_own_pvalue(self, test, rng):
+        s, i, j, n = random_instance(rng)
+        d = test(s, i, j, n, 0.05)
+        d.p_value
+        again = replace(d, statistic=0.9)
+        assert again.p_value == independence._exact_p_value(0.9, n, d.dim)
 
 
 class TestFisher:

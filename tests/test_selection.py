@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from concgraph import independence
+from concgraph import independence, selection
 from concgraph import (
     CORRECTIONS,
     Dataset,
@@ -176,10 +176,14 @@ class TestCorrections:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_holm_computes_each_pvalue_once(self, method, monkeypatch):
-        calls = []
+        scalar, bulk = [], []
         exact = independence._exact_p_value
         monkeypatch.setattr(
-            independence, "_exact_p_value", lambda *a: calls.append(a) or exact(*a)
+            independence, "_exact_p_value", lambda *a: scalar.append(a) or exact(*a)
+        )
+        pvalues_of = selection.null_corr_pvalues
+        monkeypatch.setattr(
+            selection, "null_corr_pvalues", lambda *a: bulk.append(a) or pvalues_of(*a)
         )
         k = np.eye(30)
         idx = np.arange(29)
@@ -187,10 +191,43 @@ class TestCorrections:
         data = sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), 150, seed=5)
         graph = select_graph(data, TestConfig(alpha=0.05, method=method), "holm")
         assert graph.edges
-        # Holm reads every p-value, then the output reads them again
+        # Holm reads every p-value, then the output reads them again; the
+        # exact ones come from one array pass over the graph
         pvalues = [d.p_value for d in graph.decisions]
         assert len(pvalues) == 435
-        assert len(calls) == (0 if method == "fisher" else 435)
+        assert scalar == []
+        assert [len(a[0]) for a in bulk] == ([] if method == "fisher" else [435])
+
+
+class TestBulkPvalues:
+    # (rho on edge (0, 1), dim, n): n - dim odd gives a half-integer shape,
+    # dim = 2 one pair, |rho| = 0.999 the far tail, both signs
+    CASES = (
+        (0.6, 2, 5),
+        (-0.6, 2, 6),
+        (0.999, 3, 30),
+        (-0.999, 3, 31),
+        (0.3, 6, 13),
+        (0.0, 6, 40),
+    )
+
+    @pytest.mark.parametrize("method", ("umpu", "partial_corr"))
+    @pytest.mark.parametrize("rho, dim, n", CASES)
+    def test_equal_to_scalar_pvalues(self, rng, rho, dim, n, method):
+        data = strong_pair_dataset(rng, rho=rho, dim=dim, n=n)
+        graph = select_graph(data, TestConfig(alpha=0.05, method=method), "holm")
+        for d in graph.decisions:
+            assert d.p_value == independence._exact_p_value(d.statistic, n, dim)
+
+    def test_edges_alone_compute_no_pvalue(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("p-value computed")
+
+        monkeypatch.setattr(independence, "_exact_p_value", refuse)
+        monkeypatch.setattr(selection, "null_corr_pvalues", refuse)
+        data = strong_pair_dataset(rng)
+        for correction in ("none", "bonferroni"):
+            assert select_graph(data, TestConfig(alpha=0.05), correction).edges
 
 
 class TestEdgePvalues:
