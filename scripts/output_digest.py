@@ -14,8 +14,11 @@ output format, and ``verify --input`` on both files.  Two more files
 follow: an N = 30, n = 150 chain, selected with every method under
 ``--correction holm`` in json and tsv (435 pairs over many Holm levels),
 and a file whose header names hold a tab and the control character
-U+0001, selected in every format.  Every call runs in a fresh interpreter
-with ``src/`` first on the path.
+U+0001, selected in every format.  Last come 1000-replication Monte Carlo
+runs: size and power for every method, an odd n - N (a half-integer
+shape), and master seeds of two, three and four 32-bit words, whose
+substream keys (seed, k) hash more entropy words than the others.  Every
+call runs in a fresh interpreter with ``src/`` first on the path.
 """
 
 import argparse
@@ -88,6 +91,20 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
         out.append((f"select {CONTROL[0]} --format {fmt}",
                     ["-m", "concgraph", "select", "--input", os.path.join(workdir, "control.csv"),
                      "--format", fmt]))
+    mc_runs = [
+        [*kind, "--method", method, "--seed", "3"]
+        for method in METHODS
+        for kind in (["--n", "25"], ["--n", "50", "--rho", "0.3"])
+    ]
+    mc_runs += [
+        ["--n", "26", "--method", "umpu", "--seed", "3"],
+        ["--n", "25", "--seed", str(2**32)],
+        ["--n", "50", "--rho", "0.3", "--method", "umpu", "--seed", str(2**64 + 5)],
+        ["--n", "25", "--method", "umpu", "--seed", str(2**128 - 1)],
+    ]
+    for flags in mc_runs:
+        argv = ["montecarlo", "--dim", "5", "--reps", "1000", *flags]
+        out.append((" ".join(argv), ["-m", "concgraph", *argv]))
     return out
 
 

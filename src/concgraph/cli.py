@@ -40,6 +40,7 @@ from .independence import TestConfig, verify_equivalence
 from .selection import CORRECTIONS, _validated_covariance, all_pairs, select_graph
 from .simulate import (
     PrecisionSpec,
+    _check_instance_count,
     estimate_power,
     estimate_size,
     random_covariance_instances,
@@ -335,6 +336,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_DATA
     else:
+        # Checked before the first instance is drawn, so that a bad count
+        # is a usage error and not a failure of the generator.
+        try:
+            _check_instance_count(args.reps)
+        except DomainError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_USAGE
         instances = random_covariance_instances(args.reps, args.seed)
 
     disagreements = 0

@@ -172,7 +172,7 @@ class SymmetricMatrix:
     values.
     """
 
-    __slots__ = ("_entries", "_factorization")
+    __slots__ = ("_entries", "_factorization", "_quadratic")
 
     def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=float)
@@ -184,6 +184,9 @@ class SymmetricMatrix:
         arr.setflags(write=False)
         self._entries = arr
         self._factorization: Factorization | None = None
+        # The determinant quadratic of one edge, when it was computed with
+        # the rest of a stack (see _attach_quadratics).
+        self._quadratic: QuadCoeffs | None = None
 
     @classmethod
     def _checked(cls, entries: np.ndarray) -> "SymmetricMatrix":
@@ -193,6 +196,7 @@ class SymmetricMatrix:
         m = cls.__new__(cls)
         m._entries = entries
         m._factorization = None
+        m._quadratic = None
         return m
 
     @property
@@ -300,22 +304,58 @@ def first_nonpositive_pivot(m: SymmetricMatrix) -> int | None:
     return m.factorization.pivot
 
 
+def _quadratics(stack: np.ndarray, i: int, j: int) -> list[QuadCoeffs]:
+    """Coefficients (a, b, c) with det M(x) = -a x**2 + b x + c at edge
+    (i, j), for every matrix M of a (count, N, N) stack.
+
+    Extracted by evaluating the determinant at x = 0 and x = +/- xbar with
+    xbar = 1 + max |entry| of M, which is exact for a quadratic and needs
+    no symbolic algebra.  The 3 * count probe matrices go to LAPACK as one
+    stack, and each matrix's coefficients are bit for bit those of a stack
+    of that matrix alone.
+    """
+    # A stack of one, which verify runs twice per pair, must cost no more
+    # than one matrix did alone: so Python floats, the array's own repeat
+    # method (np.repeat adds a Python wrapper) and QuadCoeffs by position.
+    peaks = np.abs(stack).reshape(len(stack), -1).max(axis=1).tolist()
+    xbars = [1.0 + peak for peak in peaks]
+    probes = stack.repeat(3, axis=0)
+    probes[:, i, j] = probes[:, j, i] = [v for x in xbars for v in (0.0, x, -x)]
+    # zip over one iterator three times reads the determinants in threes.
+    dets = iter(_det(probes).tolist())
+    return [
+        QuadCoeffs(
+            (2.0 * d0 - dplus - dminus) / (2.0 * xbar * xbar),
+            (dplus - dminus) / (2.0 * xbar),
+            d0,
+            i,
+            j,
+        )
+        for xbar, d0, dplus, dminus in zip(xbars, dets, dets, dets)
+    ]
+
+
+def _attach_quadratics(matrices: list[SymmetricMatrix], i: int, j: int) -> None:
+    """Compute the edge-(i, j) quadratic of every matrix in one LAPACK
+    call and attach it, so that quadratic_decomposition(m, i, j) returns
+    it without a determinant of its own."""
+    if matrices:
+        stack = np.stack([m.entries for m in matrices])
+        for m, q in zip(matrices, _quadratics(stack, i, j)):
+            m._quadratic = q
+
+
 def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
     """Coefficients (a, b, c) with det M(x) = -a x**2 + b x + c.
 
-    Extracted by evaluating the determinant at x = 0 and x = +/- xbar with
-    xbar = 1 + max |entry|, which is exact for a quadratic and needs no
-    symbolic algebra.  The three probe matrices go to LAPACK as one stack.
+    The routine of a stack, on a stack of one; a quadratic computed with
+    the rest of a stack for this edge is returned as it is.
     """
     _check_offdiagonal(m.dim, i, j)
-    xbar = 1.0 + float(np.max(np.abs(m.entries)))
-    probes = np.repeat(m.entries[np.newaxis], 3, axis=0)
-    probes[:, i, j] = probes[:, j, i] = (0.0, xbar, -xbar)
-    d0, dplus, dminus = _det(probes).tolist()
-    c = d0
-    b = (dplus - dminus) / (2.0 * xbar)
-    a = (2.0 * d0 - dplus - dminus) / (2.0 * xbar * xbar)
-    return QuadCoeffs(a=a, b=b, c=c, i=i, j=j)
+    q = m._quadratic
+    if q is None or q.i != i or q.j != j:
+        (q,) = _quadratics(m.entries[np.newaxis], i, j)
+    return q
 
 
 def pd_interval(q: QuadCoeffs) -> PdInterval:

@@ -5,16 +5,24 @@ n x N standard normals from an RNG seeded by the pair (s, k), so reports
 are reproducible regardless of how replications are scheduled, and
 rejection counts reduce by integer summation.
 
+The RNG of (s, k) is the one ``numpy.random.default_rng((s, k))``
+builds: a PCG64 generator seeded from ``SeedSequence((s, k))``.  The
+engine computes that SeedSequence's four 64-bit seed words for a whole
+block of k at once, with the same uint32 hash in numpy array arithmetic,
+and hands each row to numpy's own PCG64 seeding, so the draws are bit for
+bit those of ``default_rng((s, k))`` without hashing one key at a time.
+
 Replications run in chunks.  A spec computes its covariance Cholesky
 factor once.  Each chunk stacks its replications' draws into one
 (chunk, n, N) array, colors them with one matrix product, forms every
 sample covariance at once, checks them once as a stack and factors them
-all with one correlation-scaled sweep; each replication then runs its
-edge tests one by one.  Every stacked step acts on each replication
-separately, so a replication's covariance, statistics and decisions are
-bit for bit those of ``sample_gaussian`` -> ``sample_covariance`` ->
-``run_edge_test`` on its substream, and the chunk length changes no
-result.
+all with one correlation-scaled sweep; for the umpu test it also sends
+the determinant-quadratic probes of every replication's R to LAPACK in
+one call.  Each replication then runs its edge tests one by one.  Every
+stacked step acts on each replication separately, so a replication's
+covariance, statistics and decisions are bit for bit those of
+``sample_gaussian`` -> ``sample_covariance`` -> ``run_edge_test`` on its
+substream, and the chunk length changes no result.
 
 A replication pays only for what its report reads: its decisions'
 p-values are never computed, and the correlation-scaled matrix R is
@@ -27,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -43,6 +51,7 @@ from .distributions import _reg_inc_beta_array
 from .independence import METHODS, run_edge_test
 from .matrices import (
     SymmetricMatrix,
+    _attach_quadratics,
     _check_offdiagonal,
     _matrix_stack,
     first_nonpositive_pivot,
@@ -61,12 +70,26 @@ __all__ = [
 ]
 
 # Replications per chunk: a chunk's stacked draws hold at most this many
-# doubles (32 KiB), and at least one replication, so memory stays flat
-# however many replications a run has.  At N = 5, n = 25 a budget of
-# 16,384 ran a 1000-replication size study about 8% faster but raised
-# the peak resident memory of the process by about 0.6 MB; this one
-# keeps the peak where one replication at a time left it.
-_CHUNK_ELEMENTS = 4096
+# doubles (128 KiB), and at least one replication, so memory stays flat
+# however many replications a run has.  At N = 5 (n = 25 and 50) this
+# budget ran 1000-replication calls about 13% faster than one of 4,096
+# and left the peak resident memory of a process running them 0.8 MB
+# above where one replication at a time left it (37.8 -> 38.6 MB);
+# coloring the draws in place keeps 0.15 MB of that off.
+_CHUNK_ELEMENTS = 16384
+
+# A substream key k is one 32-bit word of its SeedSequence entropy.
+_MAX_REPS = 2**32
+# Substream seeds are computed this many at a time (32 KiB of seed words).
+_SEED_BLOCK = 1024
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx,
+# after O'Neill's seed_seq_fe).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
 
 def _chunk_length(n: int, dim: int) -> int:
@@ -262,17 +285,111 @@ def _validate_run(spec, n, alpha, reps, seed, edge) -> None:
         )
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1000:
         raise DomainError(f"need at least 1000 replications, got {reps!r}")
+    if reps > _MAX_REPS:
+        raise DomainError(f"need at most 2**32 replications, got {reps!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _replication_covariances(spec, n, seed, start, stop) -> list[SymmetricMatrix]:
-    """Sample covariances of replications start, ..., stop - 1, each with
-    its factorization attached, from one stack of draws."""
-    z = np.empty((stop - start, n, spec.dim))
-    for row, k in enumerate(range(start, stop)):
-        np.random.default_rng((seed, k)).standard_normal(out=z[row])
-    return _matrix_stack(_covariances(z @ spec._cholesky.T))
+def _words(value: int) -> list[int]:
+    """32-bit words of a non-negative integer, least significant first, as
+    SeedSequence splits its entropy (0 is one word)."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash step on uint32 word arrays: xor the words with
+    the current constant, advance the constant by one multiplication,
+    multiply by it and fold the high half into the low half."""
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hash_words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _substream_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of substreams (seed, start), ..., (seed, stop - 1):
+    row k - start is ``SeedSequence((seed, k)).generate_state(4, np.uint64)``.
+
+    The key (seed, k) is a pure function of k for a fixed seed, so the
+    whole block is hashed at once in uint32 arithmetic, which wraps as the
+    C code does.  The entropy is the words of seed followed by the one
+    word of k (stop <= 2**32).  Its first four words, padded with zeros,
+    are hashed into a pool of four; every pool word is mixed with every
+    other; words beyond the fourth are then mixed into each pool word; and
+    the pool, cycled, is hashed out into eight words read as four
+    little-endian 64-bit words.
+    """
+    entropy = [np.array([word], dtype=np.uint32) for word in _words(seed)]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[t] if t < len(entropy) else zero) for t in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hash_out = _hasher(_INIT_B, _MULT_B)
+    state = [hash_out(pool[t % _POOL_SIZE]).astype(np.uint64) for t in range(8)]
+    return np.stack([state[t] | (state[t + 1] << 32) for t in range(0, 8, 2)], axis=1)
+
+
+@cache
+def _row_seed_type():
+    """An ISeedSequence that hands PCG64 one precomputed row of
+    ``_substream_seeds``.  Built on first use, so that importing the
+    package does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("a substream seed holds four uint64 words")
+            return self._state
+
+    return RowSeed
+
+
+def _substream_states(seed: int, reps: int) -> Iterator[np.ndarray]:
+    """Row k is the PCG64 seed of substream (seed, k), for k < reps; the
+    rows are computed a block at a time."""
+    for start in range(0, reps, _SEED_BLOCK):
+        yield from _substream_seeds(seed, start, min(start + _SEED_BLOCK, reps))
+
+
+def _replication_covariances(spec, n, states, count) -> list[SymmetricMatrix]:
+    """Sample covariances of the next ``count`` replications, each with
+    its factorization attached, from one stack of draws.  Each replication
+    draws from the PCG64 generator that ``default_rng((seed, k))`` builds,
+    seeded from the next row of ``states``."""
+    z = np.empty((count, n, spec.dim))
+    row_seed = _row_seed_type()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    for row, state in zip(z, states):
+        generator(pcg64(row_seed(state))).standard_normal(out=row)
+    # Colored in place, so the chunk holds one stack of draws fewer while
+    # its covariances are formed; the product is the same.
+    np.matmul(z, spec._cholesky.T, out=z)
+    return _matrix_stack(_covariances(z))
 
 
 def _run_replications(spec, n, alpha, methods, reps, seed, edge):
@@ -282,9 +399,14 @@ def _run_replications(spec, n, alpha, methods, reps, seed, edge):
     agree_counts = dict.fromkeys(pairs, 0)
     r_values = np.empty(reps)
     chunk = _chunk_length(n, spec.dim)
+    states = _substream_states(seed, reps)
     for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        covariances = _replication_covariances(spec, n, seed, start, stop)
+        covariances = _replication_covariances(
+            spec, n, states, min(chunk, reps - start)
+        )
+        if "umpu" in methods:
+            correlations = [s.factorization.correlation for s in covariances]
+            _attach_quadratics([r for r in correlations if r is not None], i, j)
         for k, s in enumerate(covariances, start):
             decisions = {
                 name: run_edge_test(name, s, i, j, n, alpha) for name in methods
@@ -403,6 +525,11 @@ def estimate_power(
     )
 
 
+def _check_instance_count(count) -> None:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise DomainError(f"instance count must be a positive integer, got {count!r}")
+
+
 def random_covariance_instances(
     count: int,
     seed: int,
@@ -417,8 +544,7 @@ def random_covariance_instances(
     sample size n in [dim + 2, max_n] and a probed edge; alphas cycle.
     Deterministic in (count, seed).
     """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise DomainError(f"instance count must be a positive integer, got {count!r}")
+    _check_instance_count(count)
     rng = np.random.default_rng((seed, 0xC0))
     for k in range(count):
         dim = int(rng.choice(dims))

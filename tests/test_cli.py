@@ -517,6 +517,21 @@ class TestVerifyCommand:
         code = main(["verify", "--input", str(p)])
         assert code == 2
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_nonpositive_reps_exit_1(self, capsys, reps):
+        code = main(["verify", f"--reps={reps}", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: instance count must be a positive integer, got {reps}\n"
+        )
+
+    def test_input_ignores_reps(self, sample_csv, capsys):
+        path, _ = sample_csv
+        assert main(["verify", "--input", str(path), "--reps=0"]) == 0
+        assert json.loads(capsys.readouterr().out)["instances"] == 3
+
 
 class TestMonteCarloCommand:
     def test_size_report_deterministic(self, capsys):
@@ -627,6 +642,19 @@ class TestMonteCarloBytes:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == expected
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs memory and start-up time; only commands that draw
+    # random numbers import it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys, concgraph.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=False,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 class TestQuantileCommand:

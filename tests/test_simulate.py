@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from concgraph import (
@@ -23,7 +25,7 @@ from concgraph import (
     sample_partial_correlation,
     verify_equivalence,
 )
-from concgraph import distributions, simulate
+from concgraph import distributions, independence, matrices, simulate
 
 
 class TestPrecisionSpec:
@@ -300,6 +302,58 @@ class TestChunkedEngine:
         assert report.null_rate == null_counts[METHODS[0]] / reps
 
 
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100, 2**128 - 1)
+
+
+def seed_sequence_state(seed, k):
+    return np.random.SeedSequence((seed, k)).generate_state(4, np.uint64)
+
+
+class TestBulkSeeds:
+    """The engine's substream seeds against numpy's SeedSequence."""
+
+    @given(
+        seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**200 - 1)),
+        start=st.integers(0, 5000),
+        count=st.integers(1, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_seed_sequence_states(self, seed, start, count):
+        got = simulate._substream_seeds(seed, start, start + count)
+        assert got.dtype == np.uint64 and got.shape == (count, 4)
+        want = np.stack([seed_sequence_state(seed, k) for k in range(start, start + count)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_last_substream_key(self, seed):
+        # k = 2**32 - 1 is the largest key that is one word
+        got = simulate._substream_seeds(seed, 2**32 - 3, 2**32)
+        want = [seed_sequence_state(seed, k) for k in range(2**32 - 3, 2**32)]
+        assert np.array_equal(got, np.stack(want))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_match_default_rng(self, seed):
+        row_seed = simulate._row_seed_type()
+        keys = (0, 1, 999, 1023, 1024, 4321)
+        # the first keys come from two blocks of the engine's iterator
+        states = dict(enumerate(simulate._substream_states(seed, 1100)))
+        states[4321] = simulate._substream_seeds(seed, 4321, 4322)[0]
+        for k in keys:
+            bits = np.random.PCG64(row_seed(states[k]))
+            got = np.random.Generator(bits).standard_normal((25, 5))
+            want = np.random.default_rng((seed, k)).standard_normal((25, 5))
+            assert got.tobytes() == want.tobytes()
+
+    def test_row_seed_serves_only_pcg64(self):
+        row = simulate._row_seed_type()(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            row.generate_state(8, np.uint32)
+
+    def test_too_many_replications(self):
+        with pytest.raises(DomainError, match="at most 2\\*\\*32"):
+            estimate_size(PrecisionSpec.identity(3), 10, 0.05, reps=2**32 + 1)
+
+
 class TestWorkPerReplication:
     """A replication computes only what its report reads."""
 
@@ -324,6 +378,21 @@ class TestWorkPerReplication:
             estimate(spec, 20, 0.05, method, reps=reps, seed=3)
             counts.append(len(calls))
         assert counts[0] == counts[1] < 100
+
+    @pytest.mark.parametrize("n", [25, 26])
+    def test_one_determinant_call_per_umpu_chunk(self, n, monkeypatch):
+        umpu_calls = []
+        umpu = independence._TESTS["umpu"]
+        monkeypatch.setitem(
+            independence._TESTS, "umpu", lambda *a: umpu_calls.append(a) or umpu(*a)
+        )
+        det_calls = self.count_calls(monkeypatch, matrices, "_det")
+        spec = PrecisionSpec.identity(5)
+        estimate_size(spec, n, 0.05, "umpu", reps=1000, seed=3)
+        chunk = simulate._chunk_length(n, spec.dim)
+        assert len(umpu_calls) == 1000
+        assert len(det_calls) == math.ceil(1000 / chunk) < 1000
+        assert sum(len(stack) for (stack,) in det_calls) == 3 * 1000
 
     @pytest.mark.parametrize("method", METHODS)
     def test_correlation_matrix_built_only_for_umpu(self, method, monkeypatch):
