@@ -17,8 +17,10 @@ and a file whose header names hold a tab and the control character
 U+0001, selected in every format.  Last come 1000-replication Monte Carlo
 runs: size and power for every method, an odd n - N (a half-integer
 shape), and master seeds of two, three and four 32-bit words, whose
-substream keys (seed, k) hash more entropy words than the others.  Every
-call runs in a fresh interpreter with ``src/`` first on the path.
+substream keys (seed, k) hash more entropy words than the others.  The
+last call is ``verify --input`` on an N = 40, n = 160 chain whose first
+half of columns is scaled by 1e5 and second half by 1e-5.  Every call
+runs in a fresh interpreter with ``src/`` first on the path.
 """
 
 import argparse
@@ -43,6 +45,7 @@ DATASETS = (
 # (name, dim, n, seed, header names or None for v0, v1, ...).
 CHAIN = ("chain30", 30, 150, 5, None)
 CONTROL = ("control", 4, 30, 2, ("a\tb", "c\x01d", "e\\f", "g"))
+MIXED = ("mixed40", 40, 160, 4, None)
 METHODS = ("umpu", "partial-corr", "fisher")
 CORRECTIONS = ("none", "bonferroni", "holm")
 FORMATS = ("json", "tsv", "dot")
@@ -105,17 +108,19 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
     for flags in mc_runs:
         argv = ["montecarlo", "--dim", "5", "--reps", "1000", *flags]
         out.append((" ".join(argv), ["-m", "concgraph", *argv]))
+    out.append((f"verify --input {MIXED[0]}",
+                ["-m", "concgraph", "verify", "--input", os.path.join(workdir, "mixed40.csv")]))
     return out
 
 
-def write_chain(path: str, dim: int, n: int, seed: int, names) -> None:
+def write_chain(path: str, dim: int, n: int, seed: int, names, scale=1.0) -> None:
     """n draws of a Gaussian chain: precision 1 on the diagonal and -0.3
-    between neighbours."""
+    between neighbours; column j is multiplied by scale[j]."""
     k = np.eye(dim)
     idx = np.arange(dim - 1)
     k[idx, idx + 1] = k[idx + 1, idx] = -0.3
     factor = np.linalg.cholesky(np.linalg.inv(k))
-    values = np.random.default_rng(seed).standard_normal((n, dim)) @ factor.T
+    values = np.random.default_rng(seed).standard_normal((n, dim)) @ factor.T * scale
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(names or [f"v{j}" for j in range(dim)])
@@ -134,6 +139,9 @@ def main(argv=None) -> int:
             )
         for name, dim, n, seed, names in (CHAIN, CONTROL):
             write_chain(os.path.join(workdir, f"{name}.csv"), dim, n, seed, names)
+        name, dim, n, seed, names = MIXED
+        scale = np.where(np.arange(dim) < dim // 2, 1e5, 1e-5)
+        write_chain(os.path.join(workdir, f"{name}.csv"), dim, n, seed, names, scale)
         for label, args in calls(workdir):
             digest, code = _run(args)
             print(f"{digest}  exit={code}  {label}", flush=True)

@@ -22,7 +22,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .estimators import Dataset
 from .distributions import beta_sym_quantile, null_corr_quantile
-from .independence import TestConfig, verify_equivalence
+from .independence import TestConfig, threshold_reject, verify_equivalence
 from .selection import CORRECTIONS, _validated_covariance, all_pairs, select_graph
 from .simulate import (
     PrecisionSpec,
@@ -319,7 +319,7 @@ def _verify_one(s, i, j, n, alpha, inject: bool):
             report,
             statistic_gap=abs(flipped - pc.statistic),
             signed_gap=flipped - pc.statistic,
-            same_decision=(flipped <= u.lower or flipped >= u.upper) == pc.reject,
+            same_decision=threshold_reject(flipped, u.lower, u.upper) == pc.reject,
         )
     return report
 
@@ -389,32 +389,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_EQUIVALENCE
 
 
-def _report_doc(report) -> dict:
-    doc = {
-        "replications": report.replications,
-        "seed": report.seed,
-        "dim": report.dim,
-        "n": report.n,
-        "alpha": report.alpha,
-        "edge": list(report.edge),
-        "rho": report.rho,
-        "methods": list(report.methods),
-        "per_method": {
-            name: {
-                "rejections": outcome.rejections,
-                "rate": outcome.rate,
-                "std_error": outcome.std_error,
-            }
-            for name, outcome in report.per_method.items()
-        },
-        "agreement": dict(report.agreement),
-        "ks_statistic": report.ks_statistic,
-        "null_rate": report.null_rate,
-        "null_std_error": report.null_std_error,
-    }
-    return doc
-
-
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     try:
         if args.rho == 0.0:
@@ -430,7 +404,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     except (DomainError, InsufficientSample, NotPositiveDefinite) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _write_output(json_dumps(_report_doc(report)), args.out)
+    _write_output(json_dumps(asdict(report)), args.out)
     return EXIT_OK
 
 

@@ -23,18 +23,18 @@ factorization in total.  ``umpu`` standardizes the entry R_ij of the
 correlation-scaled matrix R through the determinant quadratic of R, the
 route that check compares against; the scaling leaves t unchanged, since
 t == r, and keeps the quadratic well conditioned whatever the units of
-the variables.
+the variables.  ``umpu_raw_thresholds`` scales that quadratic's interval
+back to S.
 
-Rejection regions are closed: a statistic exactly at a threshold rejects.
+Every decision, the Holm re-decisions of ``select_graph`` included, is
+built by ``_decision`` with the closed rule: a statistic exactly at a
+threshold rejects.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .distributions import (
     beta_sym_quantile,
@@ -48,6 +48,7 @@ from .estimators import _pd_factorization
 from .matrices import (
     Factorization,
     SymmetricMatrix,
+    _attach_quadratics,
     _check_offdiagonal,
     edge_statistic,
     pd_interval,
@@ -147,6 +148,25 @@ def threshold_reject(statistic: float, lower: float, upper: float) -> bool:
     return statistic <= lower or statistic >= upper
 
 
+def _critical_value(method: str, n: int, dim: int, alpha: float) -> float:
+    """Upper threshold c of a method's symmetric acceptance region (-c, c)
+    at level alpha: umpu and partial_corr share the exact null-law
+    quantile, fisher uses the normal one."""
+    if method == "fisher":
+        return std_normal_quantile(1.0 - alpha / 2.0)
+    return null_corr_quantile(alpha, n, dim)
+
+
+def _decision(
+    method: str, i: int, j: int, statistic: float, c: float, n: int, dim: int
+) -> EdgeDecision:
+    """The decision of every test: reject iff |statistic| >= c, the
+    closed rule on the acceptance region (-c, c)."""
+    return EdgeDecision(
+        i, j, statistic, -c, c, threshold_reject(statistic, -c, c), method, n, dim
+    )
+
+
 def _validate_test_inputs(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> Factorization:
@@ -189,29 +209,9 @@ def umpu_test(
     variables.
     """
     r = _validate_test_inputs(s, i, j, n, alpha).correlation
-    coeffs = quadratic_decomposition(r, i, j)
-    q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
-    upper = 1.0 - 2.0 * q
-    statistic = edge_statistic(coeffs, float(r.entries[i, j]))
-    return EdgeDecision(
-        i=i,
-        j=j,
-        statistic=statistic,
-        lower=-upper,
-        upper=upper,
-        reject=threshold_reject(statistic, -upper, upper),
-        method="umpu",
-        n=n,
-        dim=s.dim,
-    )
-
-
-@functools.lru_cache(maxsize=1)
-def _geometric_scaling(s: SymmetricMatrix) -> tuple[float, SymmetricMatrix]:
-    """g, the geometric mean of the diagonal of S, and S / g.  The last
-    matrix's pair is kept, since verify checks every pair of one matrix."""
-    g = math.exp(float(np.mean(np.log(np.diagonal(s.entries)))))
-    return g, SymmetricMatrix(s.entries / g)
+    upper = 1.0 - 2.0 * beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
+    statistic = edge_statistic(quadratic_decomposition(r, i, j), float(r.entries[i, j]))
+    return _decision("umpu", i, j, statistic, upper, n, s.dim)
 
 
 def umpu_raw_thresholds(
@@ -221,22 +221,23 @@ def umpu_raw_thresholds(
 
         c_lo = x1 + (x2 - x1) q,   c_hi = x2 - (x2 - x1) q
 
-    with (x1, x2) the positive-definiteness interval.  Must produce the
-    same decision as the standardized form of :func:`umpu_test`.
+    with (x1, x2) the positive-definiteness interval of s_ij.  Must
+    produce the same decision as the standardized form of
+    :func:`umpu_test`.
 
-    The quadratic runs on S / g, with g the geometric mean of the
-    diagonal of S, and the thresholds are scaled back by g: det(S / g)
-    equals det R, so it neither overflows nor underflows whatever the
-    units, and the interval scales with the matrix.  Unequal column
-    scales stay, so this is still the raw-scale route.
+    The interval comes from the determinant quadratic of the
+    correlation-scaled matrix R, the one :func:`umpu_test` reads: scaling
+    row and column k by sqrt(s_kk) maps R to S, so the interval of S in
+    s_ij is sqrt(s_ii s_jj) times that of R in r_ij.  det R neither
+    overflows nor underflows whatever the units of the variables, and
+    only the one scale factor of this pair multiplies the result.
     """
-    _validate_test_inputs(s, i, j, n, alpha)
-    g, scaled = _geometric_scaling(s)
-    coeffs = quadratic_decomposition(scaled, i, j)
-    interval = pd_interval(coeffs)
+    r = _validate_test_inputs(s, i, j, n, alpha).correlation
+    interval = pd_interval(quadratic_decomposition(r, i, j))
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
     width = interval.x2 - interval.x1
-    return g * (interval.x1 + width * q), g * (interval.x2 - width * q)
+    scale = math.sqrt(s.entries[i, i]) * math.sqrt(s.entries[j, j])
+    return scale * (interval.x1 + width * q), scale * (interval.x2 - width * q)
 
 
 def partial_correlation_test(
@@ -245,18 +246,8 @@ def partial_correlation_test(
     """Exact two-sided test of the sample partial correlation, read from
     the covariance matrix's one factorization."""
     r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
-    c = null_corr_quantile(alpha, n, s.dim)
-    return EdgeDecision(
-        i=i,
-        j=j,
-        statistic=r,
-        lower=-c,
-        upper=c,
-        reject=threshold_reject(r, -c, c),
-        method="partial_corr",
-        n=n,
-        dim=s.dim,
-    )
+    c = _critical_value("partial_corr", n, s.dim, alpha)
+    return _decision("partial_corr", i, j, r, c, n, s.dim)
 
 
 def fisher_test(
@@ -269,19 +260,8 @@ def fisher_test(
     matrix's one factorization.
     """
     r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
-    z = fisher_z(r, n)
-    zc = std_normal_quantile(1.0 - alpha / 2.0)
-    return EdgeDecision(
-        i=i,
-        j=j,
-        statistic=z,
-        lower=-zc,
-        upper=zc,
-        reject=threshold_reject(z, -zc, zc),
-        method="fisher",
-        n=n,
-        dim=s.dim,
-    )
+    c = _critical_value("fisher", n, s.dim, alpha)
+    return _decision("fisher", i, j, fisher_z(r, n), c, n, s.dim)
 
 
 def verify_equivalence(
@@ -293,6 +273,8 @@ def verify_equivalence(
     gap |(1 - 2q) - c| <= 1e-10; the raw-scale decision must agree with
     the standardized one as well.
     """
+    # Both umpu routes read R's quadratic for this pair, computed once here.
+    _attach_quadratics([_validate_test_inputs(s, i, j, n, alpha).correlation], i, j)
     u = umpu_test(s, i, j, n, alpha)
     pc = partial_correlation_test(s, i, j, n, alpha)
     signed_gap = u.statistic - pc.statistic

@@ -7,10 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import null_corr_pvalues, null_corr_quantile, std_normal_quantile
+from .distributions import null_corr_pvalues
 from .errors import DomainError, InsufficientSample, NotPositiveDefinite
 from .estimators import Dataset, sample_covariance
-from .independence import EdgeDecision, TestConfig, run_edge_test, threshold_reject
+from .independence import (
+    EdgeDecision,
+    TestConfig,
+    _critical_value,
+    _decision,
+    run_edge_test,
+)
 from .matrices import SymmetricMatrix, first_nonpositive_pivot
 
 __all__ = [
@@ -93,40 +99,6 @@ def _holm_levels(pvalues: list[float], alpha: float) -> list[float]:
     return levels
 
 
-def _critical_value(method: str, n: int, dim: int, alpha: float) -> float:
-    """Upper threshold c of a method's symmetric acceptance region (-c, c)
-    at level alpha: umpu and partial_corr share the exact null-law
-    quantile, fisher uses the normal one."""
-    if method == "fisher":
-        return std_normal_quantile(1.0 - alpha / 2.0)
-    return null_corr_quantile(alpha, n, dim)
-
-
-def _holm_decisions(
-    decisions: list[EdgeDecision], pvalues: list[float], config: TestConfig, n: int, dim: int
-) -> list[EdgeDecision]:
-    """Re-decide edges tested at config.alpha at their Holm levels.
-
-    A statistic and its p-value do not depend on the level, so each edge
-    needs only the critical value of its level, computed once per
-    distinct level.  Each re-decided edge carries its p-value from
-    pvalues, so no p-value is computed twice.
-    """
-    levels = _holm_levels(pvalues, config.alpha)
-    critical = {
-        level: _critical_value(config.method, n, dim, level)
-        for level in dict.fromkeys(levels)
-    }
-    decided = []
-    for d, p, level in zip(decisions, pvalues, levels):
-        c, t = critical[level], d.statistic
-        reject = threshold_reject(t, -c, c)
-        decision = EdgeDecision(d.i, d.j, t, -c, c, reject, d.method, n, dim)
-        object.__setattr__(decision, "_p_value", p)
-        decided.append(decision)
-    return decided
-
-
 def select_graph(
     data: Dataset, config: TestConfig, correction: str = "none"
 ) -> ConcentrationGraph:
@@ -156,11 +128,21 @@ def select_graph(
         level = config.alpha / len(pairs)
     decisions = [run_edge_test(config.method, s, i, j, data.n, level) for i, j in pairs]
     if correction == "holm":
-        if config.method == "fisher":
+        # A statistic and its p-value do not depend on the level, so each
+        # edge is re-decided with the critical value of its Holm level,
+        # computed once per distinct level, and keeps its p-value.
+        method, n, dim = config.method, data.n, data.dim
+        if method == "fisher":
             pvalues = [d.p_value for d in decisions]
         else:
-            r = [d.statistic for d in decisions]
-            pvalues = null_corr_pvalues(r, data.n, data.dim).tolist()
-        decisions = _holm_decisions(decisions, pvalues, config, data.n, data.dim)
+            pvalues = null_corr_pvalues([d.statistic for d in decisions], n, dim).tolist()
+        levels = _holm_levels(pvalues, config.alpha)
+        critical = {lv: _critical_value(method, n, dim, lv) for lv in dict.fromkeys(levels)}
+        decisions = [
+            _decision(method, d.i, d.j, d.statistic, critical[lv], n, dim)
+            for d, lv in zip(decisions, levels)
+        ]
+        for d, p in zip(decisions, pvalues):
+            object.__setattr__(d, "_p_value", p)
     edges = frozenset((d.i, d.j) for d in decisions if d.reject)
     return ConcentrationGraph(names=data.names, edges=edges, decisions=tuple(decisions))

@@ -7,8 +7,9 @@ with ``float`` (the package parses the body in bulk), JSON by the
 recursive ``isinstance`` writer the CLI replaced, beta and correlation
 CDFs by adaptive quadrature of smooth trig-substituted integrands,
 quantiles by bisection of those quadrature CDFs, the normal quantile by
-bisection of an erf-based CDF, and Monte Carlo runs one replication at a
-time.
+bisection of an erf-based CDF, Monte Carlo runs one replication at a
+time, and umpu's raw-scale thresholds by the determinant quadratic of
+S / g (the package scales the quadratic of R instead).
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from concgraph import (
     DataError,
     Dataset,
     DomainError,
+    SymmetricMatrix,
+    beta_sym_quantile,
+    pd_interval,
+    quadratic_decomposition,
     run_edge_test,
     sample_covariance,
     sample_gaussian,
@@ -273,6 +278,20 @@ def integer_shape_beta_cdf(x: float, m: int) -> float:
     return sum(
         math.comb(n, k) * x**k * (1.0 - x) ** (n - k) for k in range(m, n + 1)
     )
+
+
+def umpu_raw_thresholds_geometric(s: SymmetricMatrix, i: int, j: int, n: int, alpha: float):
+    """umpu's thresholds (c_lo, c_hi) on the raw s_ij scale from the
+    positive-definiteness interval (x1, x2) of S itself:
+    c_lo = x1 + (x2 - x1) q, c_hi = x2 - (x2 - x1) q.  The quadratic runs
+    on S / g, with g the geometric mean of the diagonal of S, so that
+    det(S / g) = det R stays in range, and the thresholds are scaled back
+    by g; unequal column scales stay in the matrix."""
+    g = math.exp(float(np.mean(np.log(np.diagonal(s.entries)))))
+    interval = pd_interval(quadratic_decomposition(SymmetricMatrix(s.entries / g), i, j))
+    q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
+    width = interval.x2 - interval.x1
+    return g * (interval.x1 + width * q), g * (interval.x2 - width * q)
 
 
 def random_pd_matrix(rng: np.random.Generator, dim: int, jitter: float = 0.5):

@@ -511,6 +511,19 @@ class TestVerifyCommand:
         assert doc["raw_scale_disagreements"] == 0
         assert doc["equivalent"] is True
 
+    def test_input_in_mixed_units_passes(self, tmp_path, capsys):
+        # half the columns x1e5 and half x1e-5: the raw thresholds once
+        # came from S / g, which removed only the common scale
+        data = chain_data(40, 160, seed=4)
+        scale = np.where(np.arange(40) < 20, 1e5, 1e-5)
+        path = tmp_path / "mixed.csv"
+        write_csv(path, data.names, (data.values * scale).tolist())
+        assert main(["verify", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["instances"] == 780
+        assert doc["raw_scale_disagreements"] == 0
+        assert doc["equivalent"] is True
+
     def test_single_instance_data_error(self, tmp_path, capsys):
         p = tmp_path / "square.csv"
         write_csv(p, ("a", "b"), [[1.0, 2.0], [2.0, 1.0]])

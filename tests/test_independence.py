@@ -8,17 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from concgraph import independence
+from concgraph import independence, matrices
 from concgraph import (
     DomainError,
     InsufficientSample,
     NotPositiveDefinite,
+    PrecisionSpec,
     SymmetricMatrix,
     TestConfig,
+    all_pairs,
     fisher_test,
     null_corr_cdf,
     partial_correlation_test,
+    random_covariance_instances,
     run_edge_test,
+    sample_covariance,
+    sample_gaussian,
     sample_partial_correlation,
     threshold_reject,
     umpu_raw_thresholds,
@@ -100,6 +105,16 @@ class TestUmpu:
             assert lo < hi
             raw_reject = threshold_reject(float(s.entries[i, j]), lo, hi)
             assert raw_reject == d.reject
+
+    def test_raw_thresholds_match_the_quadratic_of_s(self):
+        # R's interval scaled by sqrt(s_ii s_jj) against the interval of
+        # S / g itself: equal in real arithmetic, by diagonal equivariance
+        for s, i, j, n, alpha in random_covariance_instances(2000, seed=1):
+            got = umpu_raw_thresholds(s, i, j, n, alpha)
+            want = oracles.umpu_raw_thresholds_geometric(s, i, j, n, alpha)
+            scale = math.sqrt(s.entries[i, i] * s.entries[j, j])
+            assert abs(got[0] - want[0]) <= 1e-12 * scale
+            assert abs(got[1] - want[1]) <= 1e-12 * scale
 
     def test_errors(self):
         with pytest.raises(InsufficientSample):
@@ -315,6 +330,26 @@ class TestEquivalence:
         assert report.statistic_gap <= 1e-9
         assert report.threshold_gap <= 1e-10
         assert report.raw_scale_agrees
+
+    def test_one_determinant_call_per_pair(self, monkeypatch):
+        # umpu and the raw-scale thresholds read one quadratic of R: a
+        # single LAPACK call on its three probe matrices per pair
+        shapes = []
+        det = matrices._det
+
+        def counted(arr):
+            shapes.append(arr.shape)
+            return det(arr)
+
+        monkeypatch.setattr(matrices, "_det", counted)
+        k = np.eye(40)
+        idx = np.arange(39)
+        k[idx, idx + 1] = k[idx + 1, idx] = -0.3
+        data = sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), 160, seed=4)
+        s = sample_covariance(data)
+        for i, j in all_pairs(40):
+            verify_equivalence(s, i, j, 160, 0.05)
+        assert shapes == [(3, 40, 40)] * 780
 
     def test_threshold_identity_against_quadrature(self):
         # 1 - 2 q(alpha/2, m) equals the two-sided critical value of the
