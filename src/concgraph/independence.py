@@ -14,17 +14,17 @@ given all others" for Gaussian data, all two-sided at level alpha:
 * ``fisher``: the asymptotic z-transformation test with the sqrt(n)/2
   scaling; its p-values are asymptotic, not exact.
 
-The standardized statistic t equals r identically, so the first two tests
-always produce the same decision; ``verify_equivalence`` measures this
-numerically and is wired into the CLI as a regression check.  r and the
-positive-definiteness check come from the covariance matrix's one
-correlation-scaled factorization, so testing every pair costs one O(N^3)
-factorization in total.  ``umpu`` standardizes the entry R_ij of the
-correlation-scaled matrix R through the determinant quadratic of R, the
-route that check compares against; the scaling leaves t unchanged, since
-t == r, and keeps the quadratic well conditioned whatever the units of
-the variables.  ``umpu_raw_thresholds`` scales that quadratic's interval
-back to S.
+The standardized statistic t equals r identically and 1 - 2q is the
+critical value c of r, so the first two tests are one decision rule:
+both read r from the covariance matrix's one correlation-scaled
+factorization and decide it at c, and testing every pair costs one
+O(N^3) factorization in total.  ``verify_equivalence`` keeps the
+conditional route as the reference it checks: it standardizes the entry
+R_ij of the correlation-scaled matrix R through the determinant
+quadratic of R, decides t at 1 - 2q, and measures the gap to r.  The
+scaling leaves t unchanged and keeps the quadratic well conditioned
+whatever the units of the variables.  ``umpu_raw_thresholds`` scales
+that quadratic's interval back to S.
 
 Every decision, the Holm re-decisions of ``select_graph`` included, is
 built by ``_decision`` with the closed rule: a statistic exactly at a
@@ -47,8 +47,8 @@ from .errors import DomainError, InsufficientSample
 from .estimators import _pd_factorization
 from .matrices import (
     Factorization,
+    QuadCoeffs,
     SymmetricMatrix,
-    _attach_quadratics,
     _check_offdiagonal,
     edge_statistic,
     pd_interval,
@@ -131,8 +131,8 @@ class EdgeDecision:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Numerical comparison of the umpu and partial-correlation tests on
-    one instance, with both decisions."""
+    """Numerical comparison of umpu's conditional route and the
+    partial-correlation test on one instance, with both decisions."""
 
     statistic_gap: float
     signed_gap: float
@@ -192,26 +192,40 @@ def _exact_p_value(statistic: float, n: int, dim: int) -> float:
     return min(1.0, 2.0 * null_corr_cdf(-abs(statistic), n, dim))
 
 
+def _exact_test(
+    method: str, s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
+) -> EdgeDecision:
+    """The test of umpu and partial_corr: r from the one factorization,
+    decided at the critical value c of its exact null law."""
+    r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
+    return _decision(method, i, j, r, _critical_value(method, n, s.dim, alpha), n, s.dim)
+
+
 def umpu_test(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> EdgeDecision:
     """Conditional test of the covariance entry s_ij given all others.
 
     Accepts iff 2q - 1 < t < 1 - 2q where t is the standardized edge
-    statistic and q = Beta((n-N)/2, (n-N)/2) quantile at alpha/2.  The
-    equivalent raw-scale thresholds are exposed by
-    :func:`umpu_raw_thresholds`; the standardized form is authoritative
-    because it stays well conditioned when the feasible interval is short.
-    p-values use the exact null law of r, legitimate because t == r.
-
-    t is computed on the correlation-scaled matrix R of the covariance
-    matrix's factorization, so it does not depend on the units of the
-    variables.
+    statistic and q = Beta((n-N)/2, (n-N)/2) quantile at alpha/2.  t == r
+    and 1 - 2q == c, so the test is decided in that reduced form: r from
+    the covariance matrix's one factorization, at the critical value c of
+    its exact null law.  :func:`verify_equivalence` checks the reduction
+    against the determinant-quadratic route, and the equivalent raw-scale
+    thresholds are exposed by :func:`umpu_raw_thresholds`.
     """
-    r = _validate_test_inputs(s, i, j, n, alpha).correlation
-    upper = 1.0 - 2.0 * beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
-    statistic = edge_statistic(quadratic_decomposition(r, i, j), float(r.entries[i, j]))
-    return _decision("umpu", i, j, statistic, upper, n, s.dim)
+    return _exact_test("umpu", s, i, j, n, alpha)
+
+
+def _raw_thresholds(
+    s: SymmetricMatrix, quadratic: QuadCoeffs, q: float
+) -> tuple[float, float]:
+    """:func:`umpu_raw_thresholds` from R's quadratic at the edge and q."""
+    interval = pd_interval(quadratic)
+    width = interval.x2 - interval.x1
+    i, j = quadratic.i, quadratic.j
+    scale = math.sqrt(s.entries[i, i]) * math.sqrt(s.entries[j, j])
+    return scale * (interval.x1 + width * q), scale * (interval.x2 - width * q)
 
 
 def umpu_raw_thresholds(
@@ -226,18 +240,15 @@ def umpu_raw_thresholds(
     :func:`umpu_test`.
 
     The interval comes from the determinant quadratic of the
-    correlation-scaled matrix R, the one :func:`umpu_test` reads: scaling
-    row and column k by sqrt(s_kk) maps R to S, so the interval of S in
-    s_ij is sqrt(s_ii s_jj) times that of R in r_ij.  det R neither
-    overflows nor underflows whatever the units of the variables, and
-    only the one scale factor of this pair multiplies the result.
+    correlation-scaled matrix R: scaling row and column k by sqrt(s_kk)
+    maps R to S, so the interval of S in s_ij is sqrt(s_ii s_jj) times
+    that of R in r_ij.  det R neither overflows nor underflows whatever
+    the units of the variables, and only the one scale factor of this
+    pair multiplies the result.
     """
     r = _validate_test_inputs(s, i, j, n, alpha).correlation
-    interval = pd_interval(quadratic_decomposition(r, i, j))
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
-    width = interval.x2 - interval.x1
-    scale = math.sqrt(s.entries[i, i]) * math.sqrt(s.entries[j, j])
-    return scale * (interval.x1 + width * q), scale * (interval.x2 - width * q)
+    return _raw_thresholds(s, quadratic_decomposition(r, i, j), q)
 
 
 def partial_correlation_test(
@@ -245,9 +256,7 @@ def partial_correlation_test(
 ) -> EdgeDecision:
     """Exact two-sided test of the sample partial correlation, read from
     the covariance matrix's one factorization."""
-    r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
-    c = _critical_value("partial_corr", n, s.dim, alpha)
-    return _decision("partial_corr", i, j, r, c, n, s.dim)
+    return _exact_test("partial_corr", s, i, j, n, alpha)
 
 
 def fisher_test(
@@ -267,18 +276,22 @@ def fisher_test(
 def verify_equivalence(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> EquivalenceReport:
-    """Compare the umpu and partial-correlation tests on one instance.
+    """Compare umpu's conditional route, t from the determinant quadratic
+    of R decided at 1 - 2q, with the partial-correlation test.
 
     Contract: statistic_gap <= 1e-9, identical decisions, and threshold
     gap |(1 - 2q) - c| <= 1e-10; the raw-scale decision must agree with
     the standardized one as well.
     """
-    # Both umpu routes read R's quadratic for this pair, computed once here.
-    _attach_quadratics([_validate_test_inputs(s, i, j, n, alpha).correlation], i, j)
-    u = umpu_test(s, i, j, n, alpha)
+    # One quadratic of R serves t and the raw-scale thresholds.
+    r = _validate_test_inputs(s, i, j, n, alpha).correlation
+    quadratic = quadratic_decomposition(r, i, j)
+    q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
+    t = edge_statistic(quadratic, float(r.entries[i, j]))
+    u = _decision("umpu", i, j, t, 1.0 - 2.0 * q, n, s.dim)
     pc = partial_correlation_test(s, i, j, n, alpha)
     signed_gap = u.statistic - pc.statistic
-    c_lo, c_hi = umpu_raw_thresholds(s, i, j, n, alpha)
+    c_lo, c_hi = _raw_thresholds(s, quadratic, q)
     raw_reject = threshold_reject(float(s.entries[i, j]), c_lo, c_hi)
     return EquivalenceReport(
         statistic_gap=abs(signed_gap),

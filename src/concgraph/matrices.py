@@ -10,20 +10,22 @@ A stack of matrices, such as the covariances of a chunk of Monte Carlo
 replications, is checked once and factored with one sweep of the whole
 stack.  R itself is wrapped as a SymmetricMatrix only when it is read.
 
-Determinants and cofactors remain for the verification route, which the
-umpu test runs on R.  They come from LAPACK's LU factorization with
-partial pivoting and never read the sweep above, so the route stays
-independent of what it checks: the quadratic behaviour of the
-determinant when a single off-diagonal pair of entries is treated as a
-free variable.  Writing ``M(x)`` for the matrix with entries (i, j) and
-(j, i) replaced by x,
+Determinants and cofactors serve only the verification route, which
+``verify_equivalence`` runs on R to check the partial correlations that
+the tests read.  They come from LAPACK's LU factorization with partial
+pivoting and never read the sweep above, so the route stays independent
+of what it checks: the quadratic behaviour of the determinant when a
+single off-diagonal pair of entries is treated as a free variable.
+Writing ``M(x)`` for the matrix with entries (i, j) and (j, i) replaced
+by x,
 
     det M(x) = -a x**2 + b x + c
 
 and the interval where M(x) stays positive definite is the open interval
 between the two roots of that quadratic.  The cofactor of the (i, j) entry
 of M(x) is the affine function -a x + b / 2, which is what ties the raw
-covariance entry to the standardized edge statistic used by the tests.
+covariance entry to the standardized edge statistic that verify compares
+with the partial correlation.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class Factorization:
     is, ``partial_correlations`` is the write-locked N x N array whose
     off-diagonal entry (i, j) is r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1,
     and ``correlation`` is R itself, as a SymmetricMatrix built the first
-    time it is read (only the umpu test reads it); both are None
+    time it is read (only verify reads it); both are None
     otherwise.  ``_scaled`` holds R's checked, write-locked entries.
     """
 
@@ -172,7 +174,7 @@ class SymmetricMatrix:
     values.
     """
 
-    __slots__ = ("_entries", "_factorization", "_quadratic")
+    __slots__ = ("_entries", "_factorization")
 
     def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=float)
@@ -184,9 +186,6 @@ class SymmetricMatrix:
         arr.setflags(write=False)
         self._entries = arr
         self._factorization: Factorization | None = None
-        # The determinant quadratic of one edge, when it was computed with
-        # the rest of a stack (see _attach_quadratics).
-        self._quadratic: QuadCoeffs | None = None
 
     @classmethod
     def _checked(cls, entries: np.ndarray) -> "SymmetricMatrix":
@@ -196,7 +195,6 @@ class SymmetricMatrix:
         m = cls.__new__(cls)
         m._entries = entries
         m._factorization = None
-        m._quadratic = None
         return m
 
     @property
@@ -304,58 +302,21 @@ def first_nonpositive_pivot(m: SymmetricMatrix) -> int | None:
     return m.factorization.pivot
 
 
-def _quadratics(stack: np.ndarray, i: int, j: int) -> list[QuadCoeffs]:
-    """Coefficients (a, b, c) with det M(x) = -a x**2 + b x + c at edge
-    (i, j), for every matrix M of a (count, N, N) stack.
-
-    Extracted by evaluating the determinant at x = 0 and x = +/- xbar with
-    xbar = 1 + max |entry| of M, which is exact for a quadratic and needs
-    no symbolic algebra.  The 3 * count probe matrices go to LAPACK as one
-    stack, and each matrix's coefficients are bit for bit those of a stack
-    of that matrix alone.
-    """
-    # A stack of one, which verify runs twice per pair, must cost no more
-    # than one matrix did alone: so Python floats, the array's own repeat
-    # method (np.repeat adds a Python wrapper) and QuadCoeffs by position.
-    peaks = np.abs(stack).reshape(len(stack), -1).max(axis=1).tolist()
-    xbars = [1.0 + peak for peak in peaks]
-    probes = stack.repeat(3, axis=0)
-    probes[:, i, j] = probes[:, j, i] = [v for x in xbars for v in (0.0, x, -x)]
-    # zip over one iterator three times reads the determinants in threes.
-    dets = iter(_det(probes).tolist())
-    return [
-        QuadCoeffs(
-            (2.0 * d0 - dplus - dminus) / (2.0 * xbar * xbar),
-            (dplus - dminus) / (2.0 * xbar),
-            d0,
-            i,
-            j,
-        )
-        for xbar, d0, dplus, dminus in zip(xbars, dets, dets, dets)
-    ]
-
-
-def _attach_quadratics(matrices: list[SymmetricMatrix], i: int, j: int) -> None:
-    """Compute the edge-(i, j) quadratic of every matrix in one LAPACK
-    call and attach it, so that quadratic_decomposition(m, i, j) returns
-    it without a determinant of its own."""
-    if matrices:
-        stack = np.stack([m.entries for m in matrices])
-        for m, q in zip(matrices, _quadratics(stack, i, j)):
-            m._quadratic = q
-
-
 def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
     """Coefficients (a, b, c) with det M(x) = -a x**2 + b x + c.
 
-    The routine of a stack, on a stack of one; a quadratic computed with
-    the rest of a stack for this edge is returned as it is.
+    Extracted by evaluating the determinant at x = 0 and x = +/- xbar with
+    xbar = 1 + max |entry| of M, which is exact for a quadratic and needs
+    no symbolic algebra.  The three probe matrices go to LAPACK as one
+    stack.
     """
     _check_offdiagonal(m.dim, i, j)
-    q = m._quadratic
-    if q is None or q.i != i or q.j != j:
-        (q,) = _quadratics(m.entries[np.newaxis], i, j)
-    return q
+    xbar = 1.0 + float(np.abs(m.entries).max())
+    probes = m.entries[np.newaxis].repeat(3, axis=0)
+    probes[:, i, j] = probes[:, j, i] = (0.0, xbar, -xbar)
+    d0, dplus, dminus = _det(probes).tolist()
+    a = (2.0 * d0 - dplus - dminus) / (2.0 * xbar * xbar)
+    return QuadCoeffs(a, (dplus - dminus) / (2.0 * xbar), d0, i, j)
 
 
 def pd_interval(q: QuadCoeffs) -> PdInterval:

@@ -16,9 +16,9 @@ Replications run in chunks.  A spec computes its covariance Cholesky
 factor once.  Each chunk stacks its replications' draws into one
 (chunk, n, N) array, colors them with one matrix product, forms every
 sample covariance at once, checks them once as a stack and factors them
-all with one correlation-scaled sweep; for the umpu test it also sends
-the determinant-quadratic probes of every replication's R to LAPACK in
-one call.  Each replication then runs its edge tests one by one.  Every
+all with one correlation-scaled sweep.  Each replication then runs its
+edge tests one by one; every test reads r from the factorization, so no
+replication computes a determinant.  Every
 stacked step acts on each replication separately, so a replication's
 covariance, statistics and decisions are bit for bit those of
 ``sample_gaussian`` -> ``sample_covariance`` -> ``run_edge_test`` on its
@@ -26,7 +26,7 @@ substream, and the chunk length changes no result.
 
 A replication pays only for what its report reads: its decisions'
 p-values are never computed, and the correlation-scaled matrix R is
-built only for the umpu test.  A size run evaluates the null CDF for its
+never built.  A size run evaluates the null CDF for its
 Kolmogorov-Smirnov statistic once, over the whole sorted sample.
 """
 
@@ -41,17 +41,11 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
-from .estimators import (
-    Dataset,
-    _covariances,
-    sample_covariance,
-    sample_partial_correlation,
-)
+from .estimators import Dataset, _covariances, sample_covariance
 from .distributions import _reg_inc_beta_array
 from .independence import METHODS, run_edge_test
 from .matrices import (
     SymmetricMatrix,
-    _attach_quadratics,
     _check_offdiagonal,
     _matrix_stack,
     first_nonpositive_pivot,
@@ -404,17 +398,12 @@ def _run_replications(spec, n, alpha, methods, reps, seed, edge):
         covariances = _replication_covariances(
             spec, n, states, min(chunk, reps - start)
         )
-        if "umpu" in methods:
-            correlations = [s.factorization.correlation for s in covariances]
-            _attach_quadratics([r for r in correlations if r is not None], i, j)
         for k, s in enumerate(covariances, start):
             decisions = {
                 name: run_edge_test(name, s, i, j, n, alpha) for name in methods
             }
-            if "partial_corr" in decisions:
-                r_values[k] = decisions["partial_corr"].statistic
-            else:
-                r_values[k] = sample_partial_correlation(s, i, j)
+            # Each test above has checked that s is positive definite.
+            r_values[k] = s.factorization.partial_correlations[i, j]
             for name, decision in decisions.items():
                 counts[name] += decision.reject
             for pair in pairs:

@@ -468,6 +468,12 @@ class TestVerifyCommand:
         assert code == 3
         assert doc["equivalent"] is False
 
+    def test_wrong_conditional_route_fails(self, monkeypatch, capsys):
+        statistic = independence.edge_statistic
+        monkeypatch.setattr(independence, "edge_statistic", lambda q, x: -statistic(q, x))
+        assert main(["verify", "--reps", "200"]) == 3
+        assert json.loads(capsys.readouterr().out)["equivalent"] is False
+
     def test_single_instance_mode(self, sample_csv, capsys):
         path, _ = sample_csv
         code = main(["verify", "--input", str(path), "--alpha", "0.05"])

@@ -116,6 +116,16 @@ class TestUmpu:
             assert abs(got[0] - want[0]) <= 1e-12 * scale
             assert abs(got[1] - want[1]) <= 1e-12 * scale
 
+    def test_bit_identical_to_partial_correlation_test(self):
+        # t == r and 1 - 2q == c, so umpu is decided in that reduced form
+        for s, i, j, n, alpha in random_covariance_instances(2000, seed=5):
+            u = umpu_test(s, i, j, n, alpha)
+            pc = partial_correlation_test(s, i, j, n, alpha)
+            assert u.method == "umpu"
+            assert (u.statistic, u.lower, u.upper, u.reject, u.p_value) == (
+                pc.statistic, pc.lower, pc.upper, pc.reject, pc.p_value
+            )
+
     def test_errors(self):
         with pytest.raises(InsufficientSample):
             umpu_test(SymmetricMatrix(np.eye(3)), 0, 1, 3, 0.05)
@@ -332,8 +342,9 @@ class TestEquivalence:
         assert report.raw_scale_agrees
 
     def test_one_determinant_call_per_pair(self, monkeypatch):
-        # umpu and the raw-scale thresholds read one quadratic of R: a
-        # single LAPACK call on its three probe matrices per pair
+        # the conditional route and the raw-scale thresholds read one
+        # quadratic of R: a single LAPACK call on its three probe matrices
+        # per pair
         shapes = []
         det = matrices._det
 
@@ -350,6 +361,14 @@ class TestEquivalence:
         for i, j in all_pairs(40):
             verify_equivalence(s, i, j, 160, 0.05)
         assert shapes == [(3, 40, 40)] * 780
+
+    def test_wrong_conditional_route_is_caught(self, monkeypatch):
+        # verify checks r against the determinant route, not r against
+        # itself: a route that gets t's sign wrong opens a gap
+        statistic = independence.edge_statistic
+        monkeypatch.setattr(independence, "edge_statistic", lambda q, x: -statistic(q, x))
+        report = verify_equivalence(STRONG_EDGE, 0, 1, 10, 0.05)
+        assert report.statistic_gap > 1e-9
 
     def test_threshold_identity_against_quadrature(self):
         # 1 - 2 q(alpha/2, m) equals the two-sided critical value of the

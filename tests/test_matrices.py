@@ -21,7 +21,7 @@ from concgraph import (
     sylvester_residual,
 )
 from concgraph import matrices
-from concgraph.matrices import _attach_quadratics, _det, _factorize, _matrix_stack, _quadratics
+from concgraph.matrices import _det, _factorize, _matrix_stack
 
 WORKED = SymmetricMatrix([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
 
@@ -382,57 +382,6 @@ class TestQuadraticDecomposition:
             assert got.a == pytest.approx(want.a, rel=1e-12, abs=1e-12 * size / xbar**2)
             assert got.b == pytest.approx(want.b, rel=1e-12, abs=1e-12 * size / xbar)
             assert got.c == pytest.approx(want.c, rel=1e-12)
-
-
-class TestStackedQuadratics:
-    """The quadratics of a stack against those of each matrix alone."""
-
-    @staticmethod
-    def count_det(monkeypatch):
-        calls = []
-        det = matrices._det
-        monkeypatch.setattr(matrices, "_det", lambda a: calls.append(a.shape) or det(a))
-        return calls
-
-    def test_stack_matches_each_matrix_alone(self, monkeypatch):
-        rng = np.random.default_rng(41)
-        for dim in range(2, 31):
-            # pd and indefinite matrices in one stack
-            stack = np.stack([well_conditioned(rng, dim, k % 2 == 0) for k in range(5)])
-            for _ in range(3):
-                i, j = (int(k) for k in sorted(rng.choice(dim, 2, replace=False)))
-                want = [quadratic_decomposition(SymmetricMatrix(m), i, j) for m in stack]
-                calls = self.count_det(monkeypatch)
-                got = _quadratics(stack, i, j)
-                monkeypatch.undo()
-                assert calls == [(15, dim, dim)]
-                assert [(q.a, q.b, q.c, q.i, q.j) for q in got] == [
-                    (q.a, q.b, q.c, q.i, q.j) for q in want
-                ]
-
-    def test_attached_quadratic_needs_no_determinant(self, monkeypatch):
-        rng = np.random.default_rng(43)
-        stack = np.stack([well_conditioned(rng, 6, True) for _ in range(4)])
-        stack.setflags(write=False)
-        attached = [SymmetricMatrix._checked(m) for m in stack]
-        _attach_quadratics(attached, 1, 4)
-        calls = self.count_det(monkeypatch)
-        for m, arr in zip(attached, stack):
-            q = quadratic_decomposition(m, 1, 4)
-            fresh = quadratic_decomposition(SymmetricMatrix(arr), 1, 4)
-            assert (q.a, q.b, q.c) == (fresh.a, fresh.b, fresh.c)
-        assert calls == [(3, 6, 6)] * 4  # the fresh matrices only
-        del calls[:]
-        # another edge is computed afresh, one stack of three probes
-        q = quadratic_decomposition(attached[0], 0, 2)
-        fresh = quadratic_decomposition(SymmetricMatrix(stack[0]), 0, 2)
-        assert calls == [(3, 6, 6)] * 2
-        assert (q.a, q.b, q.c, q.i, q.j) == (fresh.a, fresh.b, fresh.c, 0, 2)
-
-    def test_attach_to_no_matrices(self, monkeypatch):
-        calls = self.count_det(monkeypatch)
-        _attach_quadratics([], 0, 1)
-        assert calls == []
 
 
 class TestPdInterval:

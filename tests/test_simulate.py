@@ -13,6 +13,7 @@ from concgraph import (
     NotPositiveDefinite,
     PrecisionSpec,
     SymmetricMatrix,
+    TestConfig,
     estimate_power,
     estimate_size,
     first_nonpositive_pivot,
@@ -23,6 +24,7 @@ from concgraph import (
     sample_covariance,
     sample_gaussian,
     sample_partial_correlation,
+    select_graph,
     verify_equivalence,
 )
 from concgraph import distributions, independence, matrices, simulate
@@ -380,22 +382,23 @@ class TestWorkPerReplication:
         assert counts[0] == counts[1] < 100
 
     @pytest.mark.parametrize("n", [25, 26])
-    def test_one_determinant_call_per_umpu_chunk(self, n, monkeypatch):
+    def test_no_determinant_call_for_umpu(self, n, monkeypatch):
+        # umpu is decided in its reduced form, r at c, so neither a Monte
+        # Carlo run nor a graph computes a determinant
         umpu_calls = []
         umpu = independence._TESTS["umpu"]
         monkeypatch.setitem(
             independence._TESTS, "umpu", lambda *a: umpu_calls.append(a) or umpu(*a)
         )
         det_calls = self.count_calls(monkeypatch, matrices, "_det")
-        spec = PrecisionSpec.identity(5)
-        estimate_size(spec, n, 0.05, "umpu", reps=1000, seed=3)
-        chunk = simulate._chunk_length(n, spec.dim)
-        assert len(umpu_calls) == 1000
-        assert len(det_calls) == math.ceil(1000 / chunk) < 1000
-        assert sum(len(stack) for (stack,) in det_calls) == 3 * 1000
+        estimate_size(PrecisionSpec.identity(5), n, 0.05, "umpu", reps=1000, seed=3)
+        data = sample_gaussian(PrecisionSpec.single_edge(5, 0, 1, 0.4), n, seed=3)
+        select_graph(data, TestConfig(0.05, "umpu"), "holm")
+        assert len(umpu_calls) == 1000 + 10
+        assert det_calls == []
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_correlation_matrix_built_only_for_umpu(self, method, monkeypatch):
+    def test_correlation_matrix_never_built(self, method, monkeypatch):
         spec = PrecisionSpec.identity(4)
         built = []
         checked = SymmetricMatrix._checked
@@ -404,8 +407,8 @@ class TestWorkPerReplication:
         )
         inits = self.count_calls(monkeypatch, SymmetricMatrix, "__init__")
         estimate_size(spec, 20, 0.05, method, reps=1000, seed=3)
-        # one S per replication, plus R for each umpu replication
-        assert len(built) == (2000 if method == "umpu" else 1000)
+        # one S per replication, and R for none
+        assert len(built) == 1000
         assert len(inits) == 0
 
 
