@@ -10,6 +10,7 @@ and null-law checks, and a CLI for CSV pipelines.
 
 from .errors import (
     ConcgraphError,
+    ConvergenceError,
     DataError,
     DegenerateEdge,
     DomainError,
@@ -74,6 +75,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConcgraphError",
+    "ConvergenceError",
     "DataError",
     "DegenerateEdge",
     "DomainError",

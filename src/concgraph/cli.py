@@ -9,9 +9,11 @@ Subcommands:
 * ``quantile``   - expose the beta and correlation quantiles for scripting
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 equivalence check
-failed.  Numbers are serialized with 17 significant digits so outputs can
-be diffed across implementations; reports are byte-identical for a fixed
-seed.
+failed.  A reader that closes stdout early, such as ``head``, is not an
+error: the rest of the output is dropped without a traceback and the
+exit code is the command's own, 0 for a successful run.  Numbers are
+serialized with 17 significant digits so outputs can be diffed across
+implementations; reports are byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import re
 import sys
 import warnings
@@ -220,9 +223,17 @@ def _read_dataset_cells(path: str) -> Dataset:
 
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader is gone.  Point stdout at the null device so that
+            # the interpreter's final flush of what is left cannot fail.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)

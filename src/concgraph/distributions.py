@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSample
+from .errors import ConvergenceError, DomainError, InsufficientSample
 
 __all__ = [
     "reg_inc_beta",
@@ -34,8 +34,24 @@ __all__ = [
     "std_normal_quantile",
 ]
 
-_CF_MAX_ITER = 500
+_CF_MIN_ITER = 500
 _CF_EPS = 1e-15
+
+
+def _cf_max_iter(a: float, b: float) -> int:
+    """Iteration cap of the continued fraction for shapes (a, b).  On the
+    side of the mean where it is evaluated, it converges in
+    O(sqrt(max(a, b))) steps (Numerical Recipes, section 6.4): about 550
+    at a = b = 10**6 and 4,800 at 10**9.  The cap is four times that
+    square root, and never below 500."""
+    return max(_CF_MIN_ITER, int(4.0 * math.sqrt(max(a, b))))
+
+
+def _no_convergence(a: float, b: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"incomplete beta continued fraction did not converge "
+        f"for shapes ({a!r}, {b!r})"
+    )
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -51,7 +67,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
+    for m in range(1, _cf_max_iter(a, b) + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -74,7 +90,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    raise _no_convergence(a, b)
 
 
 def _beta_cf_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
@@ -95,7 +111,7 @@ def _beta_cf_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     d = 1.0 - qab * x / qap
     d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
+    for m in range(1, _cf_max_iter(a, b) + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -119,7 +135,7 @@ def _beta_cf_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
             if not going.any():
                 return out
             x, c, d, h, live = x[going], c[going], d[going], h[going], live[going]
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    raise _no_convergence(a, b)
 
 
 def _check_shape(p: float, name: str = "shape") -> None:
@@ -233,6 +249,11 @@ def _half_shape(n: int, dim: int) -> float:
     return (n - dim) / 2.0
 
 
+def _for_sample(exc: ConvergenceError, n: int, dim: int) -> ConvergenceError:
+    """``exc`` with the sample size and variable count that set its shape."""
+    return ConvergenceError(f"{exc} (n = {n}, N = {dim})")
+
+
 def null_corr_cdf(r: float, n: int, dim: int) -> float:
     """CDF of the null law of the sample partial correlation.
 
@@ -242,7 +263,10 @@ def null_corr_cdf(r: float, n: int, dim: int) -> float:
     m = _half_shape(n, dim)
     if not (isinstance(r, (int, float)) and -1.0 <= r <= 1.0):
         raise DomainError(f"correlation must lie in [-1, 1], got {r!r}")
-    return reg_inc_beta((1.0 + float(r)) / 2.0, m, m)
+    try:
+        return reg_inc_beta((1.0 + float(r)) / 2.0, m, m)
+    except ConvergenceError as exc:
+        raise _for_sample(exc, n, dim) from None
 
 
 def null_corr_quantile(alpha: float, n: int, dim: int) -> float:
@@ -255,7 +279,10 @@ def null_corr_quantile(alpha: float, n: int, dim: int) -> float:
     m = _half_shape(n, dim)
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 1.0):
         raise DomainError(f"significance level must lie in (0, 1], got {alpha!r}")
-    return 1.0 - 2.0 * beta_sym_quantile(float(alpha) / 2.0, m)
+    try:
+        return 1.0 - 2.0 * beta_sym_quantile(float(alpha) / 2.0, m)
+    except ConvergenceError as exc:
+        raise _for_sample(exc, n, dim) from None
 
 
 def null_corr_pvalues(r, n: int, dim: int) -> np.ndarray:
@@ -266,7 +293,10 @@ def null_corr_pvalues(r, n: int, dim: int) -> np.ndarray:
     bad = np.flatnonzero(~(np.abs(r) <= 1.0))
     if bad.size:
         raise DomainError(f"correlation must lie in [-1, 1], got {r[bad[0]].item()!r}")
-    return np.minimum(1.0, 2.0 * _reg_inc_beta_array((1.0 - np.abs(r)) / 2.0, m, m))
+    try:
+        return np.minimum(1.0, 2.0 * _reg_inc_beta_array((1.0 - np.abs(r)) / 2.0, m, m))
+    except ConvergenceError as exc:
+        raise _for_sample(exc, n, dim) from None
 
 
 def fisher_z(r: float, n: int) -> float:

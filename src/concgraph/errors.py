@@ -23,3 +23,7 @@ class NotPositiveDefinite(ConcgraphError):
 
 class InsufficientSample(ConcgraphError):
     """Too few observations for the requested inference (needs n > N)."""
+
+
+class ConvergenceError(ConcgraphError, ArithmeticError):
+    """An iterative evaluation of a special function did not converge."""

@@ -22,9 +22,11 @@ O(N^3) factorization in total.  ``verify_equivalence`` keeps the
 conditional route as the reference it checks: it standardizes the entry
 R_ij of the correlation-scaled matrix R through the determinant
 quadratic of R, decides t at 1 - 2q, and measures the gap to r.  The
-scaling leaves t unchanged and keeps the quadratic well conditioned
-whatever the units of the variables.  ``umpu_raw_thresholds`` scales
-that quadratic's interval back to S.
+quadratic of every pair comes from one LAPACK determinant and one LAPACK
+inverse of R by the matrix determinant lemma, so checking every pair
+also costs O(N^3) in total.  The scaling leaves t unchanged and keeps
+the quadratic well conditioned whatever the units of the variables.
+``umpu_raw_thresholds`` scales that quadratic's interval back to S.
 
 Every decision, the Holm re-decisions of ``select_graph`` included, is
 built by ``_decision`` with the closed rule: a statistic exactly at a
@@ -50,9 +52,9 @@ from .matrices import (
     QuadCoeffs,
     SymmetricMatrix,
     _check_offdiagonal,
+    _lemma_quadratic,
     edge_statistic,
     pd_interval,
-    quadratic_decomposition,
 )
 
 __all__ = [
@@ -217,6 +219,18 @@ def umpu_test(
     return _exact_test("umpu", s, i, j, n, alpha)
 
 
+def _conditional_route(
+    s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
+) -> tuple[Factorization, QuadCoeffs, float]:
+    """The inputs of umpu's conditional route at edge (i, j): the
+    factorization, R's determinant quadratic at the edge from the
+    factorization's lemma table, and q, the Beta(m, m) quantile at
+    alpha/2."""
+    f = _validate_test_inputs(s, i, j, n, alpha)
+    q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
+    return f, _lemma_quadratic(f, i, j), q
+
+
 def _raw_thresholds(
     s: SymmetricMatrix, quadratic: QuadCoeffs, q: float
 ) -> tuple[float, float]:
@@ -240,15 +254,15 @@ def umpu_raw_thresholds(
     :func:`umpu_test`.
 
     The interval comes from the determinant quadratic of the
-    correlation-scaled matrix R: scaling row and column k by sqrt(s_kk)
-    maps R to S, so the interval of S in s_ij is sqrt(s_ii s_jj) times
-    that of R in r_ij.  det R neither overflows nor underflows whatever
-    the units of the variables, and only the one scale factor of this
-    pair multiplies the result.
+    correlation-scaled matrix R, read in O(1) from the lemma table of the
+    covariance's factorization (det R and R^-1, computed once per
+    covariance): scaling row and column k by sqrt(s_kk) maps R to S, so
+    the interval of S in s_ij is sqrt(s_ii s_jj) times that of R in r_ij.
+    det R does not depend on the units of the variables, and only the one
+    scale factor of this pair multiplies the result.
     """
-    r = _validate_test_inputs(s, i, j, n, alpha).correlation
-    q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
-    return _raw_thresholds(s, quadratic_decomposition(r, i, j), q)
+    _, quadratic, q = _conditional_route(s, i, j, n, alpha)
+    return _raw_thresholds(s, quadratic, q)
 
 
 def partial_correlation_test(
@@ -279,15 +293,18 @@ def verify_equivalence(
     """Compare umpu's conditional route, t from the determinant quadratic
     of R decided at 1 - 2q, with the partial-correlation test.
 
+    The quadratic is read from the lemma table of the covariance's
+    factorization, one LAPACK determinant and one LAPACK inverse of R
+    computed on the first call, so that checking every pair of a matrix
+    costs O(N^3) in total; it never reads the sweep that gives r.
+
     Contract: statistic_gap <= 1e-9, identical decisions, and threshold
     gap |(1 - 2q) - c| <= 1e-10; the raw-scale decision must agree with
     the standardized one as well.
     """
     # One quadratic of R serves t and the raw-scale thresholds.
-    r = _validate_test_inputs(s, i, j, n, alpha).correlation
-    quadratic = quadratic_decomposition(r, i, j)
-    q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
-    t = edge_statistic(quadratic, float(r.entries[i, j]))
+    f, quadratic, q = _conditional_route(s, i, j, n, alpha)
+    t = edge_statistic(quadratic, float(f.correlation.entries[i, j]))
     u = _decision("umpu", i, j, t, 1.0 - 2.0 * q, n, s.dim)
     pc = partial_correlation_test(s, i, j, n, alpha)
     signed_gap = u.statistic - pc.statistic

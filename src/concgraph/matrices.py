@@ -10,14 +10,12 @@ A stack of matrices, such as the covariances of a chunk of Monte Carlo
 replications, is checked once and factored with one sweep of the whole
 stack.  R itself is wrapped as a SymmetricMatrix only when it is read.
 
-Determinants and cofactors serve only the verification route, which
+Determinants serve only the verification route, which
 ``verify_equivalence`` runs on R to check the partial correlations that
-the tests read.  They come from LAPACK's LU factorization with partial
-pivoting and never read the sweep above, so the route stays independent
-of what it checks: the quadratic behaviour of the determinant when a
-single off-diagonal pair of entries is treated as a free variable.
-Writing ``M(x)`` for the matrix with entries (i, j) and (j, i) replaced
-by x,
+the tests read.  It rests on the quadratic behaviour of the determinant
+when a single off-diagonal pair of entries is treated as a free
+variable.  Writing ``M(x)`` for the matrix with entries (i, j) and (j, i)
+replaced by x,
 
     det M(x) = -a x**2 + b x + c
 
@@ -26,6 +24,20 @@ between the two roots of that quadratic.  The cofactor of the (i, j) entry
 of M(x) is the affine function -a x + b / 2, which is what ties the raw
 covariance entry to the standardized edge statistic that verify compares
 with the partial correlation.
+
+M(x) is a rank-2 change of M, so the matrix determinant lemma gives the
+quadratic of every pair in closed form from det M and G = M^-1: with
+d = x - m_ij,
+
+    det M(x) = det M * [(1 + d G_ij)**2 - d**2 G_ii G_jj].
+
+verify reads a, b and c of every pair of R this way, from one LAPACK
+determinant and one LAPACK inverse of R, computed on first use and kept
+with the factorization.  Neither reads the sweep above, so the route
+stays independent of what it checks.  ``quadratic_decomposition``, which
+extracts the coefficients from three determinants of probe matrices, is
+the route's oracle and serves the lemma check of the acceptance suite;
+cofactors serve that check alone.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateEdge, DomainError
+from .errors import DegenerateEdge, DomainError, NotPositiveDefinite
 
 __all__ = [
     "SymmetricMatrix",
@@ -71,6 +83,10 @@ class Factorization:
     and ``correlation`` is R itself, as a SymmetricMatrix built the first
     time it is read (only verify reads it); both are None
     otherwise.  ``_scaled`` holds R's checked, write-locked entries.
+    ``_lemma_table`` is (det R, R^-1) from LAPACK, computed the first
+    time it is read, for the determinant quadratics of
+    :func:`_lemma_quadratic` that verify and the raw-scale thresholds
+    read.
     """
 
     pivot: int | None
@@ -82,6 +98,20 @@ class Factorization:
         if self._scaled is None:
             return None
         return SymmetricMatrix._checked(self._scaled)
+
+    @cached_property
+    def _lemma_table(self) -> tuple[float, np.ndarray]:
+        # LAPACK's LU factorization with partial pivoting, once for the
+        # determinant and once for the inverse; never the sweep.
+        try:
+            inverse = np.linalg.inv(self._scaled)
+            if not np.all(np.isfinite(inverse)):
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(
+                "the correlation matrix is numerically singular: LAPACK cannot invert it"
+            ) from None
+        return _det(self._scaled), inverse
 
 
 def _factorize(entries: np.ndarray) -> list[Factorization]:
@@ -308,7 +338,8 @@ def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
     Extracted by evaluating the determinant at x = 0 and x = +/- xbar with
     xbar = 1 + max |entry| of M, which is exact for a quadratic and needs
     no symbolic algebra.  The three probe matrices go to LAPACK as one
-    stack.
+    stack.  O(N^3) per pair: verify reads the lemma route instead, and
+    this one is its oracle and the quadratic of :func:`lemma_residual`.
     """
     _check_offdiagonal(m.dim, i, j)
     xbar = 1.0 + float(np.abs(m.entries).max())
@@ -317,6 +348,34 @@ def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
     d0, dplus, dminus = _det(probes).tolist()
     a = (2.0 * d0 - dplus - dminus) / (2.0 * xbar * xbar)
     return QuadCoeffs(a, (dplus - dminus) / (2.0 * xbar), d0, i, j)
+
+
+def _lemma_quadratic(f: Factorization, i: int, j: int) -> QuadCoeffs:
+    """Coefficients of det M(x) = -a x**2 + b x + c for edge (i, j) of the
+    positive definite correlation matrix R of a factorization, by the
+    matrix determinant lemma (see the module docstring).  With d = det R,
+    G = R^-1, g = G_ij, k = G_ii G_jj - g**2 and r = R_ij:
+
+        a = d k,   b = 2 d (g + k r),   c = d (1 - 2 g r - k r**2).
+
+    O(1) per pair after the factorization's one determinant and one
+    inverse of R.  The indices are not checked.
+    """
+    d, inverse = f._lemma_table
+    r = float(f._scaled[i, j])
+    g = float(inverse[i, j])
+    k = float(inverse[i, i]) * float(inverse[j, j]) - g * g
+    return QuadCoeffs(d * k, 2.0 * d * (g + k * r), d * (1.0 - 2.0 * g * r - k * r * r), i, j)
+
+
+def _unit_scaled(q: QuadCoeffs) -> tuple[float, float, float]:
+    """a, b and c divided by the power of two that brings the largest of
+    them into [0.5, 1).  The roots and the edge statistic do not change
+    under a positive scale, and a power of two changes no bit of them, but
+    b**2 and a c no longer underflow when det M is tiny: det R is about
+    1e-185 for a correlation matrix of 1000 variables."""
+    e = -math.frexp(max(abs(q.a), abs(q.b), abs(q.c)))[1]
+    return math.ldexp(q.a, e), math.ldexp(q.b, e), math.ldexp(q.c, e)
 
 
 def pd_interval(q: QuadCoeffs) -> PdInterval:
@@ -328,11 +387,12 @@ def pd_interval(q: QuadCoeffs) -> PdInterval:
     """
     if q.a <= 0.0:
         raise DegenerateEdge(f"leading coefficient a = {q.a} is not positive")
-    disc = q.b * q.b + 4.0 * q.a * q.c
+    a, b, c = _unit_scaled(q)
+    disc = b * b + 4.0 * a * c
     if disc <= 0.0:
         raise DegenerateEdge(f"discriminant {disc} is not positive")
     root = math.sqrt(disc)
-    return PdInterval(x1=(q.b - root) / (2.0 * q.a), x2=(q.b + root) / (2.0 * q.a))
+    return PdInterval(x1=(b - root) / (2.0 * a), x2=(b + root) / (2.0 * a))
 
 
 def edge_statistic(q: QuadCoeffs, x: float) -> float:
@@ -341,10 +401,11 @@ def edge_statistic(q: QuadCoeffs, x: float) -> float:
     Equals -1 at x1, +1 at x2 and increases strictly in between; for
     x = s_ij it coincides with the sample partial correlation.
     """
-    denom = q.b * q.b / 4.0 + q.a * q.c
-    if q.a <= 0.0 or denom <= 0.0:
+    a, b, c = _unit_scaled(q)
+    denom = b * b / 4.0 + a * c
+    if a <= 0.0 or denom <= 0.0:
         raise DegenerateEdge("edge admits no positive-definite completion")
-    return (q.a * x - q.b / 2.0) / math.sqrt(denom)
+    return (a * x - b / 2.0) / math.sqrt(denom)
 
 
 _PROBE_FRACTIONS = (-1.0, -0.5, 0.0, 0.5, 1.0)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from concgraph import (
     sample_gaussian,
     select_graph,
 )
-from concgraph import cli, independence, selection
+from concgraph import cli, distributions, independence, selection
 from concgraph.cli import json_dumps, main, read_dataset_csv
 
 
@@ -474,6 +475,36 @@ class TestVerifyCommand:
         assert main(["verify", "--reps", "200"]) == 3
         assert json.loads(capsys.readouterr().out)["equivalent"] is False
 
+    def test_input_with_perturbed_lemma_inverse_fails(self, tmp_path, monkeypatch, capsys):
+        # G_ij of R^-1 off by a relative 1e-6 at one pair fails the check
+        data = chain_data(40, 160, seed=4)
+        path = tmp_path / "chain.csv"
+        write_csv(path, data.names, data.values.tolist())
+        inv = np.linalg.inv
+
+        def perturbed(a):
+            g = inv(a)
+            g[0, 1] *= 1.0 + 1e-6
+            g[1, 0] *= 1.0 + 1e-6
+            return g
+
+        monkeypatch.setattr(np.linalg, "inv", perturbed)
+        assert main(["verify", "--input", str(path)]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["equivalent"] is False
+        assert doc["max_statistic_gap"] > 1e-9
+
+    def test_input_with_singular_lemma_inverse_exits_2(self, sample_csv, monkeypatch, capsys):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        path, _ = sample_csv
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        assert main(["verify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the correlation matrix is numerically singular")
+
     def test_single_instance_mode(self, sample_csv, capsys):
         path, _ = sample_csv
         code = main(["verify", "--input", str(path), "--alpha", "0.05"])
@@ -676,7 +707,44 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a reader that stops early, as `select ... | head -c 100` does: the
+    # report is larger than a pipe's buffer, so the write meets the closed
+    # pipe
+    data = chain_data(60, 240, seed=3)
+    path = tmp_path / "wide.csv"
+    write_csv(path, data.names, data.values.tolist())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "concgraph", "select", "--input", str(path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), stderr) == (0, b"")
+
+
 class TestQuantileCommand:
+    def test_null_corr_quantile_at_millions_of_observations(self, capsys):
+        code = main(["quantile", "--alpha", "0.05", "--n", "2000000", "--dim", "8"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["value"] == pytest.approx(1.959963984540054 / math.sqrt(1999992), rel=1e-3)
+
+    def test_non_convergence_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(distributions, "_cf_max_iter", lambda a, b: 1)
+        code = main(["quantile", "--alpha", "0.0321", "--n", "29", "--dim", "8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: incomplete beta continued fraction did not converge "
+            "for shapes (10.5, 10.5) (n = 29, N = 8)\n"
+        )
+
     def test_beta_quantile(self, capsys):
         code = main(["quantile", "--prob", "0.025", "--m", "2.0"])
         doc = json.loads(capsys.readouterr().out)

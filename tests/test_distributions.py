@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from concgraph import (
+    ConcgraphError,
+    ConvergenceError,
     DomainError,
     InsufficientSample,
     beta_sym_quantile,
@@ -17,6 +19,7 @@ from concgraph import (
     std_normal_cdf,
     std_normal_quantile,
 )
+from concgraph import distributions
 from concgraph.distributions import QUANTILE_CACHE_SIZE, _reg_inc_beta_array, null_corr_pvalues
 from concgraph.independence import _exact_p_value
 
@@ -302,6 +305,43 @@ class TestNullCorrQuantile:
             null_corr_quantile(0.05, 5, 5)
         with pytest.raises(InsufficientSample):
             null_corr_quantile(0.05, 4, 5)
+
+
+class TestLargeShapes:
+    """m = (n - N) / 2 far above the continued fraction's 500-step floor."""
+
+    @pytest.mark.parametrize("n", [2_000_000, 20_000_000, 1_000_000_000])
+    def test_quantile_converges(self, n):
+        # c is close to its normal approximation z_{0.975} / sqrt(n - N)
+        c = null_corr_quantile(0.05, n, 8)
+        assert c == pytest.approx(1.959963984540054 / math.sqrt(n - 8), rel=1e-3)
+
+    def test_array_bit_identical_to_scalar(self):
+        m = 1e6
+        x = 0.5 + np.linspace(-3e-3, 3e-3, 41)
+        got = _reg_inc_beta_array(x, m, m)
+        assert [v.hex() for v in got.tolist()] == [
+            reg_inc_beta(float(v), m, m).hex() for v in x
+        ]
+
+    def test_cap_grows_with_the_root_of_the_shape(self):
+        assert distributions._cf_max_iter(2.5, 0.5) == 500
+        assert distributions._cf_max_iter(1e6, 3.0) == 4000
+        assert distributions._cf_max_iter(3.0, 1e8) == 40000
+
+    def test_non_convergence_names_shape_and_sample(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_cf_max_iter", lambda a, b: 1)
+        with pytest.raises(ConvergenceError, match=r"shapes \(7\.5, 7\.5\)$"):
+            reg_inc_beta(0.3, 7.5, 7.5)
+        # levels no other test asks for, so the quantile cache cannot hide
+        # the failure
+        with pytest.raises(ConvergenceError, match=r"\(n = 23, N = 8\)$"):
+            null_corr_quantile(0.0123, 23, 8)
+        with pytest.raises(ConvergenceError, match=r"\(n = 23, N = 8\)$"):
+            null_corr_cdf(0.3, 23, 8)
+        with pytest.raises(ConvergenceError, match=r"\(n = 23, N = 8\)$"):
+            null_corr_pvalues([0.3], 23, 8)
+        assert issubclass(ConvergenceError, ConcgraphError)
 
 
 class TestFisherZ:

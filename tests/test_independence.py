@@ -314,6 +314,16 @@ class TestSharedBehaviour:
             run_edge_test("wald", SymmetricMatrix(np.eye(3)), 0, 1, 9, 0.05)
 
 
+def test_exact_tests_decide_at_millions_of_observations():
+    # m = (n - N) / 2 is near 2.5 * 10**6, where the continued fraction
+    # needs more than its old cap of 500 steps
+    for test in (partial_correlation_test, umpu_test):
+        d = test(SymmetricMatrix(np.eye(3)), 0, 1, 5_000_000, 0.05)
+        assert d.statistic == 0.0
+        assert not d.reject
+        assert d.upper == pytest.approx(1.959963984540054 / math.sqrt(4_999_997), rel=1e-3)
+
+
 class TestEquivalence:
     def test_identity_instance(self):
         report = verify_equivalence(SymmetricMatrix(np.eye(4)), 0, 1, 10, 0.05)
@@ -341,18 +351,18 @@ class TestEquivalence:
         assert report.threshold_gap <= 1e-10
         assert report.raw_scale_agrees
 
-    def test_one_determinant_call_per_pair(self, monkeypatch):
-        # the conditional route and the raw-scale thresholds read one
-        # quadratic of R: a single LAPACK call on its three probe matrices
-        # per pair
-        shapes = []
-        det = matrices._det
-
-        def counted(arr):
-            shapes.append(arr.shape)
-            return det(arr)
-
-        monkeypatch.setattr(matrices, "_det", counted)
+    def test_one_determinant_and_one_inverse_per_matrix(self, monkeypatch):
+        # every pair's quadratic comes from the lemma table of R: one
+        # LAPACK determinant and one LAPACK inverse for all 780 pairs, and
+        # no three-probe quadratic
+        shapes, inverses, probes = [], [], []
+        det, inv = matrices._det, np.linalg.inv
+        probe = matrices.quadratic_decomposition
+        monkeypatch.setattr(matrices, "_det", lambda a: shapes.append(a.shape) or det(a))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+        monkeypatch.setattr(
+            matrices, "quadratic_decomposition", lambda *a: probes.append(a) or probe(*a)
+        )
         k = np.eye(40)
         idx = np.arange(39)
         k[idx, idx + 1] = k[idx + 1, idx] = -0.3
@@ -360,7 +370,38 @@ class TestEquivalence:
         s = sample_covariance(data)
         for i, j in all_pairs(40):
             verify_equivalence(s, i, j, 160, 0.05)
-        assert shapes == [(3, 40, 40)] * 780
+            umpu_raw_thresholds(s, i, j, 160, 0.05)
+        assert shapes == [(40, 40)]
+        assert inverses == [(40, 40)]
+        assert probes == []
+
+    def test_perturbed_lemma_inverse_is_caught(self, monkeypatch):
+        # verify reads G_ij of R^-1 itself: a relative error of 1e-6 in it
+        # opens a gap far above the limit
+        inv = np.linalg.inv
+
+        def perturbed(a):
+            g = inv(a)
+            g[0, 1] *= 1.0 + 1e-6
+            g[1, 0] *= 1.0 + 1e-6
+            return g
+
+        monkeypatch.setattr(np.linalg, "inv", perturbed)
+        # a new matrix, whose lemma table is not yet cached
+        s = SymmetricMatrix(STRONG_EDGE.entries)
+        report = verify_equivalence(s, 0, 1, 10, 0.05)
+        assert report.statistic_gap > 1e-9
+
+    def test_singular_lemma_inverse_is_a_library_error(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        s = SymmetricMatrix(STRONG_EDGE.entries)
+        with pytest.raises(NotPositiveDefinite, match="numerically singular"):
+            verify_equivalence(s, 0, 1, 10, 0.05)
+        with pytest.raises(NotPositiveDefinite, match="numerically singular"):
+            umpu_raw_thresholds(s, 0, 1, 10, 0.05)
 
     def test_wrong_conditional_route_is_caught(self, monkeypatch):
         # verify checks r against the determinant route, not r against

@@ -17,11 +17,15 @@ from concgraph import (
     first_nonpositive_pivot,
     lemma_residual,
     pd_interval,
+    PrecisionSpec,
     quadratic_decomposition,
+    random_covariance_instances,
+    sample_covariance,
+    sample_gaussian,
     sylvester_residual,
 )
 from concgraph import matrices
-from concgraph.matrices import _det, _factorize, _matrix_stack
+from concgraph.matrices import _det, _factorize, _lemma_quadratic, _matrix_stack
 
 WORKED = SymmetricMatrix([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
 
@@ -384,7 +388,56 @@ class TestQuadraticDecomposition:
             assert got.c == pytest.approx(want.c, rel=1e-12)
 
 
+def lemma_error(f, i: int, j: int) -> float:
+    """Largest difference between the lemma route's a, b, c and the probe
+    route's on R, relative to the largest of the probe route's three."""
+    got = _lemma_quadratic(f, i, j)
+    want = quadratic_decomposition(f.correlation, i, j)
+    size = max(abs(want.a), abs(want.b), abs(want.c))
+    return max(abs(got.a - want.a), abs(got.b - want.b), abs(got.c - want.c)) / size
+
+
+class TestLemmaQuadratic:
+    def test_matches_probe_route_on_random_instances(self):
+        # the probe route's c cancels at larger N, so the bound is relative
+        # to the largest coefficient, not to each one
+        seen = set()
+        instances = random_covariance_instances(600, seed=7, dims=range(2, 31), max_n=120)
+        for s, i, j, _, _ in instances:
+            seen.add(s.dim)
+            assert lemma_error(s.factorization, i, j) <= 1e-10
+        assert seen == set(range(2, 31))
+
+    def test_matches_probe_route_on_a_wide_chain(self):
+        k = np.eye(200)
+        idx = np.arange(199)
+        k[idx, idx + 1] = k[idx + 1, idx] = -0.4
+        data = sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), 800, seed=1)
+        f = sample_covariance(data).factorization
+        for i in range(0, 200, 17):
+            for j in (i + 1, i + 2, i + 50, 199):
+                if j < 200 and i != j:
+                    assert lemma_error(f, i, j) <= 1e-10
+
+    def test_worked_example(self):
+        # R = WORKED / 2, and with r_01 = x its determinant is
+        # -x**2 + x/2 + 1/2
+        q = _lemma_quadratic(WORKED.factorization, 0, 1)
+        assert (q.a, q.b, q.c, q.i, q.j) == pytest.approx((1.0, 0.5, 0.5, 0, 1), abs=1e-15)
+
+
 class TestPdInterval:
+    @pytest.mark.parametrize("power", [-620, -1, 0, 1, 500])
+    def test_scale_free_to_the_bit(self, power):
+        # det M of a correlation matrix with a thousand variables is near
+        # 1e-185, where b**2 and a c underflow unless the quadratic is
+        # scaled first; a power of two changes no bit of the result
+        q = _lemma_quadratic(pd_matrix_from_seed(5, 6).factorization, 1, 4)
+        scaled = QuadCoeffs(*(math.ldexp(v, power) for v in (q.a, q.b, q.c)), 1, 4)
+        assert pd_interval(scaled) == pd_interval(q)
+        for x in (-0.5, 0.0, 0.3):
+            assert edge_statistic(scaled, x) == edge_statistic(q, x)
+
     def test_unit_quadratic(self):
         iv = pd_interval(QuadCoeffs(a=1.0, b=0.0, c=1.0, i=0, j=1))
         assert (iv.x1, iv.x2) == pytest.approx((-1.0, 1.0), abs=1e-15)
