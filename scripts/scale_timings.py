@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Time the CLI on large graphs, each call in a fresh interpreter:
+
+    python scripts/scale_timings.py                 # N = 200 and N = 1000
+    python scripts/scale_timings.py --dims 10 40    # any list of N
+
+For each N the script writes a chain file with numpy alone: n = 4N draws
+of a Gaussian whose precision has 1 on the diagonal and -0.4 between
+neighbours (seed 1).  It then runs ``select --correction none``,
+``select --correction holm`` and ``verify --input`` on the file, each as
+``python -m concgraph`` with ``src/`` first on the path and its report
+written to a scratch file, and times the whole process.  Writing the
+input is not timed.  The last line of output is one JSON object: the
+machine, then one entry per call with N, n, the command, its exit code
+and its wall time in seconds.  Threads are left at the environment's
+defaults; set ``OPENBLAS_NUM_THREADS`` and the like to pin them.
+"""
+
+import argparse
+import csv
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+COMMANDS = (
+    ("select --correction none", ["select", "--correction", "none"]),
+    ("select --correction holm", ["select", "--correction", "holm"]),
+    ("verify --input", ["verify"]),
+)
+
+
+def write_chain(path: str, dim: int, n: int, seed: int = 1) -> None:
+    """n draws of a Gaussian chain: precision 1 on the diagonal and -0.4
+    between neighbours."""
+    k = np.eye(dim)
+    idx = np.arange(dim - 1)
+    k[idx, idx + 1] = k[idx + 1, idx] = -0.4
+    factor = np.linalg.cholesky(np.linalg.inv(k))
+    values = np.random.default_rng(seed).standard_normal((n, dim)) @ factor.T
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([f"v{j}" for j in range(dim)])
+        writer.writerows([[repr(v) for v in row] for row in values.tolist()])
+
+
+def machine() -> dict:
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "nproc": os.cpu_count(),
+        "system": platform.system(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def time_call(argv: list[str]) -> tuple[int, float]:
+    """Exit code and wall time of one ``python -m concgraph`` process."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "concgraph", *argv],
+        cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=False,
+    )
+    seconds = time.perf_counter() - start
+    if proc.returncode:
+        sys.stderr.write(proc.stderr.decode("utf-8", "replace"))
+    return proc.returncode, seconds
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dims", type=int, nargs="+", default=[200, 1000],
+                        help="numbers of variables N; each file has n = 4N rows")
+    args = parser.parse_args(argv)
+    if any(dim < 2 for dim in args.dims):
+        parser.error("every N must be at least 2")
+    timings = []
+    with tempfile.TemporaryDirectory() as workdir:
+        out = os.path.join(workdir, "report.txt")
+        for dim in args.dims:
+            n = 4 * dim
+            path = os.path.join(workdir, f"chain{dim}.csv")
+            write_chain(path, dim, n)
+            for label, command in COMMANDS:
+                code, seconds = time_call([*command, "--input", path, "--out", out])
+                timings.append(
+                    {"N": dim, "n": n, "command": label, "exit": code, "seconds": round(seconds, 3)}
+                )
+                print(f"N = {dim}, n = {n}: {label}: exit {code}, {seconds:.2f} s", flush=True)
+    print(json.dumps({"machine": machine(), "timings": timings}))
+    return 0 if all(t["exit"] == 0 for t in timings) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

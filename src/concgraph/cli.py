@@ -110,6 +110,11 @@ def json_dumps(obj) -> str:
     return _emit(obj)
 
 
+class _JsonText(str):
+    """JSON text already written, such as a table from
+    :func:`_json_table`, that ``_emit`` copies as it is."""
+
+
 def _emit(obj) -> str:
     if type(obj) is float:
         return _format_float(obj)
@@ -126,8 +131,55 @@ def _emit(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return _quote(obj)
+        return obj if type(obj) is _JsonText else _quote(obj)
     raise DomainError(f"cannot serialize {type(obj).__name__}")
+
+
+def _column_cells(columns) -> tuple[list[str], list[list]]:
+    """The format field and the values of each column of a table, for
+    ``str.format`` to write every row from one template.
+
+    A float column is checked for finiteness once and written at 17
+    significant digits, as ``_format_float`` writes one float, with the
+    same error for a non-finite value; a bool column is written as
+    true/false, an integer column as its digits, and a column of strings
+    as they are (the caller escapes them).
+    """
+    fields, cells = [], []
+    for column in columns:
+        if column and type(column[0]) is str:
+            # not through numpy, whose strings drop trailing NULs
+            fields.append("{}")
+            cells.append(column)
+            continue
+        array = np.asarray(column)
+        if array.dtype.kind == "f":
+            bad = np.flatnonzero(~np.isfinite(array))
+            if bad.size:
+                raise DomainError(
+                    f"cannot serialize non-finite number {float(array[bad[0]])!r}"
+                )
+            fields.append("{:.17g}")
+            cells.append(array.tolist())
+        elif array.dtype.kind == "b":
+            fields.append("{}")
+            cells.append(np.where(array, "true", "false").tolist())
+        else:
+            fields.append("{}")
+            cells.append(array.tolist())
+    return fields, cells
+
+
+def _json_table(columns: dict[str, list]) -> _JsonText:
+    """The JSON array of flat row objects, row k holding element k of
+    every column under the column's key: the bytes ``_emit`` writes for
+    the list of row dicts, from one row template formatted per row."""
+    fields, cells = _column_cells(columns.values())
+    template = "{{" + ", ".join(
+        _quote(str(key)).replace("{", "{{").replace("}", "}}") + ": " + field
+        for key, field in zip(columns, fields)
+    ) + "}}"
+    return _JsonText("[" + ", ".join(map(template.format, *cells)) + "]")
 
 
 def read_dataset_csv(path: str) -> Dataset:
@@ -241,17 +293,18 @@ def _write_output(text: str, out: str | None) -> None:
                 handle.write("\n")
 
 
+def _decision_columns(graph) -> dict[str, list]:
+    decisions = graph.decisions
+    return {
+        "i": [d.i for d in decisions],
+        "j": [d.j for d in decisions],
+        "statistic": [d.statistic for d in decisions],
+        "p_value": [d.p_value for d in decisions],
+        "reject": [d.reject for d in decisions],
+    }
+
+
 def _graph_json(graph, data, args: argparse.Namespace) -> str:
-    decisions = [
-        {
-            "i": d.i,
-            "j": d.j,
-            "statistic": d.statistic,
-            "p_value": d.p_value,
-            "reject": d.reject,
-        }
-        for d in graph.decisions
-    ]
     doc = {
         "n": data.n,
         "N": data.dim,
@@ -261,7 +314,7 @@ def _graph_json(graph, data, args: argparse.Namespace) -> str:
         "p_value_kind": _P_VALUE_KIND[args.method],
         "names": list(graph.names),
         "edges": [[i, j] for i, j in graph.edge_list()],
-        "decisions": decisions,
+        "decisions": _json_table(_decision_columns(graph)),
     }
     return json_dumps(doc)
 
@@ -284,21 +337,21 @@ def _graph_tsv(graph) -> str:
     # Escapes as in JSON, so that a name cannot split a row.
     escapes = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
     names = [name.translate(escapes) for name in graph.names]
+    columns = _decision_columns(graph)
+    fields, cells = _column_cells(
+        [
+            columns["i"],
+            columns["j"],
+            [names[i] for i in columns["i"]],
+            [names[j] for j in columns["j"]],
+            columns["statistic"],
+            columns["p_value"],
+            columns["reject"],
+        ]
+    )
+    template = "\t".join(fields)
     lines = ["i\tj\tname_i\tname_j\tstatistic\tp_value\treject"]
-    for d in graph.decisions:
-        lines.append(
-            "\t".join(
-                [
-                    str(d.i),
-                    str(d.j),
-                    names[d.i],
-                    names[d.j],
-                    _format_float(d.statistic),
-                    _format_float(d.p_value),
-                    "true" if d.reject else "false",
-                ]
-            )
-        )
+    lines.extend(map(template.format, *cells))
     return "\n".join(lines)
 
 
@@ -372,16 +425,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.input is not None:
             pc = report.partial_corr
             rows.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "t": report.umpu.statistic,
-                    "r": pc.statistic,
-                    "lower": pc.lower,
-                    "upper": pc.upper,
-                    "reject": pc.reject,
-                    "gap": report.statistic_gap,
-                }
+                (
+                    i, j, report.umpu.statistic, pc.statistic,
+                    pc.lower, pc.upper, pc.reject, report.statistic_gap,
+                )
             )
     ok = disagreements == 0 and raw_disagreements == 0 and max_gap <= STATISTIC_GAP_LIMIT
     doc = {
@@ -395,7 +442,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "equivalent": ok,
     }
     if rows:
-        doc["edges"] = rows
+        keys = ("i", "j", "t", "r", "lower", "upper", "reject", "gap")
+        doc["edges"] = _json_table(dict(zip(keys, map(list, zip(*rows)))))
     _write_output(json_dumps(doc), args.out)
     return EXIT_OK if ok else EXIT_EQUIVALENCE
 

@@ -28,9 +28,9 @@ also costs O(N^3) in total.  The scaling leaves t unchanged and keeps
 the quadratic well conditioned whatever the units of the variables.
 ``umpu_raw_thresholds`` scales that quadratic's interval back to S.
 
-Every decision, the Holm re-decisions of ``select_graph`` included, is
-built by ``_decision`` with the closed rule: a statistic exactly at a
-threshold rejects.
+Every decision, each Holm edge of ``select_graph`` (tested once, at its
+own Holm level) included, is built by ``_decision`` with the closed
+rule: a statistic exactly at a threshold rejects.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ class EdgeDecision:
     as a Monte Carlo count, never pays for it.  It is a pure function of
     the method, the statistic, n and dim, so two threads that race to
     compute it store equal values.  Under Holm, ``select_graph`` fills the
-    exact p-values of a whole graph in one array pass.
+    p-values of a whole graph before it decides, the exact ones in one
+    array pass.
     """
 
     i: int
@@ -124,7 +125,7 @@ class EdgeDecision:
     def p_value(self) -> float:
         if self._p_value is None:
             if self.method == "fisher":
-                p = math.erfc(abs(self.statistic) / math.sqrt(2.0))
+                p = _fisher_p_value(self.statistic)
             else:
                 p = _exact_p_value(self.statistic, self.n, self.dim)
             object.__setattr__(self, "_p_value", p)
@@ -194,6 +195,11 @@ def _exact_p_value(statistic: float, n: int, dim: int) -> float:
     return min(1.0, 2.0 * null_corr_cdf(-abs(statistic), n, dim))
 
 
+def _fisher_p_value(z: float) -> float:
+    """Two-sided asymptotic p-value of the Fisher statistic z."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
 def _exact_test(
     method: str, s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> EdgeDecision:
@@ -222,11 +228,11 @@ def umpu_test(
 def _conditional_route(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> tuple[Factorization, QuadCoeffs, float]:
-    """The inputs of umpu's conditional route at edge (i, j): the
-    factorization, R's determinant quadratic at the edge from the
-    factorization's lemma table, and q, the Beta(m, m) quantile at
-    alpha/2."""
-    f = _validate_test_inputs(s, i, j, n, alpha)
+    """The inputs of umpu's conditional route at edge (i, j), for inputs
+    that ``_validate_test_inputs`` has accepted: the factorization, R's
+    determinant quadratic at the edge from the factorization's lemma
+    table, and q, the Beta(m, m) quantile at alpha/2."""
+    f = s.factorization
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
     return f, _lemma_quadratic(f, i, j), q
 
@@ -261,6 +267,7 @@ def umpu_raw_thresholds(
     det R does not depend on the units of the variables, and only the one
     scale factor of this pair multiplies the result.
     """
+    _validate_test_inputs(s, i, j, n, alpha)
     _, quadratic, q = _conditional_route(s, i, j, n, alpha)
     return _raw_thresholds(s, quadratic, q)
 
@@ -302,11 +309,12 @@ def verify_equivalence(
     gap |(1 - 2q) - c| <= 1e-10; the raw-scale decision must agree with
     the standardized one as well.
     """
-    # One quadratic of R serves t and the raw-scale thresholds.
+    # The test validates the inputs that both routes read; one quadratic
+    # of R then serves t and the raw-scale thresholds.
+    pc = partial_correlation_test(s, i, j, n, alpha)
     f, quadratic, q = _conditional_route(s, i, j, n, alpha)
     t = edge_statistic(quadratic, float(f.correlation.entries[i, j]))
     u = _decision("umpu", i, j, t, 1.0 - 2.0 * q, n, s.dim)
-    pc = partial_correlation_test(s, i, j, n, alpha)
     signed_gap = u.statistic - pc.statistic
     c_lo, c_hi = _raw_thresholds(s, quadratic, q)
     raw_reject = threshold_reject(float(s.entries[i, j]), c_lo, c_hi)

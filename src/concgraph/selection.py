@@ -7,16 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import null_corr_pvalues
+from .distributions import fisher_z, null_corr_pvalues
 from .errors import DomainError, InsufficientSample, NotPositiveDefinite
 from .estimators import Dataset, sample_covariance
-from .independence import (
-    EdgeDecision,
-    TestConfig,
-    _critical_value,
-    _decision,
-    run_edge_test,
-)
+from .independence import EdgeDecision, TestConfig, _fisher_p_value, run_edge_test
 from .matrices import SymmetricMatrix, first_nonpositive_pivot
 
 __all__ = [
@@ -105,17 +99,19 @@ def select_graph(
     """Test every pair at the (possibly corrected) level and assemble the
     estimated concentration graph.
 
-    Every pair is tested once.  The positive-definiteness check and every
-    partial correlation come from one correlation-scaled factorization of
-    the sample covariance, so the graph costs one O(N^3) factorization
-    however many pairs there are, and rescaling a variable changes no
-    decision.  With correction "none" each edge is tested at exactly
-    config.alpha; "bonferroni" divides alpha by the number of pairs;
-    "holm" applies the step-down procedure to the p-values and decides
-    each edge at its Holm level.  The corrections are standard plumbing
-    for multiple testing, outside the per-edge optimality statement.
-    Under Holm the exact p-values are computed in one array pass over the
-    graph; otherwise each is computed when it is first read.
+    Every pair is tested once, by one public edge test at its own level.
+    The positive-definiteness check and every partial correlation come
+    from one correlation-scaled factorization of the sample covariance,
+    so the graph costs one O(N^3) factorization however many pairs there
+    are, and rescaling a variable changes no decision.  With correction
+    "none" each edge is tested at exactly config.alpha; "bonferroni"
+    divides alpha by the number of pairs; "holm" applies the step-down
+    procedure to the p-values and tests each edge at its Holm level.  The
+    corrections are standard plumbing for multiple testing, outside the
+    per-edge optimality statement.  Under Holm the p-values come first,
+    from the factorization's r for every pair (the exact ones in one
+    array pass over the graph), and each decision keeps its p-value;
+    otherwise each p-value is computed when it is first read.
     """
     if correction not in CORRECTIONS:
         raise DomainError(
@@ -123,26 +119,30 @@ def select_graph(
         )
     s = _validated_covariance(data)
     pairs = all_pairs(data.dim)
-    level = config.alpha
-    if correction == "bonferroni" and len(pairs) > 1:
-        level = config.alpha / len(pairs)
-    decisions = [run_edge_test(config.method, s, i, j, data.n, level) for i, j in pairs]
+    method, n = config.method, data.n
     if correction == "holm":
-        # A statistic and its p-value do not depend on the level, so each
-        # edge is re-decided with the critical value of its Holm level,
-        # computed once per distinct level, and keeps its p-value.
-        method, n, dim = config.method, data.n, data.dim
-        if method == "fisher":
-            pvalues = [d.p_value for d in decisions]
-        else:
-            pvalues = null_corr_pvalues([d.statistic for d in decisions], n, dim).tolist()
+        pvalues = _graph_pvalues(s, method, n)
         levels = _holm_levels(pvalues, config.alpha)
-        critical = {lv: _critical_value(method, n, dim, lv) for lv in dict.fromkeys(levels)}
-        decisions = [
-            _decision(method, d.i, d.j, d.statistic, critical[lv], n, dim)
-            for d, lv in zip(decisions, levels)
-        ]
+    else:
+        level = config.alpha
+        if correction == "bonferroni" and len(pairs) > 1:
+            level = config.alpha / len(pairs)
+        levels = [level] * len(pairs)
+    decisions = [
+        run_edge_test(method, s, i, j, n, lv) for (i, j), lv in zip(pairs, levels)
+    ]
+    if correction == "holm":
         for d, p in zip(decisions, pvalues):
             object.__setattr__(d, "_p_value", p)
     edges = frozenset((d.i, d.j) for d in decisions if d.reject)
     return ConcentrationGraph(names=data.names, edges=edges, decisions=tuple(decisions))
+
+
+def _graph_pvalues(s: SymmetricMatrix, method: str, n: int) -> list[float]:
+    """Every pair's p-value in ``all_pairs`` order, from r in the upper
+    triangle of the factorization: bit for bit what each decision's
+    ``p_value`` would compute."""
+    r = s.factorization.partial_correlations[np.triu_indices(s.dim, 1)]
+    if method == "fisher":
+        return [_fisher_p_value(fisher_z(x, n)) for x in r.tolist()]
+    return null_corr_pvalues(r, n, s.dim).tolist()

@@ -16,10 +16,11 @@ Replications run in chunks.  A spec computes its covariance Cholesky
 factor once.  Each chunk stacks its replications' draws into one
 (chunk, n, N) array, colors them with one matrix product, forms every
 sample covariance at once, checks them once as a stack and factors them
-all with one correlation-scaled sweep.  Each replication then runs its
-edge tests one by one; every test reads r from the factorization, so no
-replication computes a determinant.  Every
-stacked step acts on each replication separately, so a replication's
+all with one correlation-scaled sweep.  A power run colors the same
+draws once for the alternative and once for the matched null, so each
+substream is drawn once.  Each replication then runs its edge tests one
+by one; every test reads r from the factorization, so no replication
+computes a determinant.  Every stacked step acts on each replication separately, so a replication's
 covariance, statistics and decisions are bit for bit those of
 ``sample_gaussian`` -> ``sample_covariance`` -> ``run_edge_test`` on its
 substream, and the chunk length changes no result.
@@ -370,47 +371,60 @@ def _substream_states(seed: int, reps: int) -> Iterator[np.ndarray]:
         yield from _substream_seeds(seed, start, min(start + _SEED_BLOCK, reps))
 
 
-def _replication_covariances(spec, n, states, count) -> list[SymmetricMatrix]:
-    """Sample covariances of the next ``count`` replications, each with
-    its factorization attached, from one stack of draws.  Each replication
-    draws from the PCG64 generator that ``default_rng((seed, k))`` builds,
-    seeded from the next row of ``states``."""
-    z = np.empty((count, n, spec.dim))
+def _replication_covariances(specs, n, states, count) -> list[list[SymmetricMatrix]]:
+    """Sample covariances of the next ``count`` replications under each
+    spec, each with its factorization attached, from one stack of draws
+    colored by every spec's Cholesky factor.  Each replication draws from
+    the PCG64 generator that ``default_rng((seed, k))`` builds, seeded
+    from the next row of ``states``, so the specs share their substreams."""
+    z = np.empty((count, n, specs[0].dim))
     row_seed = _row_seed_type()
     generator, pcg64 = np.random.Generator, np.random.PCG64
     for row, state in zip(z, states):
         generator(pcg64(row_seed(state))).standard_normal(out=row)
-    # Colored in place, so the chunk holds one stack of draws fewer while
-    # its covariances are formed; the product is the same.
-    np.matmul(z, spec._cholesky.T, out=z)
-    return _matrix_stack(_covariances(z))
+    stacks = [_matrix_stack(_covariances(z @ spec._cholesky.T)) for spec in specs[:-1]]
+    # The last spec colors in place, so the chunk holds one stack of draws
+    # fewer while its covariances are formed; the product is the same.
+    np.matmul(z, specs[-1]._cholesky.T, out=z)
+    stacks.append(_matrix_stack(_covariances(z)))
+    return stacks
 
 
-def _run_replications(spec, n, alpha, methods, reps, seed, edge):
+def _run_replications(runs, n, alpha, reps, seed, edge):
+    """Replications 0..reps-1 of every (spec, methods) run on the same
+    substreams: each chunk is drawn once and colored by each spec.
+    Returns, per run, the rejection count of each method, the agreement
+    count of each method pair and every replication's r."""
     i, j = edge
-    counts = dict.fromkeys(methods, 0)
-    pairs = list(itertools.combinations(methods, 2))
-    agree_counts = dict.fromkeys(pairs, 0)
-    r_values = np.empty(reps)
-    chunk = _chunk_length(n, spec.dim)
+    tallies = [
+        (
+            dict.fromkeys(methods, 0),
+            dict.fromkeys(itertools.combinations(methods, 2), 0),
+            np.empty(reps),
+        )
+        for _, methods in runs
+    ]
+    specs = [spec for spec, _ in runs]
+    chunk = _chunk_length(n, specs[0].dim)
     states = _substream_states(seed, reps)
     for start in range(0, reps, chunk):
-        covariances = _replication_covariances(
-            spec, n, states, min(chunk, reps - start)
-        )
-        for k, s in enumerate(covariances, start):
-            decisions = {
-                name: run_edge_test(name, s, i, j, n, alpha) for name in methods
-            }
-            # Each test above has checked that s is positive definite.
-            r_values[k] = s.factorization.partial_correlations[i, j]
-            for name, decision in decisions.items():
-                counts[name] += decision.reject
-            for pair in pairs:
-                agree_counts[pair] += (
-                    decisions[pair[0]].reject == decisions[pair[1]].reject
-                )
-    return counts, agree_counts, r_values
+        stacks = _replication_covariances(specs, n, states, min(chunk, reps - start))
+        for (_, methods), (counts, agree_counts, r_values), covariances in zip(
+            runs, tallies, stacks
+        ):
+            for k, s in enumerate(covariances, start):
+                decisions = {
+                    name: run_edge_test(name, s, i, j, n, alpha) for name in methods
+                }
+                # Each test above has checked that s is positive definite.
+                r_values[k] = s.factorization.partial_correlations[i, j]
+                for name, decision in decisions.items():
+                    counts[name] += decision.reject
+                for pair in agree_counts:
+                    agree_counts[pair] += (
+                        decisions[pair[0]].reject == decisions[pair[1]].reject
+                    )
+    return tallies
 
 
 def _outcomes(counts, reps) -> dict[str, MethodOutcome]:
@@ -451,8 +465,8 @@ def estimate_size(
         raise DomainError(
             f"size estimation needs a null probed edge, got rho = {rho}"
         )
-    counts, agree_counts, r_values = _run_replications(
-        spec, n, alpha, methods, reps, seed, edge
+    [(counts, agree_counts, r_values)] = _run_replications(
+        [(spec, methods)], n, alpha, reps, seed, edge
     )
     m = (n - spec.dim) / 2.0
     ks = _ks_distance(_reg_inc_beta_array(np.sort((1.0 + r_values) / 2.0), m, m))
@@ -489,12 +503,9 @@ def estimate_power(
     methods = _normalize_methods(method)
     _validate_run(spec, n, alpha, reps, seed, edge)
     rho = spec.partial_correlation(*edge)
-    counts, agree_counts, _ = _run_replications(
-        spec, n, alpha, methods, reps, seed, edge
-    )
     null_spec = spec.with_edge(edge[0], edge[1], 0.0)
-    null_counts, _, _ = _run_replications(
-        null_spec, n, alpha, methods[:1], reps, seed, edge
+    (counts, agree_counts, _), (null_counts, _, _) = _run_replications(
+        [(spec, methods), (null_spec, methods[:1])], n, alpha, reps, seed, edge
     )
     null_rate = null_counts[methods[0]] / reps
     return MonteCarloReport(

@@ -8,8 +8,10 @@ recursive ``isinstance`` writer the CLI replaced, beta and correlation
 CDFs by adaptive quadrature of smooth trig-substituted integrands,
 quantiles by bisection of those quadrature CDFs, the normal quantile by
 bisection of an erf-based CDF, Monte Carlo runs one replication at a
-time, and umpu's raw-scale thresholds by the determinant quadratic of
-S / g (the package scales the quadratic of R instead).
+time, umpu's raw-scale thresholds by the determinant quadratic of
+S / g (the package scales the quadratic of R instead), and Holm by
+deciding every pair twice with scalar p-values (the package decides each
+pair once, after one array pass of p-values).
 """
 
 from __future__ import annotations
@@ -327,6 +329,31 @@ def dataset_with_exact_covariance(target, n: int, rng: np.random.Generator):
     q, _ = np.linalg.qr(q)
     chol = np.linalg.cholesky(t)
     return math.sqrt(n) * q @ chol.T
+
+
+def holm_two_pass(data, method: str, alpha: float):
+    """Holm selection in two passes, as ``select_graph`` once decided it:
+    every pair tested at alpha, its p-value read from that decision one
+    scalar at a time, the textbook step-down on those p-values, then every
+    pair tested again at its Holm level, the level it was compared against
+    if the step-down rejected it and otherwise the level at which the
+    step-down stopped.  Returns the second pass's decisions and the first
+    pass's p-values, in pair order."""
+    s = sample_covariance(data)
+    pairs = list(itertools.combinations(range(data.dim), 2))
+    pvalues = [run_edge_test(method, s, i, j, data.n, alpha).p_value for i, j in pairs]
+    count = len(pairs)
+    levels = [0.0] * count
+    stop = None
+    for rank, k in enumerate(sorted(range(count), key=lambda k: (pvalues[k], k))):
+        level = alpha / (count - rank)
+        if stop is None and pvalues[k] > level:
+            stop = level
+        levels[k] = level if stop is None else stop
+    decisions = [
+        run_edge_test(method, s, i, j, data.n, level) for (i, j), level in zip(pairs, levels)
+    ]
+    return decisions, pvalues
 
 
 def replication_loop(spec, n, alpha, methods, reps, seed, edge=(0, 1)):

@@ -132,6 +132,63 @@ class TestJsonWriterAgainstOracle:
         assert "\\u0001" in text and "\\n" in text and "\\t" in text
 
 
+_FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.05]),
+)
+_COLUMN_CELLS = (
+    _FLOAT_CELLS,
+    _FLOAT_CELLS.map(np.float64),
+    st.integers(-(2**62), 2**62),
+    st.booleans(),
+)
+
+
+_TABLE_KEYS = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=6),
+    st.sampled_from(["{}", "{0}", "a\x01}", 'q"\\', "\t\n", "{:.17g}"]),
+)
+
+
+@st.composite
+def tables(draw):
+    """Columns of one cell type each, equal in length, under distinct
+    keys that may hold control characters, quotes and braces."""
+    rows = draw(st.integers(0, 8))
+    keys = draw(st.lists(_TABLE_KEYS, min_size=1, max_size=5, unique=True))
+    columns = {}
+    for key in keys:
+        cell = draw(st.sampled_from(_COLUMN_CELLS))
+        columns[key] = draw(st.lists(cell, min_size=rows, max_size=rows))
+    return columns
+
+
+class TestTableWriter:
+    @given(columns=tables())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_emit_on_row_dicts(self, columns):
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        assert cli._json_table(columns) == cli._emit(rows)
+        # the table is written as it is inside a document
+        assert json_dumps({"n": 1, "rows": cli._json_table(columns)}) == json_dumps(
+            {"n": 1, "rows": rows}
+        )
+        # a tab-separated row from the same cells
+        fields, cells = cli._column_cells(list(columns.values()))
+        want = ["\t".join(cli._emit(v) for v in row) for row in zip(*columns.values())]
+        assert list(map("\t".join(fields).format, *cells)) == want
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+    def test_non_finite_cell_is_a_domain_error(self, bad):
+        columns = {"i": [0, 1, 2], "x": [0.5, bad, float("nan")]}
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        with pytest.raises(DomainError) as expected:
+            cli._emit(rows)
+        with pytest.raises(DomainError) as got:
+            cli._json_table(columns)
+        assert str(got.value) == str(expected.value)
+
+
 def read_outcome(read, path):
     """What a reader makes of a file: names, shape and array bits, or the
     text of its DataError."""

@@ -375,6 +375,36 @@ class TestEquivalence:
         assert inverses == [(40, 40)]
         assert probes == []
 
+    def test_each_pair_validated_once(self, monkeypatch):
+        calls = []
+        validate = independence._validate_test_inputs
+        monkeypatch.setattr(
+            independence, "_validate_test_inputs", lambda *a: calls.append(a[1:3]) or validate(*a)
+        )
+        s = SymmetricMatrix(STRONG_EDGE.entries)
+        for i, j in all_pairs(3):
+            verify_equivalence(s, i, j, 10, 0.05)
+        assert calls == all_pairs(3)
+        # the public raw-scale thresholds still validate for themselves
+        calls.clear()
+        umpu_raw_thresholds(s, 0, 2, 10, 0.05)
+        assert calls == [(0, 2)]
+
+    @pytest.mark.parametrize(
+        "i, j, n, alpha, error",
+        [
+            (0, 0, 10, 0.05, DomainError),
+            (0, 3, 10, 0.05, DomainError),
+            (0, 1, 10, 1.5, DomainError),
+            (0, 1, 10.0, 0.05, DomainError),
+            (0, 1, 3, 0.05, InsufficientSample),
+        ],
+    )
+    def test_invalid_inputs_rejected_by_both_entry_points(self, i, j, n, alpha, error):
+        for check in (verify_equivalence, umpu_raw_thresholds):
+            with pytest.raises(error):
+                check(STRONG_EDGE, i, j, n, alpha)
+
     def test_perturbed_lemma_inverse_is_caught(self, monkeypatch):
         # verify reads G_ij of R^-1 itself: a relative error of 1e-6 in it
         # opens a gap far above the limit

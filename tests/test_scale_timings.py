@@ -1,0 +1,24 @@
+"""scripts/scale_timings.py runs end to end on a small graph."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_smoke_at_ten_variables():
+    proc = subprocess.run(
+        [sys.executable, "scripts/scale_timings.py", "--dims", "10"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert {"cpu", "nproc", "python", "numpy"} <= set(doc["machine"])
+    assert [(t["N"], t["n"], t["command"], t["exit"]) for t in doc["timings"]] == [
+        (10, 40, "select --correction none", 0),
+        (10, 40, "select --correction holm", 0),
+        (10, 40, "verify --input", 0),
+    ]
+    assert all(t["seconds"] > 0 for t in doc["timings"])

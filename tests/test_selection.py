@@ -199,6 +199,56 @@ class TestCorrections:
         assert [len(a[0]) for a in bulk] == ([] if method == "fisher" else [435])
 
 
+def chain_graph_data(dim=30, n=150, seed=5, rho=-0.3):
+    k = np.eye(dim)
+    idx = np.arange(dim - 1)
+    k[idx, idx + 1] = k[idx + 1, idx] = rho
+    return sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), n, seed=seed)
+
+
+class TestHolmDecidesOnce:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_edge_test_and_one_decision_per_pair(self, method, monkeypatch):
+        tests, built = [], []
+        for name, test in independence._TESTS.items():
+            monkeypatch.setitem(
+                independence._TESTS, name,
+                lambda *a, _test=test: tests.append(a[1:3]) or _test(*a),
+            )
+        decision = independence._decision
+        # wherever a module binds the one decision builder
+        for module in (independence, selection):
+            if getattr(module, "_decision", None) is decision:
+                monkeypatch.setattr(
+                    module, "_decision", lambda *a: built.append(a[1:3]) or decision(*a)
+                )
+        graph = select_graph(chain_graph_data(), TestConfig(0.05, method), "holm")
+        assert graph.edges
+        assert tests == all_pairs(30)
+        assert built == all_pairs(30)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equal_to_two_pass_reference_on_a_chain(self, method):
+        data = chain_graph_data()
+        graph = select_graph(data, TestConfig(0.05, method), "holm")
+        want, pvalues = oracles.holm_two_pass(data, method, 0.05)
+        assert list(graph.decisions) == want
+        assert [d.p_value for d in graph.decisions] == pvalues
+        # the Holm levels differ from edge to edge
+        assert len({d.upper for d in graph.decisions}) > 2
+
+    @given(seed=st.integers(0, 2**31), alpha=st.sampled_from([0.05, 0.3, 0.6, 0.9]))
+    @settings(max_examples=30, deadline=None)
+    def test_equal_to_two_pass_reference_on_small_graphs(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        data = strong_pair_dataset(rng, rho=0.5, dim=5, n=12) if seed % 2 else null_dataset(rng, 5, 12)
+        for method in METHODS:
+            graph = select_graph(data, TestConfig(alpha, method), "holm")
+            want, pvalues = oracles.holm_two_pass(data, method, alpha)
+            assert list(graph.decisions) == want
+            assert [d.p_value for d in graph.decisions] == pvalues
+
+
 class TestBulkPvalues:
     # (rho on edge (0, 1), dim, n): n - dim odd gives a half-integer shape,
     # dim = 2 one pair, |rho| = 0.999 the far tail, both signs

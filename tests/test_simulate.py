@@ -274,8 +274,8 @@ class TestChunkedEngine:
         want_counts, want_agree, want_r = oracles.replication_loop(
             spec, n, 0.05, METHODS, reps, seed
         )
-        counts, agree, r = simulate._run_replications(
-            spec, n, 0.05, METHODS, reps, seed, (0, 1)
+        [(counts, agree, r)] = simulate._run_replications(
+            [(spec, METHODS)], n, 0.05, reps, seed, (0, 1)
         )
         assert np.array_equal(r, want_r)
         assert counts == want_counts
@@ -302,6 +302,34 @@ class TestChunkedEngine:
         assert {name: o.rejections for name, o in report.per_method.items()} == counts
         assert report.agreement == agreement_rates(agree, reps)
         assert report.null_rate == null_counts[METHODS[0]] / reps
+
+    def test_runs_sharing_draws_match_separate_runs(self):
+        # one stack of draws colored by both specs, as a power run does
+        spec, n, reps, seed = PrecisionSpec.single_edge(5, 0, 1, 0.3), 50, 1000, 29
+        null = spec.with_edge(0, 1, 0.0)
+        runs = [(spec, METHODS), (null, METHODS[1:])]
+        got = simulate._run_replications(runs, n, 0.05, reps, seed, (0, 1))
+        for (run_spec, methods), (counts, agree, r) in zip(runs, got):
+            want_counts, want_agree, want_r = oracles.replication_loop(
+                run_spec, n, 0.05, methods, reps, seed
+            )
+            assert np.array_equal(r, want_r)
+            assert counts == want_counts
+            assert agree == want_agree
+
+    def test_power_run_draws_each_substream_once(self, monkeypatch):
+        rows = []
+        states = simulate._substream_states
+
+        def counted(seed, reps):
+            for row in states(seed, reps):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(simulate, "_substream_states", counted)
+        spec = PrecisionSpec.single_edge(5, 0, 1, 0.3)
+        estimate_power(spec, 50, 0.05, METHODS, reps=1000, seed=3)
+        assert len(rows) == 1000
 
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100, 2**128 - 1)
