@@ -19,7 +19,9 @@ runs: size and power for every method, an odd n - N (a half-integer
 shape), and master seeds of two, three and four 32-bit words, whose
 substream keys (seed, k) hash more entropy words than the others.  The
 last call is ``verify --input`` on an N = 40, n = 160 chain whose first
-half of columns is scaled by 1e5 and second half by 1e-5.  Every call
+half of columns is scaled by 1e5 and second half by 1e-5; after it come
+``select`` in json and tsv and ``verify --input`` on a one-variable
+file, which has no pair, so that the empty tables are pinned.  Every call
 runs in a fresh interpreter with ``src/`` first on the path.
 """
 
@@ -46,6 +48,7 @@ DATASETS = (
 CHAIN = ("chain30", 30, 150, 5, None)
 CONTROL = ("control", 4, 30, 2, ("a\tb", "c\x01d", "e\\f", "g"))
 MIXED = ("mixed40", 40, 160, 4, None)
+ONE = ("one", 1, 12, 6, None)
 METHODS = ("umpu", "partial-corr", "fisher")
 CORRECTIONS = ("none", "bonferroni", "holm")
 FORMATS = ("json", "tsv", "dot")
@@ -110,6 +113,11 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
         out.append((" ".join(argv), ["-m", "concgraph", *argv]))
     out.append((f"verify --input {MIXED[0]}",
                 ["-m", "concgraph", "verify", "--input", os.path.join(workdir, "mixed40.csv")]))
+    one = os.path.join(workdir, f"{ONE[0]}.csv")
+    for fmt in ("json", "tsv"):
+        out.append((f"select {ONE[0]} --format {fmt}",
+                    ["-m", "concgraph", "select", "--input", one, "--format", fmt]))
+    out.append((f"verify --input {ONE[0]}", ["-m", "concgraph", "verify", "--input", one]))
     return out
 
 
@@ -137,7 +145,7 @@ def main(argv=None) -> int:
                 [sys.executable, "scripts/make_dataset.py", *args, "--out", path],
                 cwd=ROOT, env=_env(), check=True,
             )
-        for name, dim, n, seed, names in (CHAIN, CONTROL):
+        for name, dim, n, seed, names in (CHAIN, CONTROL, ONE):
             write_chain(os.path.join(workdir, f"{name}.csv"), dim, n, seed, names)
         name, dim, n, seed, names = MIXED
         scale = np.where(np.arange(dim) < dim // 2, 1e5, 1e-5)

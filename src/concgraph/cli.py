@@ -441,9 +441,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "equivalent": ok,
     }
-    if rows:
+    if args.input is not None:
         keys = ("i", "j", "t", "r", "lower", "upper", "reject", "gap")
-        doc["edges"] = _json_table(dict(zip(keys, map(list, zip(*rows)))))
+        # named empty columns when the file has no pair: the table is "[]"
+        columns = list(zip(*rows)) or [()] * len(keys)
+        doc["edges"] = _json_table(dict(zip(keys, map(list, columns))))
     _write_output(json_dumps(doc), args.out)
     return EXIT_OK if ok else EXIT_EQUIVALENCE
 

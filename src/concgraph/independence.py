@@ -28,9 +28,14 @@ also costs O(N^3) in total.  The scaling leaves t unchanged and keeps
 the quadratic well conditioned whatever the units of the variables.
 ``umpu_raw_thresholds`` scales that quadratic's interval back to S.
 
-Every decision, each Holm edge of ``select_graph`` (tested once, at its
-own Holm level) included, is built by ``_decision`` with the closed
-rule: a statistic exactly at a threshold rejects.
+The three tests are one body, ``_edge_test``: it checks the inputs,
+reads r from the one factorization, forms the statistic (r, or Fisher's
+z for ``fisher``), takes c (``null_corr_quantile``, or the normal
+quantile) and calls ``_decision``.  That builds every decision, each
+Holm edge of ``select_graph`` included, with the closed rule: a
+statistic exactly at a threshold rejects.  Each input check is raised
+in one place: the level in ``_check_level``, the method in
+``_check_method`` and the sample size in ``distributions._half_shape``.
 """
 
 from __future__ import annotations
@@ -39,13 +44,14 @@ import math
 from dataclasses import dataclass, field
 
 from .distributions import (
+    _half_shape,
     beta_sym_quantile,
     fisher_z,
     null_corr_cdf,
     null_corr_quantile,
     std_normal_quantile,
 )
-from .errors import DomainError, InsufficientSample
+from .errors import DomainError
 from .estimators import _pd_factorization
 from .matrices import (
     Factorization,
@@ -74,6 +80,16 @@ __all__ = [
 METHODS = ("umpu", "partial_corr", "fisher")
 
 
+def _check_level(alpha) -> None:
+    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
+        raise DomainError(f"significance level must lie in (0, 1), got {alpha!r}")
+
+
+def _check_method(method) -> None:
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 @dataclass(frozen=True)
 class TestConfig:
     """Significance level and test method for graph selection."""
@@ -84,14 +100,8 @@ class TestConfig:
     method: str = "partial_corr"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
-            raise DomainError(
-                f"significance level must lie in (0, 1), got {self.alpha!r}"
-            )
-        if self.method not in METHODS:
-            raise DomainError(
-                f"unknown method {self.method!r}; expected one of {METHODS}"
-            )
+        _check_level(self.alpha)
+        _check_method(self.method)
 
 
 @dataclass(frozen=True)
@@ -151,15 +161,6 @@ def threshold_reject(statistic: float, lower: float, upper: float) -> bool:
     return statistic <= lower or statistic >= upper
 
 
-def _critical_value(method: str, n: int, dim: int, alpha: float) -> float:
-    """Upper threshold c of a method's symmetric acceptance region (-c, c)
-    at level alpha: umpu and partial_corr share the exact null-law
-    quantile, fisher uses the normal one."""
-    if method == "fisher":
-        return std_normal_quantile(1.0 - alpha / 2.0)
-    return null_corr_quantile(alpha, n, dim)
-
-
 def _decision(
     method: str, i: int, j: int, statistic: float, c: float, n: int, dim: int
 ) -> EdgeDecision:
@@ -173,15 +174,11 @@ def _decision(
 def _validate_test_inputs(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> Factorization:
+    """Check an edge test's inputs in order, edge, level, then sample size,
+    and return the factorization of the positive definite s."""
     _check_offdiagonal(s.dim, i, j)
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise DomainError(f"significance level must lie in (0, 1), got {alpha!r}")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"sample size must be an integer, got {n!r}")
-    if n <= s.dim:
-        raise InsufficientSample(
-            f"insufficient sample: need n > N, got n = {n}, N = {s.dim}"
-        )
+    _check_level(alpha)
+    _half_shape(n, s.dim)
     return _pd_factorization(s)
 
 
@@ -200,13 +197,19 @@ def _fisher_p_value(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _exact_test(
+def _edge_test(
     method: str, s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> EdgeDecision:
-    """The test of umpu and partial_corr: r from the one factorization,
-    decided at the critical value c of its exact null law."""
+    """The one body of the three edge tests: r from the one factorization
+    is the statistic of umpu and partial_corr, decided at the critical
+    value c of its exact null law, and fisher decides z(r) at the normal
+    quantile."""
     r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
-    return _decision(method, i, j, r, _critical_value(method, n, s.dim, alpha), n, s.dim)
+    if method == "fisher":
+        c, statistic = std_normal_quantile(1.0 - alpha / 2.0), fisher_z(r, n)
+    else:
+        c, statistic = null_corr_quantile(alpha, n, s.dim), r
+    return _decision(method, i, j, statistic, c, n, s.dim)
 
 
 def umpu_test(
@@ -222,7 +225,7 @@ def umpu_test(
     against the determinant-quadratic route, and the equivalent raw-scale
     thresholds are exposed by :func:`umpu_raw_thresholds`.
     """
-    return _exact_test("umpu", s, i, j, n, alpha)
+    return _edge_test("umpu", s, i, j, n, alpha)
 
 
 def _conditional_route(
@@ -277,7 +280,7 @@ def partial_correlation_test(
 ) -> EdgeDecision:
     """Exact two-sided test of the sample partial correlation, read from
     the covariance matrix's one factorization."""
-    return _exact_test("partial_corr", s, i, j, n, alpha)
+    return _edge_test("partial_corr", s, i, j, n, alpha)
 
 
 def fisher_test(
@@ -289,9 +292,7 @@ def fisher_test(
     quantile; the p-value is asymptotic.  r comes from the covariance
     matrix's one factorization.
     """
-    r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
-    c = _critical_value("fisher", n, s.dim, alpha)
-    return _decision("fisher", i, j, fisher_z(r, n), c, n, s.dim)
+    return _edge_test("fisher", s, i, j, n, alpha)
 
 
 def verify_equivalence(
@@ -340,10 +341,8 @@ def run_edge_test(
     method: str, s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> EdgeDecision:
     """Dispatch one edge test by method name."""
-    try:
-        test = _TESTS[method]
-    except KeyError:
-        raise DomainError(
-            f"unknown method {method!r}; expected one of {METHODS}"
-        ) from None
-    return test(s, i, j, n, alpha)
+    # _check_method raises for every name outside _TESTS; a known name,
+    # as on every decision of a graph, costs no call
+    if method not in _TESTS:
+        _check_method(method)
+    return _TESTS[method](s, i, j, n, alpha)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import fisher_z, null_corr_pvalues
-from .errors import DomainError, InsufficientSample, NotPositiveDefinite
+from .distributions import _half_shape, fisher_z, null_corr_pvalues
+from .errors import DomainError, NotPositiveDefinite
 from .estimators import Dataset, sample_covariance
 from .independence import EdgeDecision, TestConfig, _fisher_p_value, run_edge_test
 from .matrices import SymmetricMatrix, first_nonpositive_pivot
@@ -47,10 +47,7 @@ def all_pairs(dim: int) -> list[tuple[int, int]]:
 
 
 def _validated_covariance(data: Dataset) -> SymmetricMatrix:
-    if data.n <= data.dim:
-        raise InsufficientSample(
-            f"insufficient sample: need n > N, got n = {data.n}, N = {data.dim}"
-        )
+    _half_shape(data.n, data.dim)
     # Centering a column leaves rounding residue of up to about
     # n * eps * max|x|, which the correlation scaling would blow up to unit
     # variance; a column whose range is at that level counts as constant.

@@ -29,6 +29,10 @@ A replication pays only for what its report reads: its decisions'
 p-values are never computed, and the correlation-scaled matrix R is
 never built.  A size run evaluates the null CDF for its
 Kolmogorov-Smirnov statistic once, over the whole sorted sample.
+
+``estimate_size`` and ``estimate_power`` share one driver, ``_estimate``,
+which checks the methods and the level through ``independence``'s
+checks, and the sample size with this module's own message.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 from .errors import DomainError, NotPositiveDefinite
 from .estimators import Dataset, _covariances, sample_covariance
 from .distributions import _reg_inc_beta_array
-from .independence import METHODS, run_edge_test
+from .independence import _check_level, _check_method, run_edge_test
 from .matrices import (
     SymmetricMatrix,
     _check_offdiagonal,
@@ -263,8 +267,7 @@ def _normalize_methods(method) -> tuple[str, ...]:
     if not methods:
         raise DomainError("need at least one method")
     for name in methods:
-        if name not in METHODS:
-            raise DomainError(f"unknown method {name!r}; expected one of {METHODS}")
+        _check_method(name)
     if len(set(methods)) != len(methods):
         raise DomainError("methods must be distinct")
     return methods
@@ -272,8 +275,7 @@ def _normalize_methods(method) -> tuple[str, ...]:
 
 def _validate_run(spec, n, alpha, reps, seed, edge) -> None:
     _check_offdiagonal(spec.dim, edge[0], edge[1])
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise DomainError(f"significance level must lie in (0, 1), got {alpha!r}")
+    _check_level(alpha)
     if not isinstance(n, int) or isinstance(n, bool) or n <= spec.dim:
         raise DomainError(
             f"sample size must be an integer > dim, got n = {n!r}, dim = {spec.dim}"
@@ -443,6 +445,45 @@ def _agreement_rates(agree_counts, reps) -> dict[str, float]:
     return {f"{a}~{b}": hits / reps for (a, b), hits in agree_counts.items()}
 
 
+def _estimate(spec, n, alpha, method, reps, seed, edge, power: bool) -> MonteCarloReport:
+    """The one Monte Carlo driver: :func:`estimate_power` with ``power``,
+    :func:`estimate_size` without.  A power run adds the matched null to
+    the same substreams; a size run requires a null probed edge and
+    reports the KS statistic of its r sample."""
+    methods = _normalize_methods(method)
+    _validate_run(spec, n, alpha, reps, seed, edge)
+    rho = spec.partial_correlation(*edge)
+    runs = [(spec, methods)]
+    if power:
+        runs.append((spec.with_edge(edge[0], edge[1], 0.0), methods[:1]))
+    elif abs(rho) > 1e-12:
+        raise DomainError(
+            f"size estimation needs a null probed edge, got rho = {rho}"
+        )
+    tallies = _run_replications(runs, n, alpha, reps, seed, edge)
+    counts, agree_counts, r_values = tallies[0]
+    if power:
+        null = _outcomes(tallies[1][0], reps)[methods[0]]
+        extra = {"null_rate": null.rate, "null_std_error": null.std_error}
+    else:
+        m = (n - spec.dim) / 2.0
+        f = _reg_inc_beta_array(np.sort((1.0 + r_values) / 2.0), m, m)
+        extra = {"ks_statistic": _ks_distance(f)}
+    return MonteCarloReport(
+        replications=reps,
+        seed=seed,
+        dim=spec.dim,
+        n=n,
+        alpha=alpha,
+        edge=edge,
+        rho=rho,
+        methods=methods,
+        per_method=_outcomes(counts, reps),
+        agreement=_agreement_rates(agree_counts, reps),
+        **extra,
+    )
+
+
 def estimate_size(
     spec: PrecisionSpec,
     n: int,
@@ -458,31 +499,7 @@ def estimate_size(
     the KS statistic of the transformed null sample (1 + r) / 2 against
     Beta(m, m) with m = (n - N) / 2, an exact check of the null law.
     """
-    methods = _normalize_methods(method)
-    _validate_run(spec, n, alpha, reps, seed, edge)
-    rho = spec.partial_correlation(*edge)
-    if abs(rho) > 1e-12:
-        raise DomainError(
-            f"size estimation needs a null probed edge, got rho = {rho}"
-        )
-    [(counts, agree_counts, r_values)] = _run_replications(
-        [(spec, methods)], n, alpha, reps, seed, edge
-    )
-    m = (n - spec.dim) / 2.0
-    ks = _ks_distance(_reg_inc_beta_array(np.sort((1.0 + r_values) / 2.0), m, m))
-    return MonteCarloReport(
-        replications=reps,
-        seed=seed,
-        dim=spec.dim,
-        n=n,
-        alpha=alpha,
-        edge=edge,
-        rho=rho,
-        methods=methods,
-        per_method=_outcomes(counts, reps),
-        agreement=_agreement_rates(agree_counts, reps),
-        ks_statistic=ks,
-    )
+    return _estimate(spec, n, alpha, method, reps, seed, edge, power=False)
 
 
 def estimate_power(
@@ -500,29 +517,7 @@ def estimate_power(
     with the probed precision entry zeroed, same substreams) so power and
     size can be compared directly.
     """
-    methods = _normalize_methods(method)
-    _validate_run(spec, n, alpha, reps, seed, edge)
-    rho = spec.partial_correlation(*edge)
-    null_spec = spec.with_edge(edge[0], edge[1], 0.0)
-    (counts, agree_counts, _), (null_counts, _, _) = _run_replications(
-        [(spec, methods), (null_spec, methods[:1])], n, alpha, reps, seed, edge
-    )
-    null_rate = null_counts[methods[0]] / reps
-    return MonteCarloReport(
-        replications=reps,
-        seed=seed,
-        dim=spec.dim,
-        n=n,
-        alpha=alpha,
-        edge=edge,
-        rho=rho,
-        methods=methods,
-        per_method=_outcomes(counts, reps),
-        agreement=_agreement_rates(agree_counts, reps),
-        ks_statistic=None,
-        null_rate=null_rate,
-        null_std_error=math.sqrt(null_rate * (1.0 - null_rate) / reps),
-    )
+    return _estimate(spec, n, alpha, method, reps, seed, edge, power=True)
 
 
 def _check_instance_count(count) -> None:

@@ -572,6 +572,21 @@ class TestVerifyCommand:
         row = doc["edges"][0]
         assert {"i", "j", "t", "r", "lower", "upper", "reject", "gap"} <= set(row)
 
+    def test_input_with_one_variable_writes_an_empty_edge_table(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        write_csv(path, ("a",), [[1.0], [2.5], [3.0]])
+        assert main(["verify", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["instances"] == 0
+        assert doc["equivalent"] is True
+        assert doc["edges"] == []
+
+    def test_input_makes_one_public_test_per_pair(self, sample_csv, capsys, edge_test_calls):
+        path, _ = sample_csv
+        assert main(["verify", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["instances"] == 3
+        assert edge_test_calls == [("partial_corr", i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
+
     def test_input_at_twenty_variables_matches_select(self, tmp_path, capsys):
         # every pair of an N = 20 file through the determinant quadratic:
         # t meets r to rounding and the decisions are select's

@@ -207,14 +207,12 @@ def chain_graph_data(dim=30, n=150, seed=5, rho=-0.3):
 
 
 class TestHolmDecidesOnce:
+    @pytest.mark.parametrize("correction", CORRECTIONS)
     @pytest.mark.parametrize("method", METHODS)
-    def test_one_edge_test_and_one_decision_per_pair(self, method, monkeypatch):
-        tests, built = [], []
-        for name, test in independence._TESTS.items():
-            monkeypatch.setitem(
-                independence._TESTS, name,
-                lambda *a, _test=test: tests.append(a[1:3]) or _test(*a),
-            )
+    def test_one_edge_test_and_one_decision_per_pair(
+        self, method, correction, monkeypatch, edge_test_calls
+    ):
+        built = []
         decision = independence._decision
         # wherever a module binds the one decision builder
         for module in (independence, selection):
@@ -222,9 +220,9 @@ class TestHolmDecidesOnce:
                 monkeypatch.setattr(
                     module, "_decision", lambda *a: built.append(a[1:3]) or decision(*a)
                 )
-        graph = select_graph(chain_graph_data(), TestConfig(0.05, method), "holm")
+        graph = select_graph(chain_graph_data(), TestConfig(0.05, method), correction)
         assert graph.edges
-        assert tests == all_pairs(30)
+        assert edge_test_calls == [(method, i, j) for i, j in all_pairs(30)]
         assert built == all_pairs(30)
 
     @pytest.mark.parametrize("method", METHODS)

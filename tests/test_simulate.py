@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -261,6 +262,22 @@ class TestEstimatePower:
 
 def agreement_rates(agree, reps):
     return {f"{a}~{b}": hits / reps for (a, b), hits in agree.items()}
+
+
+class TestOneEdgeTestPerDecision:
+    @pytest.mark.parametrize("power", [False, True])
+    @pytest.mark.parametrize("methods", [*METHODS, METHODS])
+    def test_one_public_test_per_decision(self, methods, power, edge_test_calls):
+        # every replication decides each method once, and a power run
+        # decides the first method once more at the matched null
+        estimate = estimate_power if power else estimate_size
+        spec = PrecisionSpec.single_edge(3, 0, 1, 0.3) if power else PrecisionSpec.identity(3)
+        report = estimate(spec, 10, 0.05, methods, reps=1000, seed=2)
+        calls = Counter(method for method, _, _ in edge_test_calls)
+        want = {name: 1000 for name in report.methods}
+        want[report.methods[0]] += 1000 if power else 0
+        assert calls == want
+        assert {(i, j) for _, i, j in edge_test_calls} == {(0, 1)}
 
 
 class TestChunkedEngine:
