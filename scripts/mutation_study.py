@@ -57,16 +57,16 @@ MUTATIONS = (
      "x1=(b - root) / (2.0 * a), x2=(b + root) / (2.0 * a)",
      "x1=(-b - root) / (2.0 * a), x2=(-b + root) / (2.0 * a)"),
     ("x * 1.5 in t", INDEPENDENCE,
-     "t = edge_statistic(quadratic, float(f.correlation.entries[i, j]))",
-     "t = edge_statistic(quadratic, 1.5 * float(f.correlation.entries[i, j]))"),
+     "t = edge_statistic(quadratic, float(f._scaled[i, j]))",
+     "t = edge_statistic(quadratic, 1.5 * float(f._scaled[i, j]))"),
     ("-a in the lemma", MATRICES,
-     "return QuadCoeffs(d * k,", "return QuadCoeffs(-d * k,"),
+     "return QuadCoeffs(k,", "return QuadCoeffs(-k,"),
     ("b's sign in the lemma", MATRICES,
-     "2.0 * d * (g + k * r)", "-2.0 * d * (g + k * r)"),
+     "2.0 * (g + k * r)", "-2.0 * (g + k * r)"),
     ("b without its 2 in the lemma", MATRICES,
-     "2.0 * d * (g + k * r)", "d * (g + k * r)"),
+     "2.0 * (g + k * r)", "(g + k * r)"),
     ("c without its 2 in the lemma", MATRICES,
-     "d * (1.0 - 2.0 * g * r - k * r * r)", "d * (1.0 - g * r - k * r * r)"),
+     "1.0 - 2.0 * g * r - k * r * r", "1.0 - g * r - k * r * r"),
     ("k with +g**2 in the lemma", MATRICES,
      "k = float(inverse[i, i]) * float(inverse[j, j]) - g * g",
      "k = float(inverse[i, i]) * float(inverse[j, j]) + g * g"),

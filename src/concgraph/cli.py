@@ -25,7 +25,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .estimators import Dataset
 from .distributions import beta_sym_quantile, null_corr_quantile
-from .independence import TestConfig, threshold_reject, verify_equivalence
+from .independence import TestConfig, verify_equivalence
 from .selection import CORRECTIONS, _validated_covariance, all_pairs, select_graph
 from .simulate import (
     PrecisionSpec,
@@ -374,20 +374,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_one(s, i, j, n, alpha, inject: bool):
-    report = verify_equivalence(s, i, j, n, alpha)
-    if inject:
-        u, pc = report.umpu, report.partial_corr
-        flipped = -u.statistic
-        report = replace(
-            report,
-            statistic_gap=abs(flipped - pc.statistic),
-            signed_gap=flipped - pc.statistic,
-            same_decision=threshold_reject(flipped, u.lower, u.upper) == pc.reject,
-        )
-    return report
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.input is not None:
         try:
@@ -416,7 +402,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     count = 0
     rows = []
     for s, i, j, n, alpha in instances:
-        report = _verify_one(s, i, j, n, alpha, args.inject_sign_flip)
+        report = verify_equivalence(s, i, j, n, alpha)
         count += 1
         disagreements += not report.same_decision
         raw_disagreements += not report.raw_scale_agrees
@@ -536,11 +522,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--input", default=None, help="optional CSV dataset path")
     p_verify.add_argument(
         "--reps", type=int, default=10000, help="random instances to check"
-    )
-    p_verify.add_argument(
-        "--inject-sign-flip",
-        action="store_true",
-        help=argparse.SUPPRESS,  # negative-control hook for the test suite
     )
     common(p_verify, with_method=False)
 

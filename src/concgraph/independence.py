@@ -22,11 +22,11 @@ O(N^3) factorization in total.  ``verify_equivalence`` keeps the
 conditional route as the reference it checks: it standardizes the entry
 R_ij of the correlation-scaled matrix R through the determinant
 quadratic of R, decides t at 1 - 2q, and measures the gap to r.  The
-quadratic of every pair comes from one LAPACK determinant and one LAPACK
-inverse of R by the matrix determinant lemma, so checking every pair
-also costs O(N^3) in total.  The scaling leaves t unchanged and keeps
-the quadratic well conditioned whatever the units of the variables.
-``umpu_raw_thresholds`` scales that quadratic's interval back to S.
+quadratic of every pair comes from one LAPACK inverse of R by the matrix
+determinant lemma, so checking every pair also costs O(N^3) in total.
+The scaling leaves t unchanged and keeps the quadratic well conditioned
+whatever the units of the variables.  ``umpu_raw_thresholds`` scales
+that quadratic's interval back to S.
 
 The three tests are one body, ``_edge_test``: it checks the inputs,
 reads r from the one factorization, forms the statistic (r, or Fisher's
@@ -55,7 +55,6 @@ from .errors import DomainError
 from .estimators import _pd_factorization
 from .matrices import (
     Factorization,
-    QuadCoeffs,
     SymmetricMatrix,
     _check_offdiagonal,
     _lemma_quadratic,
@@ -230,25 +229,21 @@ def umpu_test(
 
 def _conditional_route(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
-) -> tuple[Factorization, QuadCoeffs, float]:
-    """The inputs of umpu's conditional route at edge (i, j), for inputs
-    that ``_validate_test_inputs`` has accepted: the factorization, R's
-    determinant quadratic at the edge from the factorization's lemma
-    table, and q, the Beta(m, m) quantile at alpha/2."""
+) -> tuple[float, float, float, float]:
+    """umpu's conditional route at edge (i, j), for inputs that
+    ``_validate_test_inputs`` has accepted: t, R_ij standardized by R's
+    quadratic at the edge; 1 - 2q, with q the Beta(m, m) quantile at
+    alpha/2; and the thresholds (c_lo, c_hi) of
+    :func:`umpu_raw_thresholds`."""
     f = s.factorization
+    quadratic = _lemma_quadratic(f, i, j)
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
-    return f, _lemma_quadratic(f, i, j), q
-
-
-def _raw_thresholds(
-    s: SymmetricMatrix, quadratic: QuadCoeffs, q: float
-) -> tuple[float, float]:
-    """:func:`umpu_raw_thresholds` from R's quadratic at the edge and q."""
     interval = pd_interval(quadratic)
     width = interval.x2 - interval.x1
-    i, j = quadratic.i, quadratic.j
     scale = math.sqrt(s.entries[i, i]) * math.sqrt(s.entries[j, j])
-    return scale * (interval.x1 + width * q), scale * (interval.x2 - width * q)
+    t = edge_statistic(quadratic, float(f._scaled[i, j]))
+    c_lo, c_hi = scale * (interval.x1 + width * q), scale * (interval.x2 - width * q)
+    return t, 1.0 - 2.0 * q, c_lo, c_hi
 
 
 def umpu_raw_thresholds(
@@ -263,16 +258,15 @@ def umpu_raw_thresholds(
     :func:`umpu_test`.
 
     The interval comes from the determinant quadratic of the
-    correlation-scaled matrix R, read in O(1) from the lemma table of the
-    covariance's factorization (det R and R^-1, computed once per
-    covariance): scaling row and column k by sqrt(s_kk) maps R to S, so
-    the interval of S in s_ij is sqrt(s_ii s_jj) times that of R in r_ij.
-    det R does not depend on the units of the variables, and only the one
-    scale factor of this pair multiplies the result.
+    correlation-scaled matrix R, read in O(1) from R^-1, which the
+    covariance's factorization computes once: scaling row and column k by
+    sqrt(s_kk) maps R to S, so the interval of S in s_ij is
+    sqrt(s_ii s_jj) times that of R in r_ij.  R does not depend on the
+    units of the variables, and only the one scale factor of this pair
+    multiplies the result.
     """
     _validate_test_inputs(s, i, j, n, alpha)
-    _, quadratic, q = _conditional_route(s, i, j, n, alpha)
-    return _raw_thresholds(s, quadratic, q)
+    return _conditional_route(s, i, j, n, alpha)[2:]
 
 
 def partial_correlation_test(
@@ -301,10 +295,10 @@ def verify_equivalence(
     """Compare umpu's conditional route, t from the determinant quadratic
     of R decided at 1 - 2q, with the partial-correlation test.
 
-    The quadratic is read from the lemma table of the covariance's
-    factorization, one LAPACK determinant and one LAPACK inverse of R
-    computed on the first call, so that checking every pair of a matrix
-    costs O(N^3) in total; it never reads the sweep that gives r.
+    The quadratic is read from R^-1, one LAPACK inverse that the
+    covariance's factorization computes on the first call, so that
+    checking every pair of a matrix costs O(N^3) in total; it never reads
+    the sweep that gives r.
 
     Contract: statistic_gap <= 1e-9, identical decisions, and threshold
     gap |(1 - 2q) - c| <= 1e-10; the raw-scale decision must agree with
@@ -313,11 +307,9 @@ def verify_equivalence(
     # The test validates the inputs that both routes read; one quadratic
     # of R then serves t and the raw-scale thresholds.
     pc = partial_correlation_test(s, i, j, n, alpha)
-    f, quadratic, q = _conditional_route(s, i, j, n, alpha)
-    t = edge_statistic(quadratic, float(f.correlation.entries[i, j]))
-    u = _decision("umpu", i, j, t, 1.0 - 2.0 * q, n, s.dim)
+    t, c, c_lo, c_hi = _conditional_route(s, i, j, n, alpha)
+    u = _decision("umpu", i, j, t, c, n, s.dim)
     signed_gap = u.statistic - pc.statistic
-    c_lo, c_hi = _raw_thresholds(s, quadratic, q)
     raw_reject = threshold_reject(float(s.entries[i, j]), c_lo, c_hi)
     return EquivalenceReport(
         statistic_gap=abs(signed_gap),
@@ -341,8 +333,8 @@ def run_edge_test(
     method: str, s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> EdgeDecision:
     """Dispatch one edge test by method name."""
-    # _check_method raises for every name outside _TESTS; a known name,
-    # as on every decision of a graph, costs no call
-    if method not in _TESTS:
+    # _check_method raises for every name outside _TESTS, unhashable ones
+    # included; a known name, as on every decision of a graph, costs no call
+    if not isinstance(method, str) or method not in _TESTS:
         _check_method(method)
     return _TESTS[method](s, i, j, n, alpha)

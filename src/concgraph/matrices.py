@@ -8,9 +8,9 @@ r_ij = -K_ij / sqrt(K_ii K_jj) with K = R^-1.  Partial correlations are
 invariant to the scale of each variable, and so is the factorization.
 A stack of matrices, such as the covariances of a chunk of Monte Carlo
 replications, is checked once and factored with one sweep of the whole
-stack.  R itself is wrapped as a SymmetricMatrix only when it is read.
+stack.
 
-Determinants serve only the verification route, which
+Determinant quadratics serve only the verification route, which
 ``verify_equivalence`` runs on R to check the partial correlations that
 the tests read.  It rests on the quadratic behaviour of the determinant
 when a single off-diagonal pair of entries is treated as a free
@@ -26,15 +26,16 @@ covariance entry to the standardized edge statistic that verify compares
 with the partial correlation.
 
 M(x) is a rank-2 change of M, so the matrix determinant lemma gives the
-quadratic of every pair in closed form from det M and G = M^-1: with
+quadratic of every pair in closed form from G = M^-1 alone: with
 d = x - m_ij,
 
-    det M(x) = det M * [(1 + d G_ij)**2 - d**2 G_ii G_jj].
+    det M(x) / det M = (1 + d G_ij)**2 - d**2 G_ii G_jj.
 
-verify reads a, b and c of every pair of R this way, from one LAPACK
-determinant and one LAPACK inverse of R, computed on first use and kept
-with the factorization.  Neither reads the sweep above, so the route
-stays independent of what it checks.  ``quadratic_decomposition``, which
+The roots and the edge statistic do not change under a positive scale of
+a, b and c, so verify reads this quadratic of every pair of R, from one
+LAPACK inverse of R computed on first use and kept with the
+factorization.  It never reads the sweep above, so the route stays
+independent of what it checks.  ``quadratic_decomposition``, which
 extracts the coefficients from three determinants of probe matrices, is
 the route's oracle and serves the lemma check of the acceptance suite;
 cofactors serve that check alone.
@@ -80,13 +81,9 @@ class Factorization:
     PIVOT_FLOOR, or None when the matrix is positive definite.  When it
     is, ``partial_correlations`` is the write-locked N x N array whose
     off-diagonal entry (i, j) is r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1,
-    and ``correlation`` is R itself, as a SymmetricMatrix built the first
-    time it is read (only verify reads it); both are None
-    otherwise.  ``_scaled`` holds R's checked, write-locked entries.
-    ``_lemma_table`` is (det R, R^-1) from LAPACK, computed the first
-    time it is read, for the determinant quadratics of
-    :func:`_lemma_quadratic` that verify and the raw-scale thresholds
-    read.
+    and ``_scaled`` holds R's checked, write-locked entries; both are
+    None otherwise.  ``_lemma_table`` is R^-1 from LAPACK, computed the
+    first time it is read, for the quadratics of :func:`_lemma_quadratic`.
     """
 
     pivot: int | None
@@ -94,15 +91,8 @@ class Factorization:
     _scaled: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def correlation(self) -> "SymmetricMatrix | None":
-        if self._scaled is None:
-            return None
-        return SymmetricMatrix._checked(self._scaled)
-
-    @cached_property
-    def _lemma_table(self) -> tuple[float, np.ndarray]:
-        # LAPACK's LU factorization with partial pivoting, once for the
-        # determinant and once for the inverse; never the sweep.
+    def _lemma_table(self) -> np.ndarray:
+        # LAPACK's LU factorization with partial pivoting, never the sweep.
         try:
             inverse = np.linalg.inv(self._scaled)
             if not np.all(np.isfinite(inverse)):
@@ -111,7 +101,7 @@ class Factorization:
             raise NotPositiveDefinite(
                 "the correlation matrix is numerically singular: LAPACK cannot invert it"
             ) from None
-        return _det(self._scaled), inverse
+        return inverse
 
 
 def _factorize(entries: np.ndarray) -> list[Factorization]:
@@ -257,7 +247,8 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True)
 class QuadCoeffs:
-    """Coefficients of det M(x) = -a x**2 + b x + c for edge (i, j)."""
+    """Coefficients of det M(x) = -a x**2 + b x + c for edge (i, j); on
+    the lemma route, of det M(x) up to the positive factor 1 / det R."""
 
     a: float
     b: float
@@ -351,29 +342,30 @@ def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
 
 
 def _lemma_quadratic(f: Factorization, i: int, j: int) -> QuadCoeffs:
-    """Coefficients of det M(x) = -a x**2 + b x + c for edge (i, j) of the
-    positive definite correlation matrix R of a factorization, by the
-    matrix determinant lemma (see the module docstring).  With d = det R,
+    """Coefficients of det M(x) / det R = -a x**2 + b x + c for edge (i, j)
+    of the positive definite correlation matrix R of a factorization, by
+    the matrix determinant lemma (see the module docstring).  With
     G = R^-1, g = G_ij, k = G_ii G_jj - g**2 and r = R_ij:
 
-        a = d k,   b = 2 d (g + k r),   c = d (1 - 2 g r - k r**2).
+        a = k,   b = 2 (g + k r),   c = 1 - 2 g r - k r**2.
 
-    O(1) per pair after the factorization's one determinant and one
-    inverse of R.  The indices are not checked.
+    O(1) per pair after the factorization's one inverse of R.  The
+    indices are not checked.
     """
-    d, inverse = f._lemma_table
+    inverse = f._lemma_table
     r = float(f._scaled[i, j])
     g = float(inverse[i, j])
     k = float(inverse[i, i]) * float(inverse[j, j]) - g * g
-    return QuadCoeffs(d * k, 2.0 * d * (g + k * r), d * (1.0 - 2.0 * g * r - k * r * r), i, j)
+    return QuadCoeffs(k, 2.0 * (g + k * r), 1.0 - 2.0 * g * r - k * r * r, i, j)
 
 
 def _unit_scaled(q: QuadCoeffs) -> tuple[float, float, float]:
     """a, b and c divided by the power of two that brings the largest of
     them into [0.5, 1).  The roots and the edge statistic do not change
     under a positive scale, and a power of two changes no bit of them, but
-    b**2 and a c no longer underflow when det M is tiny: det R is about
-    1e-185 for a correlation matrix of 1000 variables."""
+    b**2 and a c no longer underflow when det M is tiny, as on the probe
+    route of a large matrix: det R is about 1e-185 for a correlation
+    matrix of 1000 variables."""
     e = -math.frexp(max(abs(q.a), abs(q.b), abs(q.c)))[1]
     return math.ldexp(q.a, e), math.ldexp(q.b, e), math.ldexp(q.c, e)
 

@@ -26,8 +26,7 @@ covariance, statistics and decisions are bit for bit those of
 substream, and the chunk length changes no result.
 
 A replication pays only for what its report reads: its decisions'
-p-values are never computed, and the correlation-scaled matrix R is
-never built.  A size run evaluates the null CDF for its
+p-values are never computed.  A size run evaluates the null CDF for its
 Kolmogorov-Smirnov statistic once, over the whole sorted sample.
 
 ``estimate_size`` and ``estimate_power`` share one driver, ``_estimate``,
@@ -125,7 +124,8 @@ class PrecisionSpec:
     def partial_correlation(self, i: int, j: int) -> float:
         _check_offdiagonal(self.dim, i, j)
         k = self.matrix.entries
-        return -float(k[i, j]) / math.sqrt(float(k[i, i]) * float(k[j, j]))
+        # 0.0 - x, not -x, so that a zero entry gives +0.0, never -0.0
+        return 0.0 - float(k[i, j]) / math.sqrt(float(k[i, i]) * float(k[j, j]))
 
     def covariance(self) -> np.ndarray:
         """Model covariance, obtained by linear solves (never adjugates)."""

@@ -520,11 +520,9 @@ class TestVerifyCommand:
         assert doc["max_statistic_gap"] <= 1e-9
         assert doc["equivalent"] is True
 
-    def test_sign_flip_negative_control(self, capsys):
-        code = main(["verify", "--reps", "50", "--seed", "11", "--inject-sign-flip"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 3
-        assert doc["equivalent"] is False
+    def test_sign_flip_flag_is_unknown(self, capsys):
+        assert main(["verify", "--reps", "50", "--inject-sign-flip"]) == 1
+        assert "unrecognized arguments: --inject-sign-flip" in capsys.readouterr().err
 
     def test_wrong_conditional_route_fails(self, monkeypatch, capsys):
         statistic = independence.edge_statistic
@@ -674,6 +672,11 @@ class TestMonteCarloCommand:
             0.05, abs=0.03
         )
 
+    def test_size_report_prints_rho_zero(self, capsys):
+        argv = ["montecarlo", "--dim", "3", "--n", "10", "--reps", "1000", "--rho", "0"]
+        assert main(argv) == 0
+        assert '"rho": 0,' in capsys.readouterr().out
+
     def test_matches_library_report(self, capsys):
         main([
             "montecarlo", "--dim", "3", "--n", "12", "--reps", "1000",
@@ -730,7 +733,7 @@ PINNED_REPORTS = {
     "size-umpu": (
         ("--n", "25", "--method", "umpu"),
         '{"replications": 2000, "seed": 3, "dim": 5, "n": 25, '
-        '"alpha": 0.050000000000000003, "edge": [0, 1], "rho": -0, '
+        '"alpha": 0.050000000000000003, "edge": [0, 1], "rho": 0, '
         '"methods": ["umpu"], "per_method": {"umpu": {"rejections": 100, '
         '"rate": 0.050000000000000003, "std_error": 0.004873397172404482}}, '
         '"agreement": {}, "ks_statistic": 0.023832466157363119, '

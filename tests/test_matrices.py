@@ -139,9 +139,9 @@ class TestFactorizationStack:
             assert got.pivot == alone.pivot
             if got.pivot is None:
                 assert np.array_equal(got.partial_correlations, alone.partial_correlations)
-                assert np.array_equal(got.correlation.entries, alone.correlation.entries)
+                assert np.array_equal(got._scaled, alone._scaled)
             else:
-                assert got.correlation is None and got.partial_correlations is None
+                assert got._scaled is None and got.partial_correlations is None
 
     def test_reports_the_first_failing_pivot(self, rng):
         dim = 5
@@ -164,7 +164,7 @@ class TestFactorizationStack:
             "0x1.4e13f86cd4975p-2", "-0x1.a6eed696b7764p-2", "0x1.487278f232bd9p-2",
             "0x1.67dc23e877abep-2", "-0x1.e1c568c0790a9p-2", "0x1.ff6723c377d87p-2",
         ]
-        assert [float(v).hex() for v in f.correlation.entries[upper]] == [
+        assert [float(v).hex() for v in f._scaled[upper]] == [
             "0x1.62b9586ad0a22p-3", "-0x1.24a1e34d5522bp-2", "0x1.314c3d92a9e91p-4",
             "0x1.822cb17ff2eb9p-4", "-0x1.60870d91bf3cfp-2", "0x1.75e9746a0b099p-2",
         ]
@@ -216,9 +216,7 @@ class TestFactorizationStack:
         stack[0, 0, 0] = 99.0
         assert matrices[0].entries[0, 0] != 99.0
         assert not matrices[0].entries.flags.writeable
-        r = matrices[0].factorization.correlation
-        assert not r.entries.flags.writeable
-        assert matrices[0].factorization.correlation is r
+        assert not matrices[0].factorization._scaled.flags.writeable
 
 
 def well_conditioned(rng, dim: int, definite: bool) -> np.ndarray:
@@ -390,11 +388,14 @@ class TestQuadraticDecomposition:
 
 def lemma_error(f, i: int, j: int) -> float:
     """Largest difference between the lemma route's a, b, c and the probe
-    route's on R, relative to the largest of the probe route's three."""
+    route's on R divided by det R, relative to the largest of the probe
+    route's three."""
     got = _lemma_quadratic(f, i, j)
-    want = quadratic_decomposition(f.correlation, i, j)
-    size = max(abs(want.a), abs(want.b), abs(want.c))
-    return max(abs(got.a - want.a), abs(got.b - want.b), abs(got.c - want.c)) / size
+    det = np.linalg.det(f._scaled)
+    probe = quadratic_decomposition(SymmetricMatrix(f._scaled), i, j)
+    want = (probe.a / det, probe.b / det, probe.c / det)
+    size = max(map(abs, want))
+    return max(abs(u - v) for u, v in zip((got.a, got.b, got.c), want)) / size
 
 
 class TestLemmaQuadratic:
@@ -421,9 +422,12 @@ class TestLemmaQuadratic:
 
     def test_worked_example(self):
         # R = WORKED / 2, and with r_01 = x its determinant is
-        # -x**2 + x/2 + 1/2
+        # -x**2 + x/2 + 1/2; the lemma route gives it divided by det R,
+        # which doubles every coefficient, and so the tolerance
         q = _lemma_quadratic(WORKED.factorization, 0, 1)
-        assert (q.a, q.b, q.c, q.i, q.j) == pytest.approx((1.0, 0.5, 0.5, 0, 1), abs=1e-15)
+        det = np.linalg.det(WORKED.entries / 2.0)
+        want = (1.0 / det, 0.5 / det, 0.5 / det, 0, 1)
+        assert (q.a, q.b, q.c, q.i, q.j) == pytest.approx(want, abs=2e-15)
 
 
 class TestPdInterval:

@@ -42,6 +42,8 @@ class TestPrecisionSpec:
         )
         assert spec.partial_correlation(0, 1) == pytest.approx(0.3, abs=1e-15)
         assert spec.partial_correlation(0, 2) == 0.0
+        # +0.0, not -0.0, which a size report would print as "rho": -0
+        assert math.copysign(1.0, spec.partial_correlation(0, 2)) == 1.0
 
     def test_single_edge_exact_target(self):
         spec = PrecisionSpec.single_edge(5, 0, 1, 0.3)
