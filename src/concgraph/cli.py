@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     ConcgraphError,
     DataError,
-    DegenerateEdge,
     DomainError,
     InsufficientSample,
     NotPositiveDefinite,
@@ -58,14 +57,7 @@ EXIT_EQUIVALENCE = 3
 
 STATISTIC_GAP_LIMIT = 1e-9
 
-_DATA_ERRORS = (
-    DataError,
-    DomainError,
-    InsufficientSample,
-    NotPositiveDefinite,
-    DegenerateEdge,
-    OSError,
-)
+_DATA_ERRORS = (ConcgraphError, OSError)
 
 _METHOD_FLAGS = {"umpu": "umpu", "partial-corr": "partial_corr", "fisher": "fisher"}
 _P_VALUE_KIND = {"umpu": "exact", "partial_corr": "exact", "fisher": "asymptotic"}

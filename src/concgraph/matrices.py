@@ -114,8 +114,7 @@ def _factorize(entries: np.ndarray) -> list[Factorization]:
     entry is left unscaled: its pivot cannot exceed it, so the sweep
     fails there or earlier.  Every operation acts on each matrix
     separately, so each result is bit for bit the one a stack of that
-    matrix alone gives.  R of the positive definite matrices gets the
-    checks of SymmetricMatrix once, as a stack.
+    matrix alone gives.
     """
     dim = entries.shape[-1]
     diag = np.diagonal(entries, axis1=-2, axis2=-1)
@@ -147,7 +146,6 @@ def _factorize(entries: np.ndarray) -> list[Factorization]:
     root = np.sqrt(-np.diagonal(a, axis1=-2, axis2=-1))
     partial = a / (root[..., :, None] * root[..., None, :])
     partial.setflags(write=False)
-    _check_entries(r[pivots < 0])
     r.setflags(write=False)
     return [
         Factorization(pivot=None, partial_correlations=partial[m], _scaled=r[m])

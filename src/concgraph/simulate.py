@@ -20,10 +20,13 @@ all with one correlation-scaled sweep.  A power run colors the same
 draws once for the alternative and once for the matched null, so each
 substream is drawn once.  Each replication then runs its edge tests one
 by one; every test reads r from the factorization, so no replication
-computes a determinant.  Every stacked step acts on each replication separately, so a replication's
-covariance, statistics and decisions are bit for bit those of
-``sample_gaussian`` -> ``sample_covariance`` -> ``run_edge_test`` on its
-substream, and the chunk length changes no result.
+computes a determinant.  A run's rejections are one boolean array, a row
+per replication and a column per method, so its rejection counts, the
+agreements of each pair of methods and the matched null's count are
+column sums.  Every stacked step acts on each replication separately, so
+a replication's covariance, statistics and decisions are bit for bit
+those of ``sample_gaussian`` -> ``sample_covariance`` -> ``run_edge_test``
+on its substream, and the chunk length changes no result.
 
 A replication pays only for what its report reads: its decisions'
 p-values are never computed.  A size run evaluates the null CDF for its
@@ -395,54 +398,36 @@ def _replication_covariances(specs, n, states, count) -> list[list[SymmetricMatr
 def _run_replications(runs, n, alpha, reps, seed, edge):
     """Replications 0..reps-1 of every (spec, methods) run on the same
     substreams: each chunk is drawn once and colored by each spec.
-    Returns, per run, the rejection count of each method, the agreement
-    count of each method pair and every replication's r."""
+    Returns each run's rejections as one (reps, len(methods)) boolean
+    array, whose row k holds replication k's decision of each method, and
+    the first run's r of every replication."""
     i, j = edge
-    tallies = [
-        (
-            dict.fromkeys(methods, 0),
-            dict.fromkeys(itertools.combinations(methods, 2), 0),
-            np.empty(reps),
-        )
-        for _, methods in runs
-    ]
+    rejects = [np.empty((reps, len(methods)), dtype=bool) for _, methods in runs]
+    r = []
     specs = [spec for spec, _ in runs]
     chunk = _chunk_length(n, specs[0].dim)
     states = _substream_states(seed, reps)
     for start in range(0, reps, chunk):
-        stacks = _replication_covariances(specs, n, states, min(chunk, reps - start))
-        for (_, methods), (counts, agree_counts, r_values), covariances in zip(
-            runs, tallies, stacks
-        ):
-            for k, s in enumerate(covariances, start):
-                decisions = {
-                    name: run_edge_test(name, s, i, j, n, alpha) for name in methods
-                }
-                # Each test above has checked that s is positive definite.
-                r_values[k] = s.factorization.partial_correlations[i, j]
-                for name, decision in decisions.items():
-                    counts[name] += decision.reject
-                for pair in agree_counts:
-                    agree_counts[pair] += (
-                        decisions[pair[0]].reject == decisions[pair[1]].reject
-                    )
-    return tallies
+        count = min(chunk, reps - start)
+        stacks = _replication_covariances(specs, n, states, count)
+        for (_, methods), rows, covariances in zip(runs, rejects, stacks):
+            rows[start : start + count] = [
+                [run_edge_test(name, s, i, j, n, alpha).reject for name in methods]
+                for s in covariances
+            ]
+        # Each test above has checked that s is positive definite.
+        r.extend(s.factorization.partial_correlations[i, j] for s in stacks[0])
+    return rejects, np.array(r)
 
 
-def _outcomes(counts, reps) -> dict[str, MethodOutcome]:
+def _outcomes(methods, rejects) -> dict[str, MethodOutcome]:
+    """Each method's outcome from its column of a rejection array."""
+    reps = len(rejects)
     out = {}
-    for name, hits in counts.items():
+    for name, hits in zip(methods, rejects.sum(axis=0).tolist()):
         rate = hits / reps
-        out[name] = MethodOutcome(
-            rejections=hits,
-            rate=rate,
-            std_error=math.sqrt(rate * (1.0 - rate) / reps),
-        )
+        out[name] = MethodOutcome(hits, rate, math.sqrt(rate * (1.0 - rate) / reps))
     return out
-
-
-def _agreement_rates(agree_counts, reps) -> dict[str, float]:
-    return {f"{a}~{b}": hits / reps for (a, b), hits in agree_counts.items()}
 
 
 def _estimate(spec, n, alpha, method, reps, seed, edge, power: bool) -> MonteCarloReport:
@@ -460,15 +445,15 @@ def _estimate(spec, n, alpha, method, reps, seed, edge, power: bool) -> MonteCar
         raise DomainError(
             f"size estimation needs a null probed edge, got rho = {rho}"
         )
-    tallies = _run_replications(runs, n, alpha, reps, seed, edge)
-    counts, agree_counts, r_values = tallies[0]
+    rejects, r_values = _run_replications(runs, n, alpha, reps, seed, edge)
     if power:
-        null = _outcomes(tallies[1][0], reps)[methods[0]]
+        null = _outcomes(methods[:1], rejects[1])[methods[0]]
         extra = {"null_rate": null.rate, "null_std_error": null.std_error}
     else:
         m = (n - spec.dim) / 2.0
         f = _reg_inc_beta_array(np.sort((1.0 + r_values) / 2.0), m, m)
         extra = {"ks_statistic": _ks_distance(f)}
+    rows = rejects[0]
     return MonteCarloReport(
         replications=reps,
         seed=seed,
@@ -478,8 +463,11 @@ def _estimate(spec, n, alpha, method, reps, seed, edge, power: bool) -> MonteCar
         edge=edge,
         rho=rho,
         methods=methods,
-        per_method=_outcomes(counts, reps),
-        agreement=_agreement_rates(agree_counts, reps),
+        per_method=_outcomes(methods, rows),
+        agreement={
+            f"{methods[a]}~{methods[b]}": int((rows[:, a] == rows[:, b]).sum()) / reps
+            for a, b in itertools.combinations(range(len(methods)), 2)
+        },
         **extra,
     )
 

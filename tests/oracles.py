@@ -360,11 +360,13 @@ def replication_loop(spec, n, alpha, methods, reps, seed, edge=(0, 1)):
     """Monte Carlo run one replication at a time on substream (seed, k):
     sample_gaussian -> sample_covariance -> run_edge_test.
 
-    Returns the rejection count per method, the count of agreeing
+    Returns every replication's decisions as a (reps, len(methods))
+    boolean array, the rejection count per method, the count of agreeing
     decisions per method pair and the sample partial correlation of every
     replication.
     """
     i, j = edge
+    rows = np.empty((reps, len(methods)), dtype=bool)
     counts = dict.fromkeys(methods, 0)
     agree = dict.fromkeys(itertools.combinations(methods, 2), 0)
     r = np.empty(reps)
@@ -372,8 +374,9 @@ def replication_loop(spec, n, alpha, methods, reps, seed, edge=(0, 1)):
         s = sample_covariance(sample_gaussian(spec, n, seed=(seed, k)))
         decisions = {name: run_edge_test(name, s, i, j, n, alpha) for name in methods}
         r[k] = sample_partial_correlation(s, i, j)
-        for name, decision in decisions.items():
+        for m, (name, decision) in enumerate(decisions.items()):
+            rows[k, m] = decision.reject
             counts[name] += decision.reject
         for a, b in agree:
             agree[(a, b)] += decisions[a].reject == decisions[b].reject
-    return counts, agree, r
+    return rows, counts, agree, r

@@ -501,6 +501,19 @@ class TestSelectCommand:
             f"error: {p}: line {line}: field larger than field limit (131072)\n"
         )
 
+    def test_non_convergence_exit_2(self, sample_csv, capsys, monkeypatch):
+        path, _ = sample_csv
+        distributions.beta_sym_quantile.cache_clear()
+        monkeypatch.setattr(distributions, "_cf_max_iter", lambda a, b: 1)
+        code = main(["select", "--input", str(path), "--alpha", "0.0321"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: incomplete beta continued fraction did not converge "
+            "for shapes (13.5, 13.5) (n = 30, N = 3)\n"
+        )
+
     def test_missing_input_flag_exit_1(self, capsys):
         assert main(["select"]) == 1
 

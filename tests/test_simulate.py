@@ -286,24 +286,26 @@ class TestChunkedEngine:
     """The chunked engine against the one-replication-at-a-time route."""
 
     @staticmethod
-    def check_against_oracle(spec, n, reps, seed):
-        chunk = simulate._chunk_length(n, spec.dim)
+    def check_against_oracle(runs, n, reps, seed):
+        """Every run's rejection rows and the first run's r against one
+        ``replication_loop`` per run; returns the loops' results."""
+        chunk = simulate._chunk_length(n, runs[0][0].dim)
         # several chunks and a short last one
         assert reps >= 3 * chunk and reps % chunk
-        want_counts, want_agree, want_r = oracles.replication_loop(
-            spec, n, 0.05, METHODS, reps, seed
-        )
-        [(counts, agree, r)] = simulate._run_replications(
-            [(spec, METHODS)], n, 0.05, reps, seed, (0, 1)
-        )
-        assert np.array_equal(r, want_r)
-        assert counts == want_counts
-        assert agree == want_agree
-        return want_counts, want_agree, want_r
+        rejects, r = simulate._run_replications(runs, n, 0.05, reps, seed, (0, 1))
+        assert len(rejects) == len(runs)
+        loops = []
+        for (spec, methods), got in zip(runs, rejects):
+            loop = oracles.replication_loop(spec, n, 0.05, methods, reps, seed)
+            assert got.dtype == bool and got.shape == (reps, len(methods))
+            assert np.array_equal(got, loop[0])
+            loops.append(loop)
+        assert np.array_equal(r, loops[0][3])
+        return loops
 
-    def test_size_run(self):
-        spec, n, reps, seed = PrecisionSpec.identity(5), 25, 1000, 19
-        counts, agree, r = self.check_against_oracle(spec, n, reps, seed)
+    def check_size_run(self, reps, seed):
+        spec, n = PrecisionSpec.identity(5), 25
+        [(_, counts, agree, r)] = self.check_against_oracle([(spec, METHODS)], n, reps, seed)
         report = estimate_size(spec, n, 0.05, METHODS, reps=reps, seed=seed)
         assert {name: o.rejections for name, o in report.per_method.items()} == counts
         assert report.agreement == agreement_rates(agree, reps)
@@ -311,11 +313,18 @@ class TestChunkedEngine:
         ks = ks_statistic((1.0 + r) / 2.0, lambda u: reg_inc_beta(u, m, m))
         assert report.ks_statistic == ks
 
+    def test_size_run(self):
+        self.check_size_run(1000, 19)
+
+    def test_size_run_across_a_seed_block(self):
+        # rows 1,024 on come from the second block of substream seeds
+        self.check_size_run(1100, 31)
+
     def test_power_run(self):
         spec, n, reps, seed = PrecisionSpec.single_edge(5, 0, 1, 0.3), 50, 1000, 23
-        counts, agree, _ = self.check_against_oracle(spec, n, reps, seed)
-        null_counts, _, _ = oracles.replication_loop(
-            spec.with_edge(0, 1, 0.0), n, 0.05, METHODS[:1], reps, seed
+        runs = [(spec, METHODS), (spec.with_edge(0, 1, 0.0), METHODS[:1])]
+        (_, counts, agree, _), (_, null_counts, _, _) = self.check_against_oracle(
+            runs, n, reps, seed
         )
         report = estimate_power(spec, n, 0.05, METHODS, reps=reps, seed=seed)
         assert {name: o.rejections for name, o in report.per_method.items()} == counts
@@ -325,16 +334,8 @@ class TestChunkedEngine:
     def test_runs_sharing_draws_match_separate_runs(self):
         # one stack of draws colored by both specs, as a power run does
         spec, n, reps, seed = PrecisionSpec.single_edge(5, 0, 1, 0.3), 50, 1000, 29
-        null = spec.with_edge(0, 1, 0.0)
-        runs = [(spec, METHODS), (null, METHODS[1:])]
-        got = simulate._run_replications(runs, n, 0.05, reps, seed, (0, 1))
-        for (run_spec, methods), (counts, agree, r) in zip(runs, got):
-            want_counts, want_agree, want_r = oracles.replication_loop(
-                run_spec, n, 0.05, methods, reps, seed
-            )
-            assert np.array_equal(r, want_r)
-            assert counts == want_counts
-            assert agree == want_agree
+        runs = [(spec, METHODS), (spec.with_edge(0, 1, 0.0), METHODS[1:])]
+        self.check_against_oracle(runs, n, reps, seed)
 
     def test_power_run_draws_each_substream_once(self, monkeypatch):
         rows = []
