@@ -21,8 +21,12 @@ substream keys (seed, k) hash more entropy words than the others.  The
 last call is ``verify --input`` on an N = 40, n = 160 chain whose first
 half of columns is scaled by 1e5 and second half by 1e-5; after it come
 ``select`` in json and tsv and ``verify --input`` on a one-variable
-file, which has no pair, so that the empty tables are pinned.  Every call
-runs in a fresh interpreter with ``src/`` first on the path.
+file, which has no pair, so that the empty tables are pinned.  The
+N = 30 chain is then selected with every method under ``--correction
+none`` and ``bonferroni``, in json and tsv, and an N = 8, n = 20,000
+chain (m near 10^4, where the continued fraction takes the most steps)
+with every method in json and tsv.  Every call runs in a fresh
+interpreter with ``src/`` first on the path.
 """
 
 import argparse
@@ -49,6 +53,7 @@ CHAIN = ("chain30", 30, 150, 5, None)
 CONTROL = ("control", 4, 30, 2, ("a\tb", "c\x01d", "e\\f", "g"))
 MIXED = ("mixed40", 40, 160, 4, None)
 ONE = ("one", 1, 12, 6, None)
+TALL = ("tall8", 8, 20000, 7, None)
 METHODS = ("umpu", "partial-corr", "fisher")
 CORRECTIONS = ("none", "bonferroni", "holm")
 FORMATS = ("json", "tsv", "dot")
@@ -118,6 +123,14 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
         out.append((f"select {ONE[0]} --format {fmt}",
                     ["-m", "concgraph", "select", "--input", one, "--format", fmt]))
     out.append((f"verify --input {ONE[0]}", ["-m", "concgraph", "verify", "--input", one]))
+    for name, corrections in ((CHAIN[0], ("none", "bonferroni")), (TALL[0], ("none",))):
+        for method in METHODS:
+            for correction in corrections:
+                for fmt in ("json", "tsv"):
+                    flags = ["--method", method, "--correction", correction, "--format", fmt]
+                    out.append((f"select {name} {' '.join(flags)}",
+                                ["-m", "concgraph", "select", "--input",
+                                 os.path.join(workdir, f"{name}.csv"), *flags]))
     return out
 
 
@@ -145,7 +158,7 @@ def main(argv=None) -> int:
                 [sys.executable, "scripts/make_dataset.py", *args, "--out", path],
                 cwd=ROOT, env=_env(), check=True,
             )
-        for name, dim, n, seed, names in (CHAIN, CONTROL, ONE):
+        for name, dim, n, seed, names in (CHAIN, CONTROL, ONE, TALL):
             write_chain(os.path.join(workdir, f"{name}.csv"), dim, n, seed, names)
         name, dim, n, seed, names = MIXED
         scale = np.where(np.arange(dim) < dim // 2, 1e5, 1e-5)

@@ -7,7 +7,8 @@
 For each N the script writes a chain file with numpy alone: n = 4N draws
 of a Gaussian whose precision has 1 on the diagonal and -0.4 between
 neighbours (seed 1).  It then runs ``select --correction none``,
-``select --correction holm`` and ``verify --input`` on the file, each as
+``select --correction holm``, ``select --format dot`` (the graph alone,
+no p-value) and ``verify --input`` on the file, each as
 ``python -m concgraph`` with ``src/`` first on the path and its report
 written to a scratch file, and times the whole process.  Writing the
 input is not timed.  The last line of output is one JSON object: the
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = (
     ("select --correction none", ["select", "--correction", "none"]),
     ("select --correction holm", ["select", "--correction", "holm"]),
+    ("select --format dot", ["select", "--format", "dot"]),
     ("verify --input", ["verify"]),
 )
 

@@ -185,9 +185,10 @@ def read_dataset_csv(path: str) -> Dataset:
     which names the bad cell, or returns the values when every cell is one
     Python's ``float`` accepts and numpy does not (a quoted number, ``1_0``,
     non-ASCII digits).  Both routes convert text with the same C routine,
-    so a file both accept gives the same array.
+    so a file both accept gives the same array.  A leading UTF-8
+    byte-order mark, as spreadsheets write one, is not part of the header.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         header = next(_csv_rows(handle, path), None)
         names = tuple(cell.strip() for cell in header or ())
         values = None
@@ -227,7 +228,7 @@ def _csv_rows(handle, path: str):
 def _read_dataset_cells(path: str) -> Dataset:
     """Read a dataset one cell at a time with ``float``, naming the first
     bad cell (or row, or header) in the error."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = list(_csv_rows(handle, path))
     if not rows:
         raise DataError(f"{path}: empty input")
@@ -291,7 +292,7 @@ def _decision_columns(graph) -> dict[str, list]:
         "i": [d.i for d in decisions],
         "j": [d.j for d in decisions],
         "statistic": [d.statistic for d in decisions],
-        "p_value": [d.p_value for d in decisions],
+        "p_value": graph._pvalue_column(),
         "reject": [d.reject for d in decisions],
     }
 
@@ -329,18 +330,11 @@ def _graph_tsv(graph) -> str:
     # Escapes as in JSON, so that a name cannot split a row.
     escapes = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
     names = [name.translate(escapes) for name in graph.names]
-    columns = _decision_columns(graph)
-    fields, cells = _column_cells(
-        [
-            columns["i"],
-            columns["j"],
-            [names[i] for i in columns["i"]],
-            [names[j] for j in columns["j"]],
-            columns["statistic"],
-            columns["p_value"],
-            columns["reject"],
-        ]
-    )
+    c = _decision_columns(graph)
+    fields, cells = _column_cells([
+        c["i"], c["j"], [names[i] for i in c["i"]], [names[j] for j in c["j"]],
+        c["statistic"], c["p_value"], c["reject"],
+    ])
     template = "\t".join(fields)
     lines = ["i\tj\tname_i\tname_j\tstatistic\tp_value\treject"]
     lines.extend(map(template.format, *cells))

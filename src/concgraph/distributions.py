@@ -5,9 +5,10 @@ function and its symmetric-shape inverse, the exact null law of the
 sample partial correlation (density proportional to (1 - x**2)**((d-2)/2)
 on [-1, 1] with d = n - N degrees of freedom), the Fisher transformation
 and standard-normal helpers.  The public functions are scalar, except
-:func:`null_corr_pvalues`, the exact p-values of a graph in one pass.  It
-and the Kolmogorov-Smirnov check of a Monte Carlo null sample use the
-array form of the incomplete beta function, bit for bit the scalar one.
+:func:`null_corr_pvalues`: every exact p-value that ``select`` writes,
+under any correction, comes from one call of it per graph.  It and the
+Kolmogorov-Smirnov check of a Monte Carlo null sample use the array form
+of the incomplete beta function, bit for bit the scalar one.
 
 The two laws are linked by the change of variable r = 2u - 1: if
 u ~ Beta(m, m) with m = d / 2 then r follows the null correlation law.

@@ -55,6 +55,7 @@ from .errors import DomainError
 from .estimators import _pd_factorization
 from .matrices import (
     Factorization,
+    QuadCoeffs,
     SymmetricMatrix,
     _check_offdiagonal,
     _lemma_quadratic,
@@ -113,9 +114,8 @@ class EdgeDecision:
     time it is read and kept, so a caller that reads only decisions, such
     as a Monte Carlo count, never pays for it.  It is a pure function of
     the method, the statistic, n and dim, so two threads that race to
-    compute it store equal values.  Under Holm, ``select_graph`` fills the
-    p-values of a whole graph before it decides, the exact ones in one
-    array pass.
+    compute it store equal values, and a graph's one pass in
+    ``selection`` fills every decision of the graph with the same bits.
     """
 
     i: int
@@ -229,21 +229,18 @@ def umpu_test(
 
 def _conditional_route(
     s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
-) -> tuple[float, float, float, float]:
+) -> tuple[QuadCoeffs, float, float, float]:
     """umpu's conditional route at edge (i, j), for inputs that
-    ``_validate_test_inputs`` has accepted: t, R_ij standardized by R's
-    quadratic at the edge; 1 - 2q, with q the Beta(m, m) quantile at
-    alpha/2; and the thresholds (c_lo, c_hi) of
-    :func:`umpu_raw_thresholds`."""
-    f = s.factorization
-    quadratic = _lemma_quadratic(f, i, j)
+    ``_validate_test_inputs`` has accepted: R's quadratic at the edge;
+    1 - 2q, with q the Beta(m, m) quantile at alpha/2; and the thresholds
+    (c_lo, c_hi) of :func:`umpu_raw_thresholds`."""
+    quadratic = _lemma_quadratic(s.factorization, i, j)
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
     interval = pd_interval(quadratic)
     width = interval.x2 - interval.x1
     scale = math.sqrt(s.entries[i, i]) * math.sqrt(s.entries[j, j])
-    t = edge_statistic(quadratic, float(f._scaled[i, j]))
     c_lo, c_hi = scale * (interval.x1 + width * q), scale * (interval.x2 - width * q)
-    return t, 1.0 - 2.0 * q, c_lo, c_hi
+    return quadratic, 1.0 - 2.0 * q, c_lo, c_hi
 
 
 def umpu_raw_thresholds(
@@ -305,9 +302,11 @@ def verify_equivalence(
     the standardized one as well.
     """
     # The test validates the inputs that both routes read; one quadratic
-    # of R then serves t and the raw-scale thresholds.
+    # of R then serves t (R_ij standardized) and the raw-scale thresholds.
     pc = partial_correlation_test(s, i, j, n, alpha)
-    t, c, c_lo, c_hi = _conditional_route(s, i, j, n, alpha)
+    quadratic, c, c_lo, c_hi = _conditional_route(s, i, j, n, alpha)
+    f = s.factorization
+    t = edge_statistic(quadratic, float(f._scaled[i, j]))
     u = _decision("umpu", i, j, t, c, n, s.dim)
     signed_gap = u.statistic - pc.statistic
     raw_reject = threshold_reject(float(s.entries[i, j]), c_lo, c_hi)

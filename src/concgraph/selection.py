@@ -40,6 +40,17 @@ class ConcentrationGraph:
         """Edges in lexicographic order."""
         return sorted(self.edges)
 
+    def _pvalue_column(self) -> list[float]:
+        """Every decision's p-value in order, for a writer: the graph's one
+        pass runs the first time one is missing, and each decision keeps
+        its value."""
+        decisions = self.decisions
+        if any(d._p_value is None for d in decisions):
+            first = decisions[0]
+            statistics = [d.statistic for d in decisions]
+            _keep_pvalues(decisions, _graph_pvalues(first.method, statistics, first.n, first.dim))
+        return [d._p_value for d in decisions]
+
 
 def all_pairs(dim: int) -> list[tuple[int, int]]:
     """All unordered variable pairs (i, j), i < j, in lexicographic order."""
@@ -105,10 +116,9 @@ def select_graph(
     divides alpha by the number of pairs; "holm" applies the step-down
     procedure to the p-values and tests each edge at its Holm level.  The
     corrections are standard plumbing for multiple testing, outside the
-    per-edge optimality statement.  Under Holm the p-values come first,
-    from the factorization's r for every pair (the exact ones in one
-    array pass over the graph), and each decision keeps its p-value;
-    otherwise each p-value is computed when it is first read.
+    per-edge optimality statement.  The p-values are one pass over the
+    graph: under Holm before deciding, otherwise on a writer's first read
+    of ``ConcentrationGraph._pvalue_column``, so the edges compute none.
     """
     if correction not in CORRECTIONS:
         raise DomainError(
@@ -118,7 +128,9 @@ def select_graph(
     pairs = all_pairs(data.dim)
     method, n = config.method, data.n
     if correction == "holm":
-        pvalues = _graph_pvalues(s, method, n)
+        r = s.factorization.partial_correlations[np.triu_indices(s.dim, 1)]
+        statistics = [fisher_z(x, n) for x in r.tolist()] if method == "fisher" else r
+        pvalues = _graph_pvalues(method, statistics, n, s.dim)
         levels = _holm_levels(pvalues, config.alpha)
     else:
         level = config.alpha
@@ -129,17 +141,19 @@ def select_graph(
         run_edge_test(method, s, i, j, n, lv) for (i, j), lv in zip(pairs, levels)
     ]
     if correction == "holm":
-        for d, p in zip(decisions, pvalues):
-            object.__setattr__(d, "_p_value", p)
+        _keep_pvalues(decisions, pvalues)
     edges = frozenset((d.i, d.j) for d in decisions if d.reject)
     return ConcentrationGraph(names=data.names, edges=edges, decisions=tuple(decisions))
 
 
-def _graph_pvalues(s: SymmetricMatrix, method: str, n: int) -> list[float]:
-    """Every pair's p-value in ``all_pairs`` order, from r in the upper
-    triangle of the factorization: bit for bit what each decision's
-    ``p_value`` would compute."""
-    r = s.factorization.partial_correlations[np.triu_indices(s.dim, 1)]
+def _graph_pvalues(method: str, statistics, n: int, dim: int) -> list[float]:
+    """The p-values of a graph's edge statistics (r, or Fisher's z) in one
+    pass: bit for bit what each decision's ``p_value`` computes."""
     if method == "fisher":
-        return [_fisher_p_value(fisher_z(x, n)) for x in r.tolist()]
-    return null_corr_pvalues(r, n, s.dim).tolist()
+        return [_fisher_p_value(z) for z in statistics]
+    return null_corr_pvalues(statistics, n, dim).tolist()
+
+
+def _keep_pvalues(decisions, pvalues: list[float]) -> None:
+    for d, p in zip(decisions, pvalues):
+        object.__setattr__(d, "_p_value", p)

@@ -317,6 +317,19 @@ class TestReadCsv:
         assert d.names == expected.names
         assert d.values.tobytes() == expected.values.tobytes()
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, capsys):
+        # spreadsheets write UTF-8 CSV with a leading U+FEFF
+        data = chain_data(3, 30, seed=2)
+        outputs = []
+        for mark in ("", "\ufeff"):
+            path = tmp_path / f"mark{len(mark)}.csv"
+            write_csv(path, [mark + "a", "b", "c"], data.values.tolist())
+            for read in (read_dataset_csv, cli._read_dataset_cells):
+                assert read(str(path)).names == ("a", "b", "c")
+            assert main(["select", "--input", str(path), "--format", "tsv"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     @given(text=csv_texts())
     @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_the_per_cell_reader(self, tmp_path, text):
@@ -414,6 +427,47 @@ class TestSelectCommand:
         )
         assert code == 0
         assert '"x1" -- "x2";' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "dot"])
+    @pytest.mark.parametrize("correction", ["none", "bonferroni", "holm"])
+    @pytest.mark.parametrize("method", ["umpu", "partial-corr", "fisher"])
+    def test_one_pvalue_pass_per_graph(
+        self, tmp_path, capsys, monkeypatch, method, correction, fmt
+    ):
+        scalar, bulk = [], []
+        exact = independence._exact_p_value
+        monkeypatch.setattr(
+            independence, "_exact_p_value", lambda *a: scalar.append(a) or exact(*a)
+        )
+        pvalues_of = selection.null_corr_pvalues
+        monkeypatch.setattr(
+            selection, "null_corr_pvalues", lambda *a: bulk.append(a) or pvalues_of(*a)
+        )
+        data = chain_data(12, 60, seed=4)
+        path = tmp_path / "chain.csv"
+        write_csv(path, data.names, data.values.tolist())
+        flags = ["--method", method, "--correction", correction, "--format", fmt]
+        assert main(["select", "--input", str(path), *flags]) == 0
+        assert capsys.readouterr().out
+        # the exact p-values of the 66 pairs are one array pass, which a dot
+        # graph needs only for Holm's levels
+        passes = method != "fisher" and (fmt != "dot" or correction == "holm")
+        assert [len(a[0]) for a in bulk] == [66] * passes
+        assert scalar == []
+
+    # m = (n - N) / 2 near 10^4, where the continued fraction takes the most
+    # steps, and a half-integer m
+    @pytest.mark.parametrize("dim, n", [(8, 20000), (6, 41)])
+    @pytest.mark.parametrize("method", ["umpu", "partial-corr", "fisher"])
+    def test_written_pvalues_equal_the_scalar_ones(self, tmp_path, capsys, method, dim, n):
+        data = chain_data(dim, n, seed=7)
+        path = tmp_path / "chain.csv"
+        write_csv(path, data.names, data.values.tolist())
+        assert main(["select", "--input", str(path), "--method", method]) == 0
+        written = [d["p_value"] for d in json.loads(capsys.readouterr().out)["decisions"]]
+        config = TestConfig(0.05, cli._METHOD_FLAGS[method])
+        graph = select_graph(read_dataset_csv(str(path)), config)
+        assert written == [d.p_value for d in graph.decisions]
 
     def test_out_file(self, sample_csv, tmp_path, capsys):
         path, _ = sample_csv

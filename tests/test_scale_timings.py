@@ -19,6 +19,7 @@ def test_smoke_at_ten_variables():
     assert [(t["N"], t["n"], t["command"], t["exit"]) for t in doc["timings"]] == [
         (10, 40, "select --correction none", 0),
         (10, 40, "select --correction holm", 0),
+        (10, 40, "select --format dot", 0),
         (10, 40, "verify --input", 0),
     ]
     assert all(t["seconds"] > 0 for t in doc["timings"])
