@@ -7,26 +7,34 @@ keeps every report byte-identical is one command and one diff:
     python scripts/output_digest.py > after.txt
     diff before.txt after.txt
 
-Each line is ``<sha256 of stdout>  exit=<code>  <call>``.  The calls are
-the reference Monte Carlo, verify and size/power commands, ``select`` on
-two ``scripts/make_dataset.py`` files for every method, correction and
-output format, and ``verify --input`` on both files.  Two more files
-follow: an N = 30, n = 150 chain, selected with every method under
-``--correction holm`` in json and tsv (435 pairs over many Holm levels),
-and a file whose header names hold a tab and the control character
-U+0001, selected in every format.  Last come 1000-replication Monte Carlo
-runs: size and power for every method, an odd n - N (a half-integer
-shape), and master seeds of two, three and four 32-bit words, whose
-substream keys (seed, k) hash more entropy words than the others.  The
-last call is ``verify --input`` on an N = 40, n = 160 chain whose first
-half of columns is scaled by 1e5 and second half by 1e-5; after it come
-``select`` in json and tsv and ``verify --input`` on a one-variable
-file, which has no pair, so that the empty tables are pinned.  The
-N = 30 chain is then selected with every method under ``--correction
-none`` and ``bonferroni``, in json and tsv, and an N = 8, n = 20,000
-chain (m near 10^4, where the continued fraction takes the most steps)
-with every method in json and tsv.  Every call runs in a fresh
-interpreter with ``src/`` first on the path.
+Each line is ``<sha256 of stdout>  exit=<code>  <call>``.  The calls,
+in order:
+
+- the reference Monte Carlo, verify and size/power commands;
+- ``select`` on two ``scripts/make_dataset.py`` files for every method,
+  correction and output format, and ``verify --input`` on both files;
+- an N = 30, n = 150 chain, selected with every method under
+  ``--correction holm`` in json and tsv (435 pairs, all decided at the
+  level where Holm's step-down stops);
+- a file whose header names hold a tab and the control character
+  U+0001, selected in every format;
+- 1000-replication Monte Carlo runs: size and power for every method, an
+  odd n - N (a half-integer shape), and master seeds of two, three and
+  four 32-bit words, whose substream keys (seed, k) hash more entropy
+  words than the others;
+- ``verify --input`` on an N = 40, n = 160 chain whose first half of
+  columns is scaled by 1e5 and second half by 1e-5;
+- ``select`` in json and tsv and ``verify --input`` on a one-variable
+  file, which has no pair, so that the empty tables are pinned;
+- the N = 30 chain with every method under ``--correction none`` and
+  ``bonferroni``, in json and tsv, and an N = 8, n = 20,000 chain (m near
+  10^4, where the continued fraction takes the most steps) with every
+  method in json and tsv;
+- ``select --correction holm`` with every method in json and tsv on the
+  one-variable file and on a ``make_dataset.py`` file of one strongly
+  dependent pair, which Holm rejects at alpha itself.
+
+Every call runs in a fresh interpreter with ``src/`` first on the path.
 """
 
 import argparse
@@ -47,6 +55,8 @@ DATASETS = (
     ("chain6", ["--dim", "6", "--n", "40", "--rho", "0.6", "--seed", "3"]),
     ("edge12", ["--dim", "12", "--n", "90", "--rho", "0.35", "--seed", "11"]),
 )
+# One strongly dependent pair, which Holm rejects at alpha itself.
+PAIR = ("pair2", ["--dim", "2", "--n", "40", "--rho", "0.6"])
 # Written here with numpy alone, so the input does not depend on src/:
 # (name, dim, n, seed, header names or None for v0, v1, ...).
 CHAIN = ("chain30", 30, 150, 5, None)
@@ -123,7 +133,13 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
         out.append((f"select {ONE[0]} --format {fmt}",
                     ["-m", "concgraph", "select", "--input", one, "--format", fmt]))
     out.append((f"verify --input {ONE[0]}", ["-m", "concgraph", "verify", "--input", one]))
-    for name, corrections in ((CHAIN[0], ("none", "bonferroni")), (TALL[0], ("none",))):
+    last = (
+        (CHAIN[0], ("none", "bonferroni")),
+        (TALL[0], ("none",)),
+        (ONE[0], ("holm",)),
+        (PAIR[0], ("holm",)),
+    )
+    for name, corrections in last:
         for method in METHODS:
             for correction in corrections:
                 for fmt in ("json", "tsv"):
@@ -152,7 +168,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        for name, args in DATASETS:
+        for name, args in (*DATASETS, PAIR):
             path = os.path.join(workdir, f"{name}.csv")
             subprocess.run(
                 [sys.executable, "scripts/make_dataset.py", *args, "--out", path],

@@ -199,8 +199,8 @@ def _reg_inc_beta_array(x: np.ndarray, p: float, q: float) -> np.ndarray:
 _BISECT_WIDTH = 1e-13
 
 # Entries kept by the quantile cache.  A long-lived process that sees many
-# (level, n) pairs, such as Holm levels over many datasets, would otherwise
-# grow it without bound.
+# (level, n) pairs, such as one Holm stopping level per graph over many
+# datasets, would otherwise grow it without bound.
 QUANTILE_CACHE_SIZE = 4096
 
 

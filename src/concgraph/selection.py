@@ -82,23 +82,17 @@ def _validated_covariance(data: Dataset) -> SymmetricMatrix:
     return s
 
 
-def _holm_levels(pvalues: list[float], alpha: float) -> list[float]:
-    """Per-edge effective levels realizing the Holm step-down procedure.
-
-    Edges rejected by Holm get the level they were compared against; once
-    the step-down stops, every remaining edge keeps the stopping level, so
-    deciding each edge at its own level reproduces the Holm decisions.
-    """
+def _holm_level(pvalues: list[float], alpha: float) -> float:
+    """The level at which Holm's step-down stops: alpha / (count - K) for
+    the first sorted rank K whose p-value exceeds it, or alpha when no
+    rank does.  The step-down rejects exactly the p-values at or below
+    this level, so one level decides every pair."""
     count = len(pvalues)
-    order = sorted(range(count), key=lambda k: (pvalues[k], k))
-    levels = [0.0] * count
-    stopped_at: float | None = None
-    for rank, k in enumerate(order):
+    for rank, p in enumerate(sorted(pvalues)):
         level = alpha / (count - rank)
-        if stopped_at is None and pvalues[k] > level:
-            stopped_at = level
-        levels[k] = level if stopped_at is None else stopped_at
-    return levels
+        if p > level:
+            return level
+    return alpha
 
 
 def select_graph(
@@ -107,18 +101,18 @@ def select_graph(
     """Test every pair at the (possibly corrected) level and assemble the
     estimated concentration graph.
 
-    Every pair is tested once, by one public edge test at its own level.
-    The positive-definiteness check and every partial correlation come
-    from one correlation-scaled factorization of the sample covariance,
-    so the graph costs one O(N^3) factorization however many pairs there
-    are, and rescaling a variable changes no decision.  With correction
-    "none" each edge is tested at exactly config.alpha; "bonferroni"
-    divides alpha by the number of pairs; "holm" applies the step-down
-    procedure to the p-values and tests each edge at its Holm level.  The
-    corrections are standard plumbing for multiple testing, outside the
-    per-edge optimality statement.  The p-values are one pass over the
-    graph: under Holm before deciding, otherwise on a writer's first read
-    of ``ConcentrationGraph._pvalue_column``, so the edges compute none.
+    Every pair is tested once, by one public edge test, at one level for
+    the whole graph: config.alpha under correction "none", alpha over the
+    number of pairs under "bonferroni", and under "holm" the level at
+    which the step-down on the p-values stops.  The positive-definiteness
+    check and every partial correlation come from one correlation-scaled
+    factorization of the sample covariance, so the graph costs one O(N^3)
+    factorization however many pairs there are, and rescaling a variable
+    changes no decision.  The corrections are standard plumbing for
+    multiple testing, outside the per-edge optimality statement.  The
+    p-values are one pass over the graph: under Holm before deciding,
+    otherwise on a writer's first read of
+    ``ConcentrationGraph._pvalue_column``, so the edges compute none.
     """
     if correction not in CORRECTIONS:
         raise DomainError(
@@ -127,19 +121,15 @@ def select_graph(
     s = _validated_covariance(data)
     pairs = all_pairs(data.dim)
     method, n = config.method, data.n
-    if correction == "holm":
+    level = config.alpha
+    if correction == "bonferroni":
+        level = config.alpha / max(len(pairs), 1)
+    elif correction == "holm":
         r = s.factorization.partial_correlations[np.triu_indices(s.dim, 1)]
         statistics = [fisher_z(x, n) for x in r.tolist()] if method == "fisher" else r
         pvalues = _graph_pvalues(method, statistics, n, s.dim)
-        levels = _holm_levels(pvalues, config.alpha)
-    else:
-        level = config.alpha
-        if correction == "bonferroni" and len(pairs) > 1:
-            level = config.alpha / len(pairs)
-        levels = [level] * len(pairs)
-    decisions = [
-        run_edge_test(method, s, i, j, n, lv) for (i, j), lv in zip(pairs, levels)
-    ]
+        level = _holm_level(pvalues, config.alpha)
+    decisions = [run_edge_test(method, s, i, j, n, level) for i, j in pairs]
     if correction == "holm":
         _keep_pvalues(decisions, pvalues)
     edges = frozenset((d.i, d.j) for d in decisions if d.reject)

@@ -525,9 +525,16 @@ def random_covariance_instances(
 
     Each instance draws a random diagonally dominant precision model, a
     sample size n in [dim + 2, max_n] and a probed edge; alphas cycle.
-    Deterministic in (count, seed).
+    Deterministic in (count, seed); checks its arguments on first use.
     """
     _check_instance_count(count)
+    if len(dims) == 0 or not all(isinstance(d, (int, np.integer)) and d >= 2 for d in dims):
+        raise DomainError(f"dims must be non-empty integers >= 2, got {dims!r}")
+    low = max(dims) + 2
+    if not isinstance(max_n, int) or max_n < low:
+        raise DomainError(f"max_n must be an integer >= max(dims) + 2 = {low}, got {max_n!r}")
+    if len(alphas) == 0 or not all(isinstance(a, (int, float)) and 0.0 < a < 1.0 for a in alphas):
+        raise DomainError(f"alphas must be non-empty levels in (0, 1), got {alphas!r}")
     rng = np.random.default_rng((seed, 0xC0))
     for k in range(count):
         dim = int(rng.choice(dims))

@@ -332,13 +332,14 @@ def dataset_with_exact_covariance(target, n: int, rng: np.random.Generator):
 
 
 def holm_two_pass(data, method: str, alpha: float):
-    """Holm selection in two passes, as ``select_graph`` once decided it:
+    """Holm selection in two passes, by the former per-edge-level rule:
     every pair tested at alpha, its p-value read from that decision one
     scalar at a time, the textbook step-down on those p-values, then every
-    pair tested again at its Holm level, the level it was compared against
-    if the step-down rejected it and otherwise the level at which the
-    step-down stopped.  Returns the second pass's decisions and the first
-    pass's p-values, in pair order."""
+    pair tested again at its own Holm level, the level it was compared
+    against if the step-down rejected it and otherwise the level at which
+    the step-down stopped.  ``select_graph`` now decides every pair at the
+    stopping level, which rejects the same pairs.  Returns the second
+    pass's decisions and the first pass's p-values, in pair order."""
     s = sample_covariance(data)
     pairs = list(itertools.combinations(range(data.dim), 2))
     pvalues = [run_edge_test(method, s, i, j, data.n, alpha).p_value for i, j in pairs]

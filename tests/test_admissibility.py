@@ -24,6 +24,7 @@ from concgraph import (
     estimate_size,
     fisher_test,
     partial_correlation_test,
+    random_covariance_instances,
     run_edge_test,
     select_graph,
     umpu_raw_thresholds,
@@ -176,3 +177,69 @@ def test_bad_arguments_raise_the_first_checked_error(name):
 def test_good_arguments_pass(name):
     call, _ = ENTRIES[name]
     call(GOOD)
+
+
+# random_covariance_instances: bad settings, each with its error; the
+# count is checked first, then dims, max_n and alphas
+INSTANCE_CASES = {
+    "no dims": (
+        {"dims": ()},
+        "dims must be non-empty integers >= 2, got ()",
+    ),
+    "a dim of one": (
+        {"dims": (1, 3)},
+        "dims must be non-empty integers >= 2, got (1, 3)",
+    ),
+    "max_n below the largest dim + 2": (
+        {"max_n": 5},
+        "max_n must be an integer >= max(dims) + 2 = 8, got 5",
+    ),
+    "max_n one short": (
+        {"dims": (3,), "max_n": 4},
+        "max_n must be an integer >= max(dims) + 2 = 5, got 4",
+    ),
+    "max_n a float": (
+        {"max_n": 50.0},
+        "max_n must be an integer >= max(dims) + 2 = 8, got 50.0",
+    ),
+    "no alphas": (
+        {"alphas": ()},
+        "alphas must be non-empty levels in (0, 1), got ()",
+    ),
+    "alpha above one": (
+        {"alphas": (1.5,)},
+        "alphas must be non-empty levels in (0, 1), got (1.5,)",
+    ),
+    "alpha of zero among good ones": (
+        {"alphas": (0.05, 0)},
+        "alphas must be non-empty levels in (0, 1), got (0.05, 0)",
+    ),
+    "dims before max_n and alphas": (
+        {"dims": (), "max_n": 2, "alphas": ()},
+        "dims must be non-empty integers >= 2, got ()",
+    ),
+    "max_n before alphas": (
+        {"max_n": 2, "alphas": ()},
+        "max_n must be an integer >= max(dims) + 2 = 8, got 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES)
+def test_bad_instance_settings_raise_on_the_first_instance(case):
+    settings, message = INSTANCE_CASES[case]
+    instances = random_covariance_instances(3, 1, **settings)
+    with pytest.raises(DomainError) as info:
+        next(instances)
+    assert str(info.value) == message
+
+
+def test_instance_count_is_checked_before_the_settings():
+    with pytest.raises(DomainError) as info:
+        next(random_covariance_instances(0, 1, dims=(), max_n=2, alphas=()))
+    assert str(info.value) == "instance count must be a positive integer, got 0"
+
+
+def test_smallest_admissible_instance_settings():
+    for s, i, j, n, alpha in random_covariance_instances(20, 1, dims=(2,), max_n=4, alphas=(0.5,)):
+        assert s.dim == 2 and (i, j) == (0, 1) and n == 4 and alpha == 0.5

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from concgraph import independence, selection
+from concgraph.distributions import beta_sym_quantile
 from concgraph import (
     CORRECTIONS,
     Dataset,
@@ -230,10 +231,9 @@ class TestHolmDecidesOnce:
         data = chain_graph_data()
         graph = select_graph(data, TestConfig(0.05, method), "holm")
         want, pvalues = oracles.holm_two_pass(data, method, 0.05)
-        assert list(graph.decisions) == want
-        assert [d.p_value for d in graph.decisions] == pvalues
-        # the Holm levels differ from edge to edge
-        assert len({d.upper for d in graph.decisions}) > 2
+        assert_same_holm_graph(graph, want, pvalues, data, method, 0.05)
+        # one level, so one pair of critical values, for every pair
+        assert len({d.upper for d in graph.decisions}) == 1
 
     @given(seed=st.integers(0, 2**31), alpha=st.sampled_from([0.05, 0.3, 0.6, 0.9]))
     @settings(max_examples=30, deadline=None)
@@ -243,8 +243,77 @@ class TestHolmDecidesOnce:
         for method in METHODS:
             graph = select_graph(data, TestConfig(alpha, method), "holm")
             want, pvalues = oracles.holm_two_pass(data, method, alpha)
-            assert list(graph.decisions) == want
-            assert [d.p_value for d in graph.decisions] == pvalues
+            assert_same_holm_graph(graph, want, pvalues, data, method, alpha)
+
+
+def textbook_holm_rejects(pvalues, alpha):
+    """Holm's step-down on p-values: reject in increasing order while
+    p_(k) <= alpha / (count - k), then stop."""
+    count = len(pvalues)
+    rejects = [False] * count
+    for rank, k in enumerate(sorted(range(count), key=lambda k: (pvalues[k], k))):
+        if pvalues[k] > alpha / (count - rank):
+            break
+        rejects[k] = True
+    return rejects
+
+
+def textbook_holm_stop(pvalues, alpha):
+    """The level the step-down stops at: alpha / (count - K) for the first
+    rank K it does not reject, or alpha when it rejects every p-value."""
+    count = len(pvalues)
+    stop = sum(textbook_holm_rejects(pvalues, alpha))
+    return alpha if stop == count else alpha / (count - stop)
+
+
+def assert_same_holm_graph(graph, want, pvalues, data, method, alpha):
+    """The graph rejects what the per-edge-level reference rejects, with
+    its statistics and p-values, and every decision is the public edge
+    test at the textbook stopping level."""
+    def key(d):
+        return d.i, d.j, d.statistic, d.reject
+
+    assert [key(d) for d in graph.decisions] == [key(d) for d in want]
+    assert [d.p_value for d in graph.decisions] == pvalues
+    s = sample_covariance(data)
+    stop = textbook_holm_stop(pvalues, alpha)
+    for d in graph.decisions:
+        assert d == run_edge_test(method, s, d.i, d.j, data.n, stop)
+
+
+class TestHolmLevel:
+    # (p-values, alpha, stopping level written out)
+    CASES = {
+        "every edge rejected": ([0.002, 0.001], 0.05, 0.05),
+        "none rejected": ([0.3, 0.9, 0.5], 0.05, 0.05 / 3),
+        "stop mid-way": ([0.2, 0.001, 0.04, 0.011], 0.05, 0.05 / 2),
+        "tie at the stopping rank": ([0.04, 0.01, 0.5, 0.04], 0.1, 0.1 / 3),
+        "one pair rejected": ([0.04], 0.05, 0.05),
+        "one pair kept": ([0.06], 0.05, 0.05),
+        "no pair": ([], 0.05, 0.05),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equal_to_the_textbook_step_down(self, case):
+        pvalues, alpha, stop = self.CASES[case]
+        level = selection._holm_level(pvalues, alpha)
+        assert level == stop == textbook_holm_stop(pvalues, alpha)
+        assert [p <= level for p in pvalues] == textbook_holm_rejects(pvalues, alpha)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_graph_takes_one_critical_value(self, method, monkeypatch):
+        name = "std_normal_quantile" if method == "fisher" else "null_corr_quantile"
+        quantile, args = getattr(independence, name), []
+        monkeypatch.setattr(independence, name, lambda *a: args.append(a) or quantile(*a))
+        graph = select_graph(chain_graph_data(), TestConfig(0.05, method), "holm")
+        assert graph.edges
+        assert len(args) == 435
+        assert len(set(args)) == 1
+
+    def test_an_exact_graph_takes_one_cold_quantile(self):
+        beta_sym_quantile.cache_clear()
+        select_graph(chain_graph_data(), TestConfig(0.05, "umpu"), "holm")
+        assert beta_sym_quantile.cache_info().misses == 1
 
 
 class TestBulkPvalues:
