@@ -10,10 +10,11 @@ neighbours (seed 1).  It then runs ``select --correction none``,
 ``select --correction holm``, ``select --format dot`` (the graph alone,
 no p-value) and ``verify --input`` on the file, each as
 ``python -m concgraph`` with ``src/`` first on the path and its report
-written to a scratch file, and times the whole process.  Writing the
-input is not timed.  The last line of output is one JSON object: the
-machine, then one entry per call with N, n, the command, its exit code
-and its wall time in seconds.  Threads are left at the environment's
+written to a scratch file, and times the whole process, three times in a
+row.  Writing the input is not timed.  The last line of output is one
+JSON object: the machine, then one entry per call with N, n, the
+command, its exit code (the largest of the runs), the wall time of each
+run and their median, in seconds.  Threads are left at the environment's
 defaults; set ``OPENBLAS_NUM_THREADS`` and the like to pin them.
 """
 
@@ -22,6 +23,7 @@ import csv
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -31,6 +33,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Runs of each call: one run cannot order a change of a second or two at
+# N = 1000, where calls vary by more than that.
+RUNS = 3
 
 COMMANDS = (
     ("select --correction none", ["select", "--correction", "none"]),
@@ -108,11 +114,19 @@ def main(argv=None) -> int:
             path = os.path.join(workdir, f"chain{dim}.csv")
             write_chain(path, dim, n)
             for label, command in COMMANDS:
-                code, seconds = time_call([*command, "--input", path, "--out", out])
-                timings.append(
-                    {"N": dim, "n": n, "command": label, "exit": code, "seconds": round(seconds, 3)}
+                codes, runs = zip(
+                    *(time_call([*command, "--input", path, "--out", out]) for _ in range(RUNS))
                 )
-                print(f"N = {dim}, n = {n}: {label}: exit {code}, {seconds:.2f} s", flush=True)
+                seconds = statistics.median(runs)
+                timings.append(
+                    {"N": dim, "n": n, "command": label, "exit": max(codes),
+                     "runs": [round(t, 3) for t in runs], "seconds": round(seconds, 3)}
+                )
+                print(
+                    f"N = {dim}, n = {n}: {label}: exit {max(codes)}, "
+                    f"runs {', '.join(f'{t:.2f}' for t in runs)} s, median {seconds:.2f} s",
+                    flush=True,
+                )
     print(json.dumps({"machine": machine(), "timings": timings}))
     return 0 if all(t["exit"] == 0 for t in timings) else 1
 

@@ -4,7 +4,8 @@ Everything here is pure and reentrant: the regularized incomplete beta
 function and its symmetric-shape inverse, the exact null law of the
 sample partial correlation (density proportional to (1 - x**2)**((d-2)/2)
 on [-1, 1] with d = n - N degrees of freedom), the Fisher transformation
-and standard-normal helpers.  The public functions are scalar, except
+and the standard normal CDF and quantile, the latter from the standard
+library's ``statistics`` module.  The public functions are scalar, except
 :func:`null_corr_pvalues`: every exact p-value that ``select`` writes,
 under any correction, comes from one call of it per graph.  It and the
 Kolmogorov-Smirnov check of a Monte Carlo null sample use the array form
@@ -144,11 +145,28 @@ def _check_shape(p: float, name: str = "shape") -> None:
         raise DomainError(f"{name} parameter must be a positive finite real, got {p!r}")
 
 
+def _log_beta_head(p: float, q: float) -> float:
+    """lgamma(p + q) - lgamma(p) - lgamma(q), the head of the incomplete
+    beta function's log prefactor.  exp carries its rounding, about
+    eps * (|lgamma(p + q)| + |lgamma(p)| + |lgamma(q)|), into the result's
+    relative error: 8.6e-6 at p = q = 5e8, 2.8 at 1e14.  Past 1e-4, or
+    where lgamma overflows, the shapes are refused."""
+    try:
+        terms = (math.lgamma(p + q), math.lgamma(p), math.lgamma(q))
+    except OverflowError:
+        terms = (math.inf,)
+    if not math.ulp(1.0) * sum(map(abs, terms)) <= 1e-4:
+        raise ConvergenceError(f"incomplete beta prefactor inaccurate for shapes ({p!r}, {q!r})")
+    return terms[0] - terms[1] - terms[2]
+
+
 def reg_inc_beta(x: float, p: float, q: float) -> float:
     """Regularized incomplete beta function I_x(p, q).
 
     Continued-fraction evaluation, absolute error below 1e-12 across the
     shapes used here.  I_0 = 0, I_1 = 1 and I_x(p, q) = 1 - I_{1-x}(q, p).
+    Shapes too large for the prefactor (:func:`_log_beta_head`) raise
+    :class:`ConvergenceError`.
     """
     _check_shape(p, "first shape")
     _check_shape(q, "second shape")
@@ -159,14 +177,7 @@ def reg_inc_beta(x: float, p: float, q: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_bt = (
-        math.lgamma(p + q)
-        - math.lgamma(p)
-        - math.lgamma(q)
-        + p * math.log(x)
-        + q * math.log1p(-x)
-    )
-    bt = math.exp(ln_bt)
+    bt = math.exp(_log_beta_head(p, q) + p * math.log(x) + q * math.log1p(-x))
     if x < (p + 1.0) / (p + q + 2.0):
         return bt * _beta_cf(p, q, x) / p
     return 1.0 - bt * _beta_cf(q, p, 1.0 - x) / q
@@ -183,8 +194,9 @@ def _reg_inc_beta_array(x: np.ndarray, p: float, q: float) -> np.ndarray:
     """
     out = np.where(x == 1.0, 1.0, 0.0)
     inner = np.flatnonzero((x > 0.0) & (x < 1.0))
-    # The scalar routine's sum, with its constant head added first.
-    head = math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
+    if not inner.size:
+        return out
+    head = _log_beta_head(p, q)
     bt = np.array(
         [math.exp(head + p * math.log(v) + q * math.log1p(-v)) for v in x[inner].tolist()]
     )
@@ -314,71 +326,15 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
 
 
-# Rational approximation for the inverse normal CDF (coefficients due to
-# P. J. Acklam), accurate to ~1.2e-9 relative; one Newton step against the
-# erfc-based CDF brings it to machine precision.
-_NQ_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_NQ_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_NQ_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_NQ_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_NQ_SPLIT = 0.02425
-
-
-def _normal_quantile_lower(p: float) -> float:
-    """Acklam approximation for p <= 1/2."""
-    if p < _NQ_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        num = ((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q + _NQ_C[4]) * q + _NQ_C[5]
-        den = (((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q + 1.0
-        return num / den
-    q = p - 0.5
-    s = q * q
-    num = ((((_NQ_A[0] * s + _NQ_A[1]) * s + _NQ_A[2]) * s + _NQ_A[3]) * s + _NQ_A[4]) * s + _NQ_A[5]
-    den = ((((_NQ_B[0] * s + _NQ_B[1]) * s + _NQ_B[2]) * s + _NQ_B[3]) * s + _NQ_B[4]) * s + 1.0
-    return q * num / den
-
-
 @lru_cache(maxsize=QUANTILE_CACHE_SIZE)
 def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, absolute error below 1e-10.
-
-    Upper-tail arguments are reflected to the lower tail before refinement
-    so that accuracy does not degrade where 1 - CDF loses resolution.
-    Cached like :func:`beta_sym_quantile`, since the Fisher test asks for
-    the same critical value on every call.
+    """Inverse standard normal CDF: ``statistics.NormalDist().inv_cdf``,
+    Wichura's AS 241 (Applied Statistics 37, 1988), relative error below
+    1e-15.  Cached like :func:`beta_sym_quantile`, since the Fisher test
+    asks for the same critical value on every call.
     """
     if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
         raise DomainError(f"probability must lie in (0, 1), got {p!r}")
-    p = float(p)
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        return -std_normal_quantile(1.0 - p)
-    x = _normal_quantile_lower(p)
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return x - (std_normal_cdf(x) - p) / pdf
+    import statistics  # here, so that only a Fisher test loads it
+
+    return statistics.NormalDist().inv_cdf(float(p))

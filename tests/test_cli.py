@@ -837,16 +837,19 @@ class TestMonteCarloBytes:
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random costs memory and start-up time; only commands that draw
-    # random numbers import it
+    # numpy.random and statistics cost memory and start-up time; only
+    # commands that draw random numbers, or run a Fisher test, import them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = "import sys, concgraph.cli; print('numpy.random' in sys.modules)"
+    code = (
+        "import sys, concgraph.cli; "
+        "print('numpy.random' in sys.modules, 'statistics' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120, check=False,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")
 
 
 def test_closed_stdout_exits_quietly(tmp_path):
@@ -909,6 +912,30 @@ class TestQuantileCommand:
 
     def test_insufficient_sample_exit_1(self, capsys):
         assert main(["quantile", "--alpha", "0.05", "--n", "3", "--dim", "5"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--prob", "0.3", "--m", "1e14"),
+            ("--prob", "0.3", "--m", "1e18"),
+            ("--prob", "0.3", "--m", "1e30"),
+            ("--prob", "0.3", "--m", "1e100"),
+            ("--alpha", "0.05", "--n", str(10**32), "--dim", "3"),
+        ],
+        ids=["m=1e14", "m=1e18", "m=1e30", "m=1e100", "n=1e32"],
+    )
+    def test_huge_shape_exits_2(self, flags):
+        # once wrong (m = 1e14), an OverflowError traceback (1e30) or no
+        # answer within 20 s (the rest): the prefactor is refused instead
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "concgraph", "quantile", *flags],
+            env=env, capture_output=True, text=True, timeout=20, check=False,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: incomplete beta prefactor")
+        assert done.stderr.count("\n") == 1
 
 
 class TestUsage:

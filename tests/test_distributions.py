@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import oracles
 from concgraph import (
@@ -344,6 +345,43 @@ class TestLargeShapes:
         assert issubclass(ConvergenceError, ConcgraphError)
 
 
+class TestHugeShapes:
+    """Shapes at which the prefactor's lgamma head rounds away the result."""
+
+    def test_refused_with_the_sample(self):
+        # m = 1e14 - 4: the head's rounding bound is about 2.8, and the
+        # quantile once came out as 0.49999999999995248 (c near 9.5e-14,
+        # against about 3.7e-8 from the normal approximation)
+        n = 2 * 10**14
+        for call in (
+            lambda: null_corr_cdf(0.3, n, 8),
+            lambda: null_corr_quantile(0.05, n, 8),
+            lambda: null_corr_pvalues([0.3], n, 8),
+        ):
+            with pytest.raises(ConvergenceError, match=r"\(n = 200000000000000, N = 8\)$"):
+                call()
+        # r = +-1 needs no prefactor, in the array form as in the scalar one
+        assert null_corr_pvalues([1.0, -1.0], n, 8).tolist() == [0.0, 0.0]
+        assert null_corr_cdf(-1.0, n, 8) == 0.0
+
+    @pytest.mark.parametrize("m", [1e30, 1e306, 1.7e308])
+    def test_no_overflow_escapes(self, m):
+        # math.exp overflowed at 1e30, and lgamma itself at 1e306
+        with pytest.raises(ConvergenceError, match=r"^incomplete beta prefactor"):
+            reg_inc_beta(0.3, m, m)
+        with pytest.raises(ConvergenceError, match=r"^incomplete beta prefactor"):
+            _reg_inc_beta_array(np.array([0.3]), m, m)
+
+    def test_bound_keeps_a_billion_observations(self):
+        # m = 5e8, the largest shape TestLargeShapes asks for: bound 8.6e-6
+        assert distributions._log_beta_head(5e8, 5e8) == (
+            math.lgamma(1e9) - math.lgamma(5e8) - math.lgamma(5e8)
+        )
+        refused = r"shapes \(1000000000000\.0, 1000000000000\.0\)$"
+        with pytest.raises(ConvergenceError, match=refused):
+            distributions._log_beta_head(1e12, 1e12)
+
+
 class TestFisherZ:
     def test_zero(self):
         assert fisher_z(0.0, 17) == 0.0
@@ -395,11 +433,29 @@ class TestStdNormal:
     def test_roundtrip(self, p):
         assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-12)
 
+    def test_relative_error_against_scipy(self):
+        # 7.5e-16 at worst here; the rational approximation with a Newton
+        # step it replaced was 3.8e-15 off at p = 0.4925 and 1.1e-9 at
+        # p = 0.5 + 1e-10, where its Newton step loses the CDF's last bits
+        probs = (
+            [10.0**-k for k in range(1, 301)]
+            + [1.0 - 10.0**-k for k in range(1, 17)]
+            + [k / 400 for k in range(1, 400)]
+            + [0.5 + 1e-10, 1.0 - 0.05 / 2, 1.0 - 0.01 / 2, 1.0 - 0.05 / 435 / 2]
+        )
+        got = np.array([std_normal_quantile(p) for p in probs])
+        want = ndtri(probs)
+        assert std_normal_quantile(0.5) == ndtri(0.5) == 0.0
+        nonzero = want != 0.0
+        assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 1e-15
+
     def test_domain(self):
         with pytest.raises(DomainError):
             std_normal_quantile(0.0)
         with pytest.raises(DomainError):
             std_normal_quantile(1.0)
+        with pytest.raises(DomainError):
+            std_normal_quantile(math.nan)
 
     def test_cache_is_bounded(self):
         count = QUANTILE_CACHE_SIZE + 10

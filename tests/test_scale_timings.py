@@ -1,4 +1,5 @@
-"""scripts/scale_timings.py runs end to end on a small graph."""
+"""scripts/scale_timings.py runs end to end on a small graph, three runs
+per command."""
 
 import json
 import subprocess
@@ -22,4 +23,7 @@ def test_smoke_at_ten_variables():
         (10, 40, "select --format dot", 0),
         (10, 40, "verify --input", 0),
     ]
-    assert all(t["seconds"] > 0 for t in doc["timings"])
+    for t in doc["timings"]:
+        assert len(t["runs"]) == 3
+        assert all(run > 0 for run in t["runs"])
+        assert t["seconds"] == sorted(t["runs"])[1]

@@ -162,14 +162,7 @@ class TestCorrections:
             data = null_dataset(rng, dim=5, n=12)
             cfg = TestConfig(alpha=0.4, method="partial_corr")
             pvals = list(decision_pvalues(data, "partial_corr").values())
-            count = len(pvals)
-            order = sorted(range(count), key=lambda k: (pvals[k], k))
-            expected = [False] * count
-            for rank, k in enumerate(order):
-                if pvals[k] <= cfg.alpha / (count - rank):
-                    expected[k] = True
-                else:
-                    break
+            expected = textbook_holm_rejects(pvals, cfg.alpha)
             graph = select_graph(data, cfg, "holm")
             got = [d.reject for d in graph.decisions]
             assert got == expected
@@ -488,10 +481,5 @@ class TestInvarianceProperties:
     def test_holm_from_levels_equals_holm_from_pvalues(self, data, alpha):
         graph = select_graph(data, TestConfig(alpha=alpha), "holm")
         pvalues = [d.p_value for d in graph.decisions]
-        count = len(pvalues)
-        expected = [False] * count
-        for rank, k in enumerate(sorted(range(count), key=lambda k: (pvalues[k], k))):
-            if pvalues[k] > alpha / (count - rank):
-                break
-            expected[k] = True
+        expected = textbook_holm_rejects(pvalues, alpha)
         assert [d.reject for d in graph.decisions] == expected
