@@ -32,7 +32,13 @@ in order:
   method in json and tsv;
 - ``select --correction holm`` with every method in json and tsv on the
   one-variable file and on a ``make_dataset.py`` file of one strongly
-  dependent pair, which Holm rejects at alpha itself.
+  dependent pair, which Holm rejects at alpha itself;
+- ``select`` in json with every method on the N = 30 chain with its odd
+  columns scaled by 2^600 and its even ones by 2^-600, whose products
+  overflow or underflow in the data's units: each line's hash is that of
+  the unscaled chain's ``--correction none`` json line;
+- ``select --method fisher --alpha 1e-300`` on the N = 30 chain, a level
+  at which 1 - alpha/2 rounds to 1.
 
 Every call runs in a fresh interpreter with ``src/`` first on the path.
 """
@@ -62,6 +68,8 @@ PAIR = ("pair2", ["--dim", "2", "--n", "40", "--rho", "0.6"])
 CHAIN = ("chain30", 30, 150, 5, None)
 CONTROL = ("control", 4, 30, 2, ("a\tb", "c\x01d", "e\\f", "g"))
 MIXED = ("mixed40", 40, 160, 4, None)
+# The chain again, odd columns scaled by 2^600 and even ones by 2^-600.
+EXTREME = ("extreme30", 30, 150, 5, None)
 ONE = ("one", 1, 12, 6, None)
 TALL = ("tall8", 8, 20000, 7, None)
 METHODS = ("umpu", "partial-corr", "fisher")
@@ -147,6 +155,13 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
                     out.append((f"select {name} {' '.join(flags)}",
                                 ["-m", "concgraph", "select", "--input",
                                  os.path.join(workdir, f"{name}.csv"), *flags]))
+    for method in METHODS:
+        out.append((f"select {EXTREME[0]} --method {method} --format json",
+                    ["-m", "concgraph", "select", "--input", os.path.join(workdir, "extreme30.csv"),
+                     "--method", method, "--format", "json"]))
+    out.append((f"select {CHAIN[0]} --method fisher --alpha 1e-300",
+                ["-m", "concgraph", "select", "--input", os.path.join(workdir, "chain30.csv"),
+                 "--method", "fisher", "--alpha", "1e-300"]))
     return out
 
 
@@ -178,6 +193,9 @@ def main(argv=None) -> int:
             write_chain(os.path.join(workdir, f"{name}.csv"), dim, n, seed, names)
         name, dim, n, seed, names = MIXED
         scale = np.where(np.arange(dim) < dim // 2, 1e5, 1e-5)
+        write_chain(os.path.join(workdir, f"{name}.csv"), dim, n, seed, names, scale)
+        name, dim, n, seed, names = EXTREME
+        scale = np.where(np.arange(dim) % 2 == 1, 2.0**600, 2.0**-600)
         write_chain(os.path.join(workdir, f"{name}.csv"), dim, n, seed, names, scale)
         for label, args in calls(workdir):
             digest, code = _run(args)

@@ -63,15 +63,16 @@ def sample_covariance(data: Dataset) -> SymmetricMatrix:
     derived partial correlations are invariant to the 1/n versus 1/(n-1)
     choice, since they are invariant to the scale of each variable.
     """
-    return SymmetricMatrix(_covariances(data.values))
+    return SymmetricMatrix(_covariances(np.array(data.values)))
 
 
 def _covariances(x: np.ndarray) -> np.ndarray:
     """1/n sample covariances of a (..., n, N) stack of observations: one
     exactly symmetric N x N array per n x N slice, each bit for bit what
-    the slice alone gives."""
-    centered = x - x.mean(axis=-2, keepdims=True)
-    s = np.swapaxes(centered, -1, -2) @ centered / x.shape[-2]
+    the slice alone gives.  x is centered in place, so a caller passes an
+    array it no longer needs."""
+    x -= x.mean(axis=-2, keepdims=True)
+    s = np.swapaxes(x, -1, -2) @ x / x.shape[-2]
     return (s + np.swapaxes(s, -1, -2)) / 2.0
 
 

@@ -41,7 +41,7 @@ in one place: the level in ``_check_level``, the method in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distributions import (
     _half_shape,
@@ -110,12 +110,9 @@ class EdgeDecision:
 
     ``reject`` is True exactly when the statistic falls outside the open
     interval (lower, upper); the acceptance region is symmetric, so
-    lower == -upper for every method.  ``p_value`` is computed the first
-    time it is read and kept, so a caller that reads only decisions, such
-    as a Monte Carlo count, never pays for it.  It is a pure function of
-    the method, the statistic, n and dim, so two threads that race to
-    compute it store equal values, and a graph's one pass in
-    ``selection`` fills every decision of the graph with the same bits.
+    lower == -upper for every method.  ``p_value`` is computed on each
+    read from the method, the statistic, n and dim, so a caller that reads
+    only decisions, such as a Monte Carlo count, never pays for it.
     """
 
     i: int
@@ -127,18 +124,12 @@ class EdgeDecision:
     method: str
     n: int
     dim: int
-    # The p-value once computed; dataclasses.replace starts a copy without it.
-    _p_value: float | None = field(init=False, default=None, repr=False, compare=False)
 
     @property
     def p_value(self) -> float:
-        if self._p_value is None:
-            if self.method == "fisher":
-                p = _fisher_p_value(self.statistic)
-            else:
-                p = _exact_p_value(self.statistic, self.n, self.dim)
-            object.__setattr__(self, "_p_value", p)
-        return self._p_value
+        if self.method == "fisher":
+            return _fisher_p_value(self.statistic)
+        return _exact_p_value(self.statistic, self.n, self.dim)
 
 
 @dataclass(frozen=True)
@@ -205,7 +196,8 @@ def _edge_test(
     quantile."""
     r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
     if method == "fisher":
-        c, statistic = std_normal_quantile(1.0 - alpha / 2.0), fisher_z(r, n)
+        # from the lower tail, where alpha / 2 does not round away
+        c, statistic = -std_normal_quantile(alpha / 2.0), fisher_z(r, n)
     else:
         c, statistic = null_corr_quantile(alpha, n, s.dim), r
     return _decision(method, i, j, statistic, c, n, s.dim)

@@ -3,13 +3,13 @@ edges whose null is rejected."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import _half_shape, fisher_z, null_corr_pvalues
 from .errors import DomainError, NotPositiveDefinite
-from .estimators import Dataset, sample_covariance
+from .estimators import Dataset, _covariances
 from .independence import EdgeDecision, TestConfig, _fisher_p_value, run_edge_test
 from .matrices import SymmetricMatrix, first_nonpositive_pivot
 
@@ -26,11 +26,16 @@ CORRECTIONS = ("none", "bonferroni", "holm")
 @dataclass(frozen=True)
 class ConcentrationGraph:
     """Estimated concentration graph: an edge is present exactly when the
-    corresponding per-edge decision rejected conditional independence."""
+    corresponding per-edge decision rejected conditional independence.
+
+    The graph owns its p-value column: Holm's one pass, or one pass on a
+    writer's first read.  It stays out of ``__init__`` and comparisons, so
+    a ``dataclasses.replace`` copy computes its own."""
 
     names: tuple[str, ...]
     edges: frozenset[tuple[int, int]]
     decisions: tuple[EdgeDecision, ...]
+    _pvalues: tuple[float, ...] | None = field(init=False, default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -41,15 +46,14 @@ class ConcentrationGraph:
         return sorted(self.edges)
 
     def _pvalue_column(self) -> list[float]:
-        """Every decision's p-value in order, for a writer: the graph's one
-        pass runs the first time one is missing, and each decision keeps
-        its value."""
-        decisions = self.decisions
-        if any(d._p_value is None for d in decisions):
-            first = decisions[0]
-            statistics = [d.statistic for d in decisions]
-            _keep_pvalues(decisions, _graph_pvalues(first.method, statistics, first.n, first.dim))
-        return [d._p_value for d in decisions]
+        """Every decision's p-value in order, bit for bit each decision's
+        ``p_value``, for a writer."""
+        if self._pvalues is None and self.decisions:
+            first = self.decisions[0]
+            statistics = [d.statistic for d in self.decisions]
+            pvalues = _graph_pvalues(first.method, statistics, first.n, first.dim)
+            object.__setattr__(self, "_pvalues", tuple(pvalues))
+        return list(self._pvalues or ())
 
 
 def all_pairs(dim: int) -> list[tuple[int, int]]:
@@ -58,13 +62,19 @@ def all_pairs(dim: int) -> list[tuple[int, int]]:
 
 
 def _validated_covariance(data: Dataset) -> SymmetricMatrix:
+    """The covariance S of the columns, each scaled by the power of two that
+    brings its largest magnitude into [0.5, 1): exact, so R and every
+    decision keep their bits wherever the data's own S is representable."""
     _half_shape(data.n, data.dim)
     # Centering a column leaves rounding residue of up to about
     # n * eps * max|x|, which the correlation scaling would blow up to unit
     # variance; a column whose range is at that level counts as constant.
-    # Both sides scale with the column, so the check ignores its units.
+    # Both sides scale with the column, so the check ignores its units and
+    # is made in the scaled units, where hi - lo cannot overflow.
     hi = data.values.max(axis=0)
     lo = data.values.min(axis=0)
+    shift = -np.frexp(np.maximum(np.abs(hi), np.abs(lo)))[1]
+    hi, lo = np.ldexp(hi, shift), np.ldexp(lo, shift)
     noise = data.n * np.finfo(float).eps * np.maximum(np.abs(hi), np.abs(lo))
     constant = np.flatnonzero(hi - lo <= noise)
     if constant.size:
@@ -72,7 +82,7 @@ def _validated_covariance(data: Dataset) -> SymmetricMatrix:
             "sample covariance is not positive definite "
             f"(variable {data.names[constant[0]]!r} is constant)"
         )
-    s = sample_covariance(data)
+    s = SymmetricMatrix(_covariances(np.ldexp(data.values, shift)))
     pivot = first_nonpositive_pivot(s)
     if pivot is not None:
         raise NotPositiveDefinite(
@@ -110,9 +120,8 @@ def select_graph(
     factorization however many pairs there are, and rescaling a variable
     changes no decision.  The corrections are standard plumbing for
     multiple testing, outside the per-edge optimality statement.  The
-    p-values are one pass over the graph: under Holm before deciding,
-    otherwise on a writer's first read of
-    ``ConcentrationGraph._pvalue_column``, so the edges compute none.
+    graph owns its p-values, one pass: under Holm the one it decided
+    from, otherwise a writer's first read of ``_pvalue_column``.
     """
     if correction not in CORRECTIONS:
         raise DomainError(
@@ -130,10 +139,11 @@ def select_graph(
         pvalues = _graph_pvalues(method, statistics, n, s.dim)
         level = _holm_level(pvalues, config.alpha)
     decisions = [run_edge_test(method, s, i, j, n, level) for i, j in pairs]
-    if correction == "holm":
-        _keep_pvalues(decisions, pvalues)
     edges = frozenset((d.i, d.j) for d in decisions if d.reject)
-    return ConcentrationGraph(names=data.names, edges=edges, decisions=tuple(decisions))
+    graph = ConcentrationGraph(names=data.names, edges=edges, decisions=tuple(decisions))
+    if correction == "holm":
+        object.__setattr__(graph, "_pvalues", tuple(pvalues))
+    return graph
 
 
 def _graph_pvalues(method: str, statistics, n: int, dim: int) -> list[float]:
@@ -142,8 +152,3 @@ def _graph_pvalues(method: str, statistics, n: int, dim: int) -> list[float]:
     if method == "fisher":
         return [_fisher_p_value(z) for z in statistics]
     return null_corr_pvalues(statistics, n, dim).tolist()
-
-
-def _keep_pvalues(decisions, pvalues: list[float]) -> None:
-    for d, p in zip(decisions, pvalues):
-        object.__setattr__(d, "_p_value", p)

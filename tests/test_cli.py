@@ -456,17 +456,27 @@ class TestSelectCommand:
         assert scalar == []
 
     # m = (n - N) / 2 near 10^4, where the continued fraction takes the most
-    # steps, and a half-integer m
-    @pytest.mark.parametrize("dim, n", [(8, 20000), (6, 41)])
-    @pytest.mark.parametrize("method", ["umpu", "partial-corr", "fisher"])
-    def test_written_pvalues_equal_the_scalar_ones(self, tmp_path, capsys, method, dim, n):
+    # steps, and a half-integer m; the id names a correction other than none
+    WRITTEN_PVALUE_CASES = [
+        pytest.param(correction, method, dim, n,
+                     id=f"{method}-{dim}-{n}" + ("" if correction == "none" else f"-{correction}"))
+        for correction in ("none", "holm")
+        for dim, n in [(8, 20000), (6, 41)]
+        for method in ["umpu", "partial-corr", "fisher"]
+    ]
+
+    @pytest.mark.parametrize("correction, method, dim, n", WRITTEN_PVALUE_CASES)
+    def test_written_pvalues_equal_the_scalar_ones(
+        self, tmp_path, capsys, correction, method, dim, n
+    ):
         data = chain_data(dim, n, seed=7)
         path = tmp_path / "chain.csv"
         write_csv(path, data.names, data.values.tolist())
-        assert main(["select", "--input", str(path), "--method", method]) == 0
+        flags = ["--method", method, "--correction", correction]
+        assert main(["select", "--input", str(path), *flags]) == 0
         written = [d["p_value"] for d in json.loads(capsys.readouterr().out)["decisions"]]
         config = TestConfig(0.05, cli._METHOD_FLAGS[method])
-        graph = select_graph(read_dataset_csv(str(path)), config)
+        graph = select_graph(read_dataset_csv(str(path)), config, correction)
         assert written == [d.p_value for d in graph.decisions]
 
     def test_out_file(self, sample_csv, tmp_path, capsys):
@@ -567,6 +577,40 @@ class TestSelectCommand:
             "error: incomplete beta continued fraction did not converge "
             "for shapes (13.5, 13.5) (n = 30, N = 3)\n"
         )
+
+    @pytest.mark.parametrize("method", ["umpu", "partial-corr", "fisher"])
+    def test_power_of_two_units_write_the_same_bytes(self, tmp_path, capsys, method):
+        # in the data's units S would overflow on the odd columns and
+        # underflow on the even ones
+        data = chain_data(8, 40, seed=2)
+        scale = np.where(np.arange(8) % 2 == 1, 2.0**600, 2.0**-600)
+        outputs = []
+        for name, values in (("unit", data.values), ("scaled", data.values * scale)):
+            path = tmp_path / f"{name}.csv"
+            write_csv(path, data.names, values.tolist())
+            for flags in (["--format", "tsv"], ["--correction", "holm"]):
+                assert main(["select", "--input", str(path), "--method", method, *flags]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+
+    def test_column_spanning_the_double_range(self, tmp_path, capsys):
+        # max - min of the first column overflows in the data's units
+        values = np.array(chain_data(3, 30, seed=2).values)
+        values[:, 0] *= 1.5e308 / np.abs(values[:, 0]).max()
+        values[:2, 0] = [1.5e308, -1.5e308]
+        path = tmp_path / "wide.csv"
+        write_csv(path, ("a", "b", "c"), values.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["select", "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
+    def test_fisher_at_a_tiny_level(self, sample_csv, capsys, alpha):
+        path, _ = sample_csv
+        argv = ["select", "--input", str(path), "--method", "fisher", "--alpha", alpha]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["alpha"] == float(alpha)
 
     def test_missing_input_flag_exit_1(self, capsys):
         assert main(["select"]) == 1
@@ -738,6 +782,12 @@ class TestMonteCarloCommand:
         assert doc["per_method"]["partial_corr"]["rate"] == pytest.approx(
             0.05, abs=0.03
         )
+
+    def test_fisher_at_a_tiny_level(self, capsys):
+        argv = ["montecarlo", "--dim", "3", "--n", "25", "--reps", "1000",
+                "--method", "fisher", "--alpha", "1e-17"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["per_method"]["fisher"]["rejections"] == 0
 
     def test_size_report_prints_rho_zero(self, capsys):
         argv = ["montecarlo", "--dim", "3", "--n", "10", "--reps", "1000", "--rho", "0"]

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.special import betainc, ndtri
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,15 +209,19 @@ class TestExactPValue:
             independence, "_exact_p_value", lambda *a: calls.append(a) or exact(*a)
         )
         d = test(s, i, j, n, 0.05)
-        assert d._p_value is None
+        # nothing at construction; the first read computes it once, and
+        # every read gives the same value
+        assert calls == []
         p = d.p_value
-        assert d._p_value == p == d.p_value
         assert len(calls) == (0 if test is fisher_test else 1)
-        # a copy starts without it, since its statistic may differ
-        again = replace(d, reject=not d.reject)
-        assert again._p_value is None
-        assert again.p_value == p
-        assert len(calls) == (0 if test is fisher_test else 2)
+        assert d.p_value == p == d.p_value
+        # a copy's value follows its own statistic
+        assert replace(d, reject=not d.reject).p_value == p
+        again = replace(d, statistic=d.statistic / 2.0)
+        if test is fisher_test:
+            assert again.p_value == independence._fisher_p_value(d.statistic / 2.0)
+        else:
+            assert again.p_value == exact(d.statistic / 2.0, n, d.dim)
 
     @pytest.mark.parametrize("test", [umpu_test, partial_correlation_test])
     def test_copy_with_another_statistic_has_its_own_pvalue(self, test, rng):
@@ -238,6 +242,13 @@ class TestFisher:
     def test_normal_critical_value(self):
         d = fisher_test(SymmetricMatrix(np.eye(3)), 0, 1, 30, 0.05)
         assert d.upper == pytest.approx(1.959963984540054, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-300])
+    def test_critical_value_at_a_tiny_level(self, alpha):
+        # 1 - alpha/2 rounds to 1 here, so c comes from the lower tail
+        d = fisher_test(SymmetricMatrix(np.eye(3)), 0, 1, 30, alpha)
+        assert d.upper == pytest.approx(-ndtri(alpha / 2.0), rel=1e-13)
+        assert not d.reject
 
     def test_strong_correlation_rejects(self):
         # r = 0.5 with 100 observations: z = 5 ln 3 > 1.96

@@ -21,7 +21,9 @@ def load_study():
 STUDY = load_study()
 
 
-@pytest.mark.parametrize("label, file, text, replacement", STUDY.MUTATIONS)
+@pytest.mark.parametrize(
+    "label, file, text, replacement", STUDY.MUTATIONS, ids=[m[0] for m in STUDY.MUTATIONS]
+)
 def test_mutation_target_occurs_once(label, file, text, replacement):
     code = (ROOT / "src" / file).read_text(encoding="utf-8")
     assert code.count(text) == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,10 +187,11 @@ class TestCorrections:
         data = sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), 150, seed=5)
         graph = select_graph(data, TestConfig(alpha=0.05, method=method), "holm")
         assert graph.edges
-        # Holm reads every p-value, then the output reads them again; the
-        # exact ones come from one array pass over the graph
-        pvalues = [d.p_value for d in graph.decisions]
+        # Holm reads every p-value, then a writer reads the graph's column,
+        # twice here: the exact ones come from Holm's one array pass
+        pvalues = graph._pvalue_column()
         assert len(pvalues) == 435
+        assert graph._pvalue_column() == pvalues
         assert scalar == []
         assert [len(a[0]) for a in bulk] == ([] if method == "fisher" else [435])
 
@@ -339,6 +342,17 @@ class TestBulkPvalues:
         for correction in ("none", "bonferroni"):
             assert select_graph(data, TestConfig(alpha=0.05), correction).edges
 
+    @pytest.mark.parametrize("correction", CORRECTIONS)
+    def test_a_copy_with_other_decisions_has_their_column(self, rng, correction):
+        cfg = TestConfig(alpha=0.05)
+        graph = select_graph(strong_pair_dataset(rng), cfg, correction)
+        other = select_graph(null_dataset(rng, dim=3), cfg, correction)
+        assert graph._pvalue_column() != other._pvalue_column()
+        # the column is not compared, and a copy computes its own
+        assert replace(graph) == graph
+        copy = replace(graph, decisions=other.decisions)
+        assert copy._pvalue_column() == [d.p_value for d in other.decisions]
+
 
 class TestEdgePvalues:
     def test_sorted_by_edge_and_deterministic(self, rng):
@@ -444,6 +458,20 @@ class TestInvarianceProperties:
         assert [d.reject for d in got.decisions] == [d.reject for d in base.decisions]
         for a, b in zip(got.decisions, base.decisions):
             assert a.statistic == pytest.approx(b.statistic, abs=1e-9)
+
+    @pytest.mark.parametrize("correction", CORRECTIONS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_tiny_units_keep_every_decision(self, method, correction):
+        # products of values near 1e-160 are subnormal in the data's units
+        data = chain_graph_data(dim=6, n=50, seed=3, rho=-0.5)
+        tiny = Dataset(values=data.values * 1e-160, names=data.names)
+        cfg = TestConfig(alpha=0.05, method=method)
+        base = select_graph(data, cfg, correction)
+        got = select_graph(tiny, cfg, correction)
+        assert base.edges
+        assert [d.reject for d in got.decisions] == [d.reject for d in base.decisions]
+        for a, b in zip(got.decisions, base.decisions):
+            assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
 
     @given(data=mixed_datasets(), column=st.integers(0, 6))
     @settings(max_examples=40)
