@@ -14,8 +14,8 @@ interpreter:
   half by 1e-5).
 
 One row per mutation gives, per call, the exit code, the counts of
-decision disagreements (d) and raw-scale disagreements (raw), and the
-largest |t - r| (gap); an exit without a report (2: the edge admits no
+decision disagreements (d) and raw-scale disagreements (raw), the
+largest |t - r| (gap) and the largest |(1 - 2q) - c| (tgap); an exit without a report (2: the edge admits no
 positive-definite completion) shows the code alone.  The script exits 1
 when the unmutated copy fails any call, or when any mutation exits 0 on
 any call: a mutation that verify lets pass is a bug it would not catch.
@@ -40,27 +40,29 @@ MATRICES = "concgraph/matrices.py"
 MUTATIONS = (
     ("q at alpha, not alpha/2", INDEPENDENCE,
      "q = beta_sym_quantile(alpha / 2.0,", "q = beta_sym_quantile(alpha,"),
+    ("beta shape m + 1/2", INDEPENDENCE,
+     "(n - s.dim) / 2.0)", "(n - s.dim + 1) / 2.0)"),
     ("x1 and x2 swapped", INDEPENDENCE,
-     "scale * (interval.x1 + width * q), scale * (interval.x2 - width * q)",
-     "scale * (interval.x2 - width * q), scale * (interval.x1 + width * q)"),
+     "scale * (x1 + width * q), scale * (x2 - width * q)",
+     "scale * (x2 - width * q), scale * (x1 + width * q)"),
     ("s_ii read for s_ij", INDEPENDENCE,
-     "threshold_reject(float(s.entries[i, j]), c_lo, c_hi)",
-     "threshold_reject(float(s.entries[i, i]), c_lo, c_hi)"),
+     "threshold_reject(s.entries[i, j], c_lo, c_hi)",
+     "threshold_reject(s.entries[i, i], c_lo, c_hi)"),
     ("scale factor dropped", INDEPENDENCE,
-     "scale = math.sqrt(s.entries[i, i]) * math.sqrt(s.entries[j, j])", "scale = 1.0"),
+     "scale = np.sqrt(s.entries[i, i]) * np.sqrt(s.entries[j, j])", "scale = 1.0"),
     ("s_ii as the scale factor", INDEPENDENCE,
-     "scale = math.sqrt(s.entries[i, i]) * math.sqrt(s.entries[j, j])",
+     "scale = np.sqrt(s.entries[i, i]) * np.sqrt(s.entries[j, j])",
      "scale = s.entries[i, i]"),
     ("half the interval width", INDEPENDENCE,
-     "width = interval.x2 - interval.x1", "width = (interval.x2 - interval.x1) / 2.0"),
+     "width = x2 - x1", "width = (x2 - x1) / 2.0"),
     ("-b for b in pd_interval's roots", MATRICES,
-     "x1=(b - root) / (2.0 * a), x2=(b + root) / (2.0 * a)",
-     "x1=(-b - root) / (2.0 * a), x2=(-b + root) / (2.0 * a)"),
+     "(b - root) / (2.0 * a), (b + root) / (2.0 * a)",
+     "(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)"),
     ("x * 1.5 in t", INDEPENDENCE,
-     "t = edge_statistic(quadratic, float(f._scaled[i, j]))",
-     "t = edge_statistic(quadratic, 1.5 * float(f._scaled[i, j]))"),
+     "_lemma_coefficients(f, i, j), f._scaled[i, j])",
+     "_lemma_coefficients(f, i, j), 1.5 * f._scaled[i, j])"),
     ("-a in the lemma", MATRICES,
-     "return QuadCoeffs(k,", "return QuadCoeffs(-k,"),
+     "return k, 2.0", "return -k, 2.0"),
     ("b's sign in the lemma", MATRICES,
      "2.0 * (g + k * r)", "-2.0 * (g + k * r)"),
     ("b without its 2 in the lemma", MATRICES,
@@ -68,12 +70,12 @@ MUTATIONS = (
     ("c without its 2 in the lemma", MATRICES,
      "1.0 - 2.0 * g * r - k * r * r", "1.0 - g * r - k * r * r"),
     ("k with +g**2 in the lemma", MATRICES,
-     "k = float(inverse[i, i]) * float(inverse[j, j]) - g * g",
-     "k = float(inverse[i, i]) * float(inverse[j, j]) + g * g"),
+     "k = table[i, i] * table[j, j] - g * g",
+     "k = table[i, i] * table[j, j] + g * g"),
     ("G_ii read for G_ij", MATRICES,
-     "g = float(inverse[i, j])", "g = float(inverse[i, i])"),
+     "g = table[i, j]", "g = table[i, i]"),
     ("G_ij * (1 + 1e-6)", MATRICES,
-     "g = float(inverse[i, j])", "g = float(inverse[i, j]) * (1.0 + 1e-6)"),
+     "g = table[i, j]", "g = table[i, j] * (1.0 + 1e-6)"),
 )
 
 CHAIN = ("chain40", 40, 160, 4)
@@ -115,7 +117,7 @@ def run(src: Path, args: list[str]) -> tuple[int, str]:
         return proc.returncode, str(proc.returncode)
     return proc.returncode, (
         f"{proc.returncode}, d {doc['disagreements']}, raw {doc['raw_scale_disagreements']}, "
-        f"gap {doc['max_statistic_gap']:.1e}"
+        f"gap {doc['max_statistic_gap']:.1e}, tgap {doc['max_threshold_gap']:.1e}"
     )
 
 

@@ -38,8 +38,8 @@ from .errors import (
 )
 from .estimators import Dataset
 from .distributions import beta_sym_quantile, null_corr_quantile
-from .independence import TestConfig, verify_equivalence
-from .selection import CORRECTIONS, _validated_covariance, all_pairs, select_graph
+from .independence import TestConfig, _umpu_route, run_edge_test, verify_equivalence
+from .selection import CORRECTIONS, _validated_covariance, select_graph
 from .simulate import (
     PrecisionSpec,
     _check_instance_count,
@@ -56,6 +56,7 @@ EXIT_DATA = 2
 EXIT_EQUIVALENCE = 3
 
 STATISTIC_GAP_LIMIT = 1e-9
+THRESHOLD_GAP_LIMIT = 1e-10
 
 _DATA_ERRORS = (ConcgraphError, OSError)
 
@@ -128,8 +129,9 @@ def _emit(obj) -> str:
 
 
 def _column_cells(columns) -> tuple[list[str], list[list]]:
-    """The format field and the values of each column of a table, for
-    ``str.format`` to write every row from one template.
+    """The format field and the values of each column of a table, a list
+    or a 1-d array, for ``str.format`` to write every row from one
+    template.
 
     A float column is checked for finiteness once and written at 17
     significant digits, as ``_format_float`` writes one float, with the
@@ -139,7 +141,7 @@ def _column_cells(columns) -> tuple[list[str], list[list]]:
     """
     fields, cells = [], []
     for column in columns:
-        if column and type(column[0]) is str:
+        if len(column) and type(column[0]) is str:
             # not through numpy, whose strings drop trailing NULs
             fields.append("{}")
             cells.append(column)
@@ -162,7 +164,7 @@ def _column_cells(columns) -> tuple[list[str], list[list]]:
     return fields, cells
 
 
-def _json_table(columns: dict[str, list]) -> _JsonText:
+def _json_table(columns: dict) -> _JsonText:
     """The JSON array of flat row objects, row k holding element k of
     every column under the column's key: the bytes ``_emit`` writes for
     the list of row dicts, from one row template formatted per row."""
@@ -365,12 +367,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         try:
             data = read_dataset_csv(args.input)
             s = _validated_covariance(data)
-            instances = [
-                (s, i, j, data.n, args.alpha) for i, j in all_pairs(data.dim)
-            ]
         except _DATA_ERRORS as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_DATA
+        # One public test decides each pair; umpu's route checks them all
+        # in one pass.
+        i, j = np.triu_indices(data.dim, 1)
+        pc = [
+            run_edge_test("partial_corr", s, a, b, data.n, args.alpha)
+            for a, b in zip(i.tolist(), j.tolist())
+        ]
+        r = np.array([d.statistic for d in pc])
+        upper = np.array([d.upper for d in pc])
+        pc_reject = np.array([d.reject for d in pc], dtype=bool)
+        t, c, _, _, reject, raw_reject = _umpu_route(s, i, j, data.n, args.alpha)
+        same, raw_agrees = reject == pc_reject, raw_reject == reject
+        gap, threshold_gap = np.abs(t - r), np.abs(c - upper)
     else:
         # Checked before the first instance is drawn, so that a bad count
         # is a usage error and not a failure of the generator.
@@ -379,32 +391,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except DomainError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_USAGE
+        # each report is reduced to its four checks as it is made
         instances = random_covariance_instances(args.reps, args.seed)
+        reports = (verify_equivalence(*instance) for instance in instances)
+        same, raw_agrees, gap, threshold_gap = map(np.array, zip(*[
+            (rep.same_decision, rep.raw_scale_agrees, rep.statistic_gap, rep.threshold_gap)
+            for rep in reports
+        ]))
 
-    disagreements = 0
-    raw_disagreements = 0
-    max_gap = 0.0
-    max_threshold_gap = 0.0
-    count = 0
-    rows = []
-    for s, i, j, n, alpha in instances:
-        report = verify_equivalence(s, i, j, n, alpha)
-        count += 1
-        disagreements += not report.same_decision
-        raw_disagreements += not report.raw_scale_agrees
-        max_gap = max(max_gap, report.statistic_gap)
-        max_threshold_gap = max(max_threshold_gap, report.threshold_gap)
-        if args.input is not None:
-            pc = report.partial_corr
-            rows.append(
-                (
-                    i, j, report.umpu.statistic, pc.statistic,
-                    pc.lower, pc.upper, pc.reject, report.statistic_gap,
-                )
-            )
-    ok = disagreements == 0 and raw_disagreements == 0 and max_gap <= STATISTIC_GAP_LIMIT
+    disagreements = int(np.count_nonzero(~same))
+    raw_disagreements = int(np.count_nonzero(~raw_agrees))
+    max_gap = float(gap.max(initial=0.0))
+    max_threshold_gap = float(threshold_gap.max(initial=0.0))
+    ok = (
+        disagreements == 0
+        and raw_disagreements == 0
+        and max_gap <= STATISTIC_GAP_LIMIT
+        and max_threshold_gap <= THRESHOLD_GAP_LIMIT
+    )
     doc = {
-        "instances": count,
+        "instances": len(gap),
         "disagreements": disagreements,
         "raw_scale_disagreements": raw_disagreements,
         "max_statistic_gap": max_gap,
@@ -415,9 +421,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     if args.input is not None:
         keys = ("i", "j", "t", "r", "lower", "upper", "reject", "gap")
-        # named empty columns when the file has no pair: the table is "[]"
-        columns = list(zip(*rows)) or [()] * len(keys)
-        doc["edges"] = _json_table(dict(zip(keys, map(list, columns))))
+        columns = (i, j, t, r, -upper, upper, pc_reject, gap)
+        doc["edges"] = _json_table(dict(zip(keys, columns)))
     _write_output(json_dumps(doc), args.out)
     return EXIT_OK if ok else EXIT_EQUIVALENCE
 

@@ -18,15 +18,18 @@ The standardized statistic t equals r identically and 1 - 2q is the
 critical value c of r, so the first two tests are one decision rule:
 both read r from the covariance matrix's one correlation-scaled
 factorization and decide it at c, and testing every pair costs one
-O(N^3) factorization in total.  ``verify_equivalence`` keeps the
-conditional route as the reference it checks: it standardizes the entry
+O(N^3) factorization in total.  ``_umpu_route`` keeps the conditional
+route as the reference that ``verify`` checks: it standardizes the entry
 R_ij of the correlation-scaled matrix R through the determinant
-quadratic of R, decides t at 1 - 2q, and measures the gap to r.  The
-quadratic of every pair comes from one LAPACK inverse of R by the matrix
-determinant lemma, so checking every pair also costs O(N^3) in total.
-The scaling leaves t unchanged and keeps the quadratic well conditioned
-whatever the units of the variables.  ``umpu_raw_thresholds`` scales
-that quadratic's interval back to S.
+quadratic of R, decides t at 1 - 2q, and scales the quadratic's interval
+back to S for the thresholds of ``umpu_raw_thresholds``.  Every step is
+a numpy expression over index arrays of pairs, and every quadratic comes
+from one LAPACK inverse of R by the matrix determinant lemma, so
+``verify --input`` checks all pairs in one O(N^3) pass next to one
+public partial-correlation test per pair, the decision being checked;
+``verify_equivalence`` runs the same route on its one pair.  The
+scaling leaves t unchanged and keeps the quadratic well conditioned
+whatever the units of the variables.
 
 The three tests are one body, ``_edge_test``: it checks the inputs,
 reads r from the one factorization, forms the statistic (r, or Fisher's
@@ -43,6 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import (
     _half_shape,
     beta_sym_quantile,
@@ -55,12 +60,10 @@ from .errors import DomainError
 from .estimators import _pd_factorization
 from .matrices import (
     Factorization,
-    QuadCoeffs,
     SymmetricMatrix,
     _check_offdiagonal,
-    _lemma_quadratic,
-    edge_statistic,
-    pd_interval,
+    _lemma_coefficients,
+    _roots_and_statistic,
 )
 
 __all__ = [
@@ -147,8 +150,9 @@ class EquivalenceReport:
 
 
 def threshold_reject(statistic: float, lower: float, upper: float) -> bool:
-    """Closed rejection rule: reject iff statistic <= lower or >= upper."""
-    return statistic <= lower or statistic >= upper
+    """Closed rejection rule: reject iff statistic <= lower or >= upper;
+    elementwise when any argument is an array."""
+    return (statistic <= lower) | (statistic >= upper)
 
 
 def _decision(
@@ -219,20 +223,22 @@ def umpu_test(
     return _edge_test("umpu", s, i, j, n, alpha)
 
 
-def _conditional_route(
-    s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
-) -> tuple[QuadCoeffs, float, float, float]:
-    """umpu's conditional route at edge (i, j), for inputs that
-    ``_validate_test_inputs`` has accepted: R's quadratic at the edge;
-    1 - 2q, with q the Beta(m, m) quantile at alpha/2; and the thresholds
-    (c_lo, c_hi) of :func:`umpu_raw_thresholds`."""
-    quadratic = _lemma_quadratic(s.factorization, i, j)
+def _umpu_route(s: SymmetricMatrix, i, j, n: int, alpha: float):
+    """umpu's conditional route at the pairs (i, j), two ints or two index
+    arrays, for inputs that ``_validate_test_inputs`` has accepted: t,
+    R_ij standardized by R's quadratic at each pair; 1 - 2q, with q the
+    Beta(m, m) quantile at alpha/2; the thresholds (c_lo, c_hi) of
+    :func:`umpu_raw_thresholds`; and the decisions of t at 1 - 2q and of
+    s_ij at (c_lo, c_hi).  Every step is a numpy expression of R and
+    G = R^-1, so the pairs of a matrix are checked in one pass."""
+    f = s.factorization
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
-    interval = pd_interval(quadratic)
-    width = interval.x2 - interval.x1
-    scale = math.sqrt(s.entries[i, i]) * math.sqrt(s.entries[j, j])
-    c_lo, c_hi = scale * (interval.x1 + width * q), scale * (interval.x2 - width * q)
-    return quadratic, 1.0 - 2.0 * q, c_lo, c_hi
+    x1, x2, t = _roots_and_statistic(*_lemma_coefficients(f, i, j), f._scaled[i, j])
+    width = x2 - x1
+    scale = np.sqrt(s.entries[i, i]) * np.sqrt(s.entries[j, j])
+    c_lo, c_hi = scale * (x1 + width * q), scale * (x2 - width * q)
+    c, raw_reject = 1.0 - 2.0 * q, threshold_reject(s.entries[i, j], c_lo, c_hi)
+    return t, c, c_lo, c_hi, threshold_reject(t, -c, c), raw_reject
 
 
 def umpu_raw_thresholds(
@@ -255,7 +261,8 @@ def umpu_raw_thresholds(
     multiplies the result.
     """
     _validate_test_inputs(s, i, j, n, alpha)
-    return _conditional_route(s, i, j, n, alpha)[2:]
+    c_lo, c_hi = _umpu_route(s, i, j, n, alpha)[2:4]
+    return float(c_lo), float(c_hi)
 
 
 def partial_correlation_test(
@@ -287,7 +294,8 @@ def verify_equivalence(
     The quadratic is read from R^-1, one LAPACK inverse that the
     covariance's factorization computes on the first call, so that
     checking every pair of a matrix costs O(N^3) in total; it never reads
-    the sweep that gives r.
+    the sweep that gives r.  ``verify --input`` runs the same route on
+    every pair of its matrix at once.
 
     Contract: statistic_gap <= 1e-9, identical decisions, and threshold
     gap |(1 - 2q) - c| <= 1e-10; the raw-scale decision must agree with
@@ -296,18 +304,15 @@ def verify_equivalence(
     # The test validates the inputs that both routes read; one quadratic
     # of R then serves t (R_ij standardized) and the raw-scale thresholds.
     pc = partial_correlation_test(s, i, j, n, alpha)
-    quadratic, c, c_lo, c_hi = _conditional_route(s, i, j, n, alpha)
-    f = s.factorization
-    t = edge_statistic(quadratic, float(f._scaled[i, j]))
-    u = _decision("umpu", i, j, t, c, n, s.dim)
+    t, c, _, _, _, raw_reject = _umpu_route(s, i, j, n, alpha)
+    u = _decision("umpu", i, j, float(t), c, n, s.dim)
     signed_gap = u.statistic - pc.statistic
-    raw_reject = threshold_reject(float(s.entries[i, j]), c_lo, c_hi)
     return EquivalenceReport(
         statistic_gap=abs(signed_gap),
         signed_gap=signed_gap,
         threshold_gap=abs(u.upper - pc.upper),
         same_decision=u.reject == pc.reject,
-        raw_scale_agrees=raw_reject == u.reject,
+        raw_scale_agrees=bool(raw_reject) == u.reject,
         umpu=u,
         partial_corr=pc,
     )

@@ -11,8 +11,8 @@ replications, is checked once and factored with one sweep of the whole
 stack.
 
 Determinant quadratics serve only the verification route, which
-``verify_equivalence`` runs on R to check the partial correlations that
-the tests read.  It rests on the quadratic behaviour of the determinant
+``verify`` runs on R to check the partial correlations that the tests
+read.  It rests on the quadratic behaviour of the determinant
 when a single off-diagonal pair of entries is treated as a free
 variable.  Writing ``M(x)`` for the matrix with entries (i, j) and (j, i)
 replaced by x,
@@ -32,9 +32,12 @@ d = x - m_ij,
     det M(x) / det M = (1 + d G_ij)**2 - d**2 G_ii G_jj.
 
 The roots and the edge statistic do not change under a positive scale of
-a, b and c, so verify reads this quadratic of every pair of R, from one
-LAPACK inverse of R computed on first use and kept with the
-factorization.  It never reads the sweep above, so the route stays
+a, b and c, so verify reads this quadratic of R from one LAPACK inverse
+of R, computed on first use and kept with the factorization.  The
+coefficients, roots and statistic are numpy expressions over index
+arrays of pairs, so every pair of a matrix is checked in one pass;
+``pd_interval`` and ``edge_statistic`` are the same formulas on one
+quadratic.  The route never reads the sweep above, so it stays
 independent of what it checks.  ``quadratic_decomposition``, which
 extracts the coefficients from three determinants of probe matrices, is
 the route's oracle and serves the lemma check of the acceptance suite;
@@ -43,7 +46,6 @@ cofactors serve that check alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -83,7 +85,7 @@ class Factorization:
     off-diagonal entry (i, j) is r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1,
     and ``_scaled`` holds R's checked, write-locked entries; both are
     None otherwise.  ``_lemma_table`` is R^-1 from LAPACK, computed the
-    first time it is read, for the quadratics of :func:`_lemma_quadratic`.
+    first time it is read, for the quadratics of :func:`_lemma_coefficients`.
     """
 
     pivot: int | None
@@ -339,33 +341,51 @@ def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
     return QuadCoeffs(a, (dplus - dminus) / (2.0 * xbar), d0, i, j)
 
 
-def _lemma_quadratic(f: Factorization, i: int, j: int) -> QuadCoeffs:
-    """Coefficients of det M(x) / det R = -a x**2 + b x + c for edge (i, j)
-    of the positive definite correlation matrix R of a factorization, by
-    the matrix determinant lemma (see the module docstring).  With
-    G = R^-1, g = G_ij, k = G_ii G_jj - g**2 and r = R_ij:
+def _lemma_coefficients(f: Factorization, i, j):
+    """Coefficients a, b and c of det M(x) / det R = -a x**2 + b x + c at
+    the pairs (i, j), two ints or two index arrays, of the positive
+    definite correlation matrix R of a factorization, by the matrix
+    determinant lemma (see the module docstring).  With G = R^-1,
+    g = G_ij, k = G_ii G_jj - g**2 and r = R_ij:
 
         a = k,   b = 2 (g + k r),   c = 1 - 2 g r - k r**2.
 
     O(1) per pair after the factorization's one inverse of R.  The
     indices are not checked.
     """
-    inverse = f._lemma_table
-    r = float(f._scaled[i, j])
-    g = float(inverse[i, j])
-    k = float(inverse[i, i]) * float(inverse[j, j]) - g * g
-    return QuadCoeffs(k, 2.0 * (g + k * r), 1.0 - 2.0 * g * r - k * r * r, i, j)
+    table = f._lemma_table
+    r = f._scaled[i, j]
+    g = table[i, j]
+    k = table[i, i] * table[j, j] - g * g
+    return k, 2.0 * (g + k * r), 1.0 - 2.0 * g * r - k * r * r
 
 
-def _unit_scaled(q: QuadCoeffs) -> tuple[float, float, float]:
-    """a, b and c divided by the power of two that brings the largest of
-    them into [0.5, 1).  The roots and the edge statistic do not change
-    under a positive scale, and a power of two changes no bit of them, but
-    b**2 and a c no longer underflow when det M is tiny, as on the probe
-    route of a large matrix: det R is about 1e-185 for a correlation
-    matrix of 1000 variables."""
-    e = -math.frexp(max(abs(q.a), abs(q.b), abs(q.c)))[1]
-    return math.ldexp(q.a, e), math.ldexp(q.b, e), math.ldexp(q.c, e)
+def _roots_and_statistic(a, b, c, x):
+    """Roots x1 < x2 of each quadratic -a x**2 + b x + c, elementwise over
+    floats or arrays, and the edge statistic of :func:`edge_statistic` at
+    x.  Raises the DegenerateEdge of :func:`pd_interval` for the first
+    quadratic, in order, with a <= 0 or a discriminant that is not positive.
+
+    a, b and c are first divided by the power of two that brings the
+    largest of them into [0.5, 1).  That changes no bit of the roots or
+    the statistic, but b**2 and a c no longer underflow when det M is
+    tiny, as on the probe route of a large matrix: det R is about 1e-185
+    for a correlation matrix of 1000 variables.
+    """
+    lead = a
+    e = -np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c)))[1]
+    a, b, c = np.ldexp(a, e), np.ldexp(b, e), np.ldexp(c, e)
+    disc = b * b + 4.0 * a * c
+    bad = (lead <= 0.0) | (disc <= 0.0)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        lead, disc = np.ravel(lead)[k], np.ravel(disc)[k]
+        if lead <= 0.0:
+            raise DegenerateEdge(f"leading coefficient a = {float(lead)} is not positive")
+        raise DegenerateEdge(f"discriminant {float(disc)} is not positive")
+    root = np.sqrt(disc)
+    x1, x2 = (b - root) / (2.0 * a), (b + root) / (2.0 * a)
+    return x1, x2, (a * x - b / 2.0) / np.sqrt(b * b / 4.0 + a * c)
 
 
 def pd_interval(q: QuadCoeffs) -> PdInterval:
@@ -375,14 +395,8 @@ def pd_interval(q: QuadCoeffs) -> PdInterval:
     positive, which signals that the fixed off-edge entries admit no
     positive-definite completion.
     """
-    if q.a <= 0.0:
-        raise DegenerateEdge(f"leading coefficient a = {q.a} is not positive")
-    a, b, c = _unit_scaled(q)
-    disc = b * b + 4.0 * a * c
-    if disc <= 0.0:
-        raise DegenerateEdge(f"discriminant {disc} is not positive")
-    root = math.sqrt(disc)
-    return PdInterval(x1=(b - root) / (2.0 * a), x2=(b + root) / (2.0 * a))
+    x1, x2, _ = _roots_and_statistic(q.a, q.b, q.c, 0.0)
+    return PdInterval(x1=float(x1), x2=float(x2))
 
 
 def edge_statistic(q: QuadCoeffs, x: float) -> float:
@@ -391,11 +405,7 @@ def edge_statistic(q: QuadCoeffs, x: float) -> float:
     Equals -1 at x1, +1 at x2 and increases strictly in between; for
     x = s_ij it coincides with the sample partial correlation.
     """
-    a, b, c = _unit_scaled(q)
-    denom = b * b / 4.0 + a * c
-    if a <= 0.0 or denom <= 0.0:
-        raise DegenerateEdge("edge admits no positive-definite completion")
-    return (a * x - b / 2.0) / math.sqrt(denom)
+    return float(_roots_and_statistic(q.a, q.b, q.c, x)[2])
 
 
 _PROBE_FRACTIONS = (-1.0, -0.5, 0.0, 0.5, 1.0)

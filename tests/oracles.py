@@ -9,7 +9,9 @@ CDFs by adaptive quadrature of smooth trig-substituted integrands,
 quantiles by bisection of those quadrature CDFs, the normal quantile by
 bisection of an erf-based CDF, Monte Carlo runs one replication at a
 time, umpu's raw-scale thresholds by the determinant quadratic of
-S / g (the package scales the quadratic of R instead), and Holm by
+S / g (the package scales the quadratic of R instead), umpu's
+conditional route one pair at a time in Python floats (the package
+evaluates it over index arrays), and Holm by
 deciding every pair twice with scalar p-values (the package decides each
 pair once, after one array pass of p-values).
 """
@@ -294,6 +296,33 @@ def umpu_raw_thresholds_geometric(s: SymmetricMatrix, i: int, j: int, n: int, al
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
     width = interval.x2 - interval.x1
     return g * (interval.x1 + width * q), g * (interval.x2 - width * q)
+
+
+def conditional_route(s: SymmetricMatrix, i: int, j: int, n: int, alpha: float):
+    """umpu's conditional route at one pair, one Python float at a time,
+    as the package computed it before the route became array formulas:
+    the lemma quadratic of R from G = R^-1, scaled by the power of two
+    that brings its largest coefficient into [0.5, 1), its roots, t at
+    R_ij, 1 - 2q and the raw-scale thresholds.  Returns (t, 1 - 2q, c_lo,
+    c_hi, t's decision, s_ij's decision at (c_lo, c_hi))."""
+    f = s.factorization
+    inverse = f._lemma_table
+    r = float(f._scaled[i, j])
+    g = float(inverse[i, j])
+    k = float(inverse[i, i]) * float(inverse[j, j]) - g * g
+    coeffs = (k, 2.0 * (g + k * r), 1.0 - 2.0 * g * r - k * r * r)
+    e = -math.frexp(max(map(abs, coeffs)))[1]
+    a, b, c = (math.ldexp(v, e) for v in coeffs)
+    root = math.sqrt(b * b + 4.0 * a * c)
+    x1, x2 = (b - root) / (2.0 * a), (b + root) / (2.0 * a)
+    t = (a * r - b / 2.0) / math.sqrt(b * b / 4.0 + a * c)
+    q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
+    width = x2 - x1
+    scale = math.sqrt(s.entries[i, i]) * math.sqrt(s.entries[j, j])
+    c_lo, c_hi = scale * (x1 + width * q), scale * (x2 - width * q)
+    x = float(s.entries[i, j])
+    crit = 1.0 - 2.0 * q
+    return t, crit, c_lo, c_hi, t <= -crit or t >= crit, x <= c_lo or x >= c_hi
 
 
 def random_pd_matrix(rng: np.random.Generator, dim: int, jitter: float = 0.5):

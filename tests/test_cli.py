@@ -636,10 +636,36 @@ class TestVerifyCommand:
         assert "unrecognized arguments: --inject-sign-flip" in capsys.readouterr().err
 
     def test_wrong_conditional_route_fails(self, monkeypatch, capsys):
-        statistic = independence.edge_statistic
-        monkeypatch.setattr(independence, "edge_statistic", lambda q, x: -statistic(q, x))
+        route = independence._roots_and_statistic
+
+        def flipped(a, b, c, x):
+            x1, x2, t = route(a, b, c, x)
+            return x1, x2, -t
+
+        monkeypatch.setattr(independence, "_roots_and_statistic", flipped)
         assert main(["verify", "--reps", "200"]) == 3
         assert json.loads(capsys.readouterr().out)["equivalent"] is False
+
+    @pytest.mark.parametrize("mode", ["reps", "input"])
+    def test_threshold_gap_above_its_limit_fails(self, tmp_path, monkeypatch, capsys, mode):
+        # the route's q off by a relative 1e-9 moves 1 - 2q by about 1e-9:
+        # above the 1e-10 limit on |(1 - 2q) - c|, and moving no decision
+        quantile = independence.beta_sym_quantile
+        monkeypatch.setattr(
+            independence, "beta_sym_quantile", lambda p, m: quantile(p, m) * (1.0 + 1e-9)
+        )
+        argv = ["verify", "--reps", "200", "--seed", "3"]
+        if mode == "input":
+            data = chain_data(40, 160, seed=4)
+            path = tmp_path / "chain.csv"
+            write_csv(path, data.names, data.values.tolist())
+            argv = ["verify", "--input", str(path)]
+        assert main(argv) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["disagreements"] == doc["raw_scale_disagreements"] == 0
+        assert doc["max_statistic_gap"] <= 1e-9
+        assert doc["max_threshold_gap"] > 1e-10
+        assert doc["equivalent"] is False
 
     def test_input_with_perturbed_lemma_inverse_fails(self, tmp_path, monkeypatch, capsys):
         # G_ij of R^-1 off by a relative 1e-6 at one pair fails the check

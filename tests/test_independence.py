@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from concgraph import independence, matrices
+from concgraph import independence, matrices, selection
 from concgraph import (
+    Dataset,
     DomainError,
     InsufficientSample,
     NotPositiveDefinite,
@@ -344,6 +345,40 @@ def test_exact_tests_decide_at_millions_of_observations():
         assert d.upper == pytest.approx(1.959963984540054 / math.sqrt(4_999_997), rel=1e-3)
 
 
+class TestArrayRoute:
+    """umpu's conditional route over index arrays against the per-pair
+    oracle, bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(s, i, j, n, alpha):
+        route = independence._umpu_route(s, i, j, n, alpha)
+        columns = [np.atleast_1d(v) for v in np.broadcast_arrays(*route)]
+        for k, (a, b) in enumerate(zip(np.atleast_1d(i).tolist(), np.atleast_1d(j).tolist())):
+            got = tuple(column[k] for column in columns)
+            assert got == oracles.conditional_route(s, a, b, n, alpha)
+
+    @staticmethod
+    def chain_covariance(scale):
+        k = np.eye(40)
+        idx = np.arange(39)
+        k[idx, idx + 1] = k[idx + 1, idx] = -0.3
+        data = sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), 160, seed=4)
+        return selection._validated_covariance(Dataset(data.values * scale, data.names))
+
+    @pytest.mark.parametrize(
+        "scale", [1.0, np.where(np.arange(40) < 20, 1e5, 1e-5)], ids=["chain", "mixed-units"]
+    )
+    def test_every_pair_of_an_n40_file(self, scale):
+        s = self.chain_covariance(scale)
+        i, j = np.triu_indices(40, 1)
+        self.assert_matches_oracle(s, i, j, 160, 0.05)
+
+    def test_one_pair_of_random_instances(self):
+        # the one-pair route of verify_equivalence and umpu_raw_thresholds
+        for s, i, j, n, alpha in random_covariance_instances(500, seed=12):
+            self.assert_matches_oracle(s, i, j, n, alpha)
+
+
 class TestEquivalence:
     def test_identity_instance(self):
         report = verify_equivalence(SymmetricMatrix(np.eye(4)), 0, 1, 10, 0.05)
@@ -455,8 +490,13 @@ class TestEquivalence:
     def test_wrong_conditional_route_is_caught(self, monkeypatch):
         # verify checks r against the determinant route, not r against
         # itself: a route that gets t's sign wrong opens a gap
-        statistic = independence.edge_statistic
-        monkeypatch.setattr(independence, "edge_statistic", lambda q, x: -statistic(q, x))
+        route = independence._roots_and_statistic
+
+        def flipped(a, b, c, x):
+            x1, x2, t = route(a, b, c, x)
+            return x1, x2, -t
+
+        monkeypatch.setattr(independence, "_roots_and_statistic", flipped)
         report = verify_equivalence(STRONG_EDGE, 0, 1, 10, 0.05)
         assert report.statistic_gap > 1e-9
 

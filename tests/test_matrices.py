@@ -25,7 +25,13 @@ from concgraph import (
     sylvester_residual,
 )
 from concgraph import matrices
-from concgraph.matrices import _det, _factorize, _lemma_quadratic, _matrix_stack
+from concgraph.matrices import (
+    _det,
+    _factorize,
+    _lemma_coefficients,
+    _matrix_stack,
+    _roots_and_statistic,
+)
 
 WORKED = SymmetricMatrix([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
 
@@ -390,12 +396,12 @@ def lemma_error(f, i: int, j: int) -> float:
     """Largest difference between the lemma route's a, b, c and the probe
     route's on R divided by det R, relative to the largest of the probe
     route's three."""
-    got = _lemma_quadratic(f, i, j)
+    got = _lemma_coefficients(f, i, j)
     det = np.linalg.det(f._scaled)
     probe = quadratic_decomposition(SymmetricMatrix(f._scaled), i, j)
     want = (probe.a / det, probe.b / det, probe.c / det)
     size = max(map(abs, want))
-    return max(abs(u - v) for u, v in zip((got.a, got.b, got.c), want)) / size
+    return max(abs(u - v) for u, v in zip(got, want)) / size
 
 
 class TestLemmaQuadratic:
@@ -424,10 +430,10 @@ class TestLemmaQuadratic:
         # R = WORKED / 2, and with r_01 = x its determinant is
         # -x**2 + x/2 + 1/2; the lemma route gives it divided by det R,
         # which doubles every coefficient, and so the tolerance
-        q = _lemma_quadratic(WORKED.factorization, 0, 1)
+        got = _lemma_coefficients(WORKED.factorization, 0, 1)
         det = np.linalg.det(WORKED.entries / 2.0)
-        want = (1.0 / det, 0.5 / det, 0.5 / det, 0, 1)
-        assert (q.a, q.b, q.c, q.i, q.j) == pytest.approx(want, abs=2e-15)
+        want = (1.0 / det, 0.5 / det, 0.5 / det)
+        assert got == pytest.approx(want, abs=2e-15)
 
 
 class TestPdInterval:
@@ -436,7 +442,7 @@ class TestPdInterval:
         # det M of a correlation matrix with a thousand variables is near
         # 1e-185, where b**2 and a c underflow unless the quadratic is
         # scaled first; a power of two changes no bit of the result
-        q = _lemma_quadratic(pd_matrix_from_seed(5, 6).factorization, 1, 4)
+        q = QuadCoeffs(*_lemma_coefficients(pd_matrix_from_seed(5, 6).factorization, 1, 4), 1, 4)
         scaled = QuadCoeffs(*(math.ldexp(v, power) for v in (q.a, q.b, q.c)), 1, 4)
         assert pd_interval(scaled) == pd_interval(q)
         for x in (-0.5, 0.0, 0.3):
@@ -453,6 +459,19 @@ class TestPdInterval:
     def test_zero_discriminant_degenerate(self):
         with pytest.raises(DegenerateEdge):
             pd_interval(QuadCoeffs(a=1.0, b=0.0, c=0.0, i=0, j=1))
+
+    def test_first_degenerate_quadratic_in_order_is_named(self):
+        # a negative discriminant and a negative a: whichever comes first
+        # raises the error pd_interval raises for it alone
+        good, bad_disc, bad_a = (1.0, 0.0, 1.0), (1.0, 0.0, -3.0), (-0.5, 0.0, 1.0)
+        cases = (([good, bad_disc, bad_a], bad_disc), ([bad_a, good, bad_disc], bad_a))
+        for quadratics, first in cases:
+            with pytest.raises(DegenerateEdge) as want:
+                pd_interval(QuadCoeffs(*first, 0, 1))
+            with pytest.raises(DegenerateEdge) as got:
+                _roots_and_statistic(*np.array(quadratics).T, 0.0)
+            assert str(got.value) == str(want.value)
+        assert str(want.value) == "leading coefficient a = -0.5 is not positive"
 
     def test_nonpositive_leading_coefficient_degenerate(self):
         with pytest.raises(DegenerateEdge):
