@@ -58,6 +58,9 @@ EXIT_EQUIVALENCE = 3
 STATISTIC_GAP_LIMIT = 1e-9
 THRESHOLD_GAP_LIMIT = 1e-10
 
+# Exit 2 with one error line: a library error that no command maps to
+# another code, or an input that cannot be read or an --out that cannot be
+# written.
 _DATA_ERRORS = (ConcgraphError, OSError)
 
 _METHOD_FLAGS = {"umpu": "umpu", "partial-corr": "partial_corr", "fisher": "fisher"}
@@ -344,14 +347,8 @@ def _graph_tsv(graph) -> str:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    try:
-        data = read_dataset_csv(args.input)
-        graph = select_graph(
-            data, TestConfig(alpha=args.alpha, method=args.method), args.correction
-        )
-    except _DATA_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
+    data = read_dataset_csv(args.input)
+    graph = select_graph(data, TestConfig(alpha=args.alpha, method=args.method), args.correction)
     if args.fmt == "json":
         text = _graph_json(graph, data, args)
     elif args.fmt == "dot":
@@ -364,12 +361,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.input is not None:
-        try:
-            data = read_dataset_csv(args.input)
-            s = _validated_covariance(data)
-        except _DATA_ERRORS as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_DATA
+        data = read_dataset_csv(args.input)
+        s = _validated_covariance(data)
         # One public test decides each pair; umpu's route checks them all
         # in one pass.
         i, j = np.triu_indices(data.dim, 1)
@@ -562,7 +555,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.subcommand](args)
-    except ConcgraphError as exc:  # fallback: uncategorized library error
+    except _DATA_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

@@ -76,14 +76,17 @@ def _covariances(x: np.ndarray) -> np.ndarray:
     return (s + np.swapaxes(s, -1, -2)) / 2.0
 
 
-def _pd_factorization(s: SymmetricMatrix) -> Factorization:
-    """The factorization of s, which must be positive definite."""
+def _pd_factorization(
+    s: SymmetricMatrix, subject: str = "covariance matrix", names=None
+) -> Factorization:
+    """The factorization of s, which must be positive definite; else
+    NotPositiveDefinite names the subject, the failing pivot and, given
+    the variables' names, its variable."""
     factorization = s.factorization
-    if factorization.pivot is not None:
-        raise NotPositiveDefinite(
-            "covariance matrix is not positive definite "
-            f"(pivot {factorization.pivot} fails)"
-        )
+    pivot = factorization.pivot
+    if pivot is not None:
+        where = f"pivot {pivot}" if names is None else f"pivot {pivot}, variable {names[pivot]!r},"
+        raise NotPositiveDefinite(f"{subject} is not positive definite ({where} fails)")
     return factorization
 
 

@@ -294,7 +294,7 @@ def verify_equivalence(
     The quadratic is read from R^-1, one LAPACK inverse that the
     covariance's factorization computes on the first call, so that
     checking every pair of a matrix costs O(N^3) in total; it never reads
-    the sweep that gives r.  ``verify --input`` runs the same route on
+    the Cholesky factor that gives r.  ``verify --input`` runs the same route on
     every pair of its matrix at once.
 
     Contract: statistic_gap <= 1e-9, identical decisions, and threshold

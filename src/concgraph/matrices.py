@@ -2,46 +2,38 @@
 
 Every matrix carries one correlation-scaled factorization, computed on
 first use: S is standardized to R = D^-1/2 S D^-1/2 with D = diag S, and
-one sweep over the pivots of R both checks positive definiteness and
-yields R^-1, from which every partial correlation follows as
-r_ij = -K_ij / sqrt(K_ii K_jj) with K = R^-1.  Partial correlations are
-invariant to the scale of each variable, and so is the factorization.
-A stack of matrices, such as the covariances of a chunk of Monte Carlo
-replications, is checked once and factored with one sweep of the whole
-stack.
+one LAPACK Cholesky call factors R = L L^T, checks its pivots diag(L)**2
+against a floor and yields K = R^-1 = L^-T L^-1, from which every partial
+correlation follows as r_ij = -K_ij / sqrt(K_ii K_jj).  Partial
+correlations are invariant to the scale of each variable, and so is the
+factorization.  A stack of matrices, such as the covariances of a chunk
+of Monte Carlo replications, is checked once and factored by one call.
 
 Determinant quadratics serve only the verification route, which
 ``verify`` runs on R to check the partial correlations that the tests
-read.  It rests on the quadratic behaviour of the determinant
-when a single off-diagonal pair of entries is treated as a free
-variable.  Writing ``M(x)`` for the matrix with entries (i, j) and (j, i)
+read.  Writing ``M(x)`` for the matrix with entries (i, j) and (j, i)
 replaced by x,
 
     det M(x) = -a x**2 + b x + c
 
-and the interval where M(x) stays positive definite is the open interval
-between the two roots of that quadratic.  The cofactor of the (i, j) entry
-of M(x) is the affine function -a x + b / 2, which is what ties the raw
+and M(x) is positive definite on the open interval between its roots.
+The (i, j) cofactor of M(x) is -a x + b / 2, which ties the raw
 covariance entry to the standardized edge statistic that verify compares
-with the partial correlation.
-
-M(x) is a rank-2 change of M, so the matrix determinant lemma gives the
-quadratic of every pair in closed form from G = M^-1 alone: with
-d = x - m_ij,
+with the partial correlation.  M(x) is a rank-2 change of M, so the
+matrix determinant lemma gives every pair's quadratic from G = M^-1
+alone: with d = x - m_ij,
 
     det M(x) / det M = (1 + d G_ij)**2 - d**2 G_ii G_jj.
 
-The roots and the edge statistic do not change under a positive scale of
-a, b and c, so verify reads this quadratic of R from one LAPACK inverse
-of R, computed on first use and kept with the factorization.  The
-coefficients, roots and statistic are numpy expressions over index
-arrays of pairs, so every pair of a matrix is checked in one pass;
-``pd_interval`` and ``edge_statistic`` are the same formulas on one
-quadratic.  The route never reads the sweep above, so it stays
-independent of what it checks.  ``quadratic_decomposition``, which
-extracts the coefficients from three determinants of probe matrices, is
-the route's oracle and serves the lemma check of the acceptance suite;
-cofactors serve that check alone.
+The roots and the statistic do not change under a positive scale of a, b
+and c, so verify reads this quadratic of R from one LAPACK LU inverse of
+R, kept with the factorization, as numpy expressions over index arrays
+of pairs; ``pd_interval`` and ``edge_statistic`` are the same formulas
+on one quadratic.  The route never reads L or K, so it stays independent
+of what it checks.  ``quadratic_decomposition``, which extracts the
+coefficients from three determinants of probe matrices, is the route's
+oracle and serves the lemma check of the acceptance suite; cofactors
+serve that check alone.
 """
 
 from __future__ import annotations
@@ -94,7 +86,7 @@ class Factorization:
 
     @cached_property
     def _lemma_table(self) -> np.ndarray:
-        # LAPACK's LU factorization with partial pivoting, never the sweep.
+        # LAPACK's LU factorization with partial pivoting, never L or K.
         try:
             inverse = np.linalg.inv(self._scaled)
             if not np.all(np.isfinite(inverse)):
@@ -106,54 +98,77 @@ class Factorization:
         return inverse
 
 
-def _factorize(entries: np.ndarray) -> list[Factorization]:
-    """Sweep the pivots of R = D^-1/2 S D^-1/2 in order, for every matrix
-    of a (count, N, N) stack at once; a single matrix is a stack of one.
+# c of the augmented matrix [[R, I], [I, cI]], whose Cholesky factor is
+# [[L, 0], [L^-T, *]].  The trailing block's Schur complement is
+# cI - R^-1, which LAPACK accepts only when c exceeds R^-1's largest
+# eigenvalue: 1e200 is far beyond it for any R whose pivots clear
+# PIVOT_FLOOR, and its square root squares back to a finite number.
+_AUGMENT = 1e200
 
-    Sweeping pivot k replaces the unswept block by its Schur complement,
-    so the pivots are those of the symmetric triangular decomposition;
-    after all N sweeps the array holds -R^-1.  A nonpositive diagonal
-    entry is left unscaled: its pivot cannot exceed it, so the sweep
-    fails there or earlier.  Every operation acts on each matrix
-    separately, so each result is bit for bit the one a stack of that
-    matrix alone gives.
+
+def _inverse_factor(r: np.ndarray) -> np.ndarray | None:
+    """X = L^-T, so that R^-1 = X X^T, for every R = L L^T of a
+    (count, N, N) stack, from one LAPACK Cholesky call; None when LAPACK
+    refuses a matrix or a pivot diag(L)**2 is at or below PIVOT_FLOOR.
+    LAPACK factors each matrix of the stack on its own, so each X has the
+    bits that a stack of that matrix alone gives."""
+    dim = r.shape[-1]
+    eye = np.eye(dim)
+    augmented = np.tile(np.block([[eye, eye], [eye, _AUGMENT * eye]]), r.shape[:-2] + (1, 1))
+    augmented[..., :dim, :dim] = r
+    try:
+        factor = np.linalg.cholesky(augmented)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(factor, axis1=-2, axis2=-1)[..., :dim] ** 2
+    return factor[..., dim:, :dim] if np.all(pivots > PIVOT_FLOOR) else None
+
+
+def _first_failing_pivot(r: np.ndarray) -> int:
+    """The first failing pivot of one N x N matrix R that fails, by
+    bisection on its leading blocks in about log2 N Cholesky calls: the
+    block of k rows has R's first k pivots, and its inverse's largest
+    eigenvalue grows with k, so a block fails when a smaller one does."""
+    good, bad = 0, r.shape[-1]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _inverse_factor(r[np.newaxis, :mid, :mid]) is None:
+            bad = mid
+        else:
+            good = mid
+    return bad - 1
+
+
+def _factorize(entries: np.ndarray) -> list[Factorization]:
+    """Factor R = D^-1/2 S D^-1/2 for every matrix of a (count, N, N)
+    stack at once; a single matrix is a stack of one.
+
+    A nonpositive diagonal entry is left unscaled: R's pivot there cannot
+    exceed it, so the factorization fails there or earlier.  When any
+    matrix fails, each is factored again alone, and one that fails alone
+    finds its first failing pivot by bisection, so each result is bit for
+    bit the one a stack of that matrix alone gives.
     """
-    dim = entries.shape[-1]
     diag = np.diagonal(entries, axis1=-2, axis2=-1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     # Dividing by the product sqrt(s_ii) sqrt(s_jj), which commutes,
     # keeps R exactly symmetric.
     r = entries / (scale[..., :, None] * scale[..., None, :])
-    a = r.copy()
-    # First failing pivot of each matrix; -1 while none has failed.
-    pivots = np.full(entries.shape[:-2], -1)
-    for k in range(dim):
-        # Written so that a NaN pivot fails as well.
-        failed = ~(a[..., k, k] > PIVOT_FLOOR)
-        if failed.any():
-            pivots[failed] = k
-            # A failed matrix's result is discarded.  It is replaced by
-            # the identity with pivots 0..k-1 already swept, so its
-            # remaining sweeps stay finite and end at -K = -I.
-            a[failed] = np.diag(np.where(np.arange(dim) < k, -1.0, 1.0))
-        piv = a[..., k, k].copy()
-        row = a[..., k, :].copy()
-        a -= row[..., :, None] * row[..., None, :] / piv[..., None, None]
-        a[..., k, :] = row / piv[..., None]
-        a[..., :, k] = row / piv[..., None]
-        a[..., k, k] = -1.0 / piv
-    # a = -K.  Sweeping k writes row k into column k and updates the rest
-    # by a symmetric outer product, so once every pivot is swept a is
-    # exactly symmetric and r_ij == r_ji bit for bit.
-    root = np.sqrt(-np.diagonal(a, axis1=-2, axis2=-1))
-    partial = a / (root[..., :, None] * root[..., None, :])
+    x = _inverse_factor(r)
+    if x is None:
+        if len(r) > 1:
+            return [f for m in range(len(r)) for f in _factorize(entries[m : m + 1])]
+        return [Factorization(pivot=_first_failing_pivot(r[0]), partial_correlations=None)]
+    k = x @ np.swapaxes(x, -1, -2)
+    # Mirroring K's upper triangle keeps r_ij == r_ji bit for bit.
+    k = np.triu(k) + np.swapaxes(np.triu(k, 1), -1, -2)
+    root = np.sqrt(np.diagonal(k, axis1=-2, axis2=-1))
+    partial = -k / (root[..., :, None] * root[..., None, :])
     partial.setflags(write=False)
     r.setflags(write=False)
     return [
         Factorization(pivot=None, partial_correlations=partial[m], _scaled=r[m])
-        if pivot < 0
-        else Factorization(pivot=int(pivot), partial_correlations=None)
-        for m, pivot in enumerate(pivots)
+        for m in range(len(r))
     ]
 
 
@@ -170,8 +185,8 @@ def _check_entries(arr: np.ndarray) -> None:
 def _matrix_stack(entries: np.ndarray) -> list[SymmetricMatrix]:
     """One SymmetricMatrix per matrix of a (count, N, N) stack.  The
     stack is copied and checked once, as SymmetricMatrix checks one
-    matrix, and each matrix gets its factorization from one sweep of the
-    whole stack."""
+    matrix, and each matrix gets its factorization from one Cholesky call
+    on the whole stack."""
     stack = np.array(entries, dtype=float)
     _check_entries(stack)
     stack.setflags(write=False)

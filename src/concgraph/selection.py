@@ -9,9 +9,9 @@ import numpy as np
 
 from .distributions import _half_shape, fisher_z, null_corr_pvalues
 from .errors import DomainError, NotPositiveDefinite
-from .estimators import Dataset, _covariances
+from .estimators import Dataset, _covariances, _pd_factorization
 from .independence import EdgeDecision, TestConfig, _fisher_p_value, run_edge_test
-from .matrices import SymmetricMatrix, first_nonpositive_pivot
+from .matrices import SymmetricMatrix
 
 __all__ = [
     "CORRECTIONS",
@@ -83,12 +83,7 @@ def _validated_covariance(data: Dataset) -> SymmetricMatrix:
             f"(variable {data.names[constant[0]]!r} is constant)"
         )
     s = SymmetricMatrix(_covariances(np.ldexp(data.values, shift)))
-    pivot = first_nonpositive_pivot(s)
-    if pivot is not None:
-        raise NotPositiveDefinite(
-            "sample covariance is not positive definite "
-            f"(pivot {pivot}, variable {data.names[pivot]!r}, fails)"
-        )
+    _pd_factorization(s, "sample covariance", data.names)
     return s
 
 

@@ -16,7 +16,7 @@ Replications run in chunks.  A spec computes its covariance Cholesky
 factor once.  Each chunk stacks its replications' draws into one
 (chunk, n, N) array, colors them with one matrix product, forms every
 sample covariance at once, checks them once as a stack and factors them
-all with one correlation-scaled sweep.  A power run colors the same
+all with one correlation-scaled Cholesky call.  A power run colors the same
 draws once for the alternative and once for the matched null, so each
 substream is drawn once.  Each replication then runs its edge tests one
 by one; every test reads r from the factorization, so no replication
@@ -48,15 +48,10 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
-from .estimators import Dataset, _covariances, sample_covariance
+from .estimators import Dataset, _covariances, _pd_factorization, sample_covariance
 from .distributions import _reg_inc_beta_array
 from .independence import _check_level, _check_method, run_edge_test
-from .matrices import (
-    SymmetricMatrix,
-    _check_offdiagonal,
-    _matrix_stack,
-    first_nonpositive_pivot,
-)
+from .matrices import SymmetricMatrix, _check_offdiagonal, _matrix_stack
 
 __all__ = [
     "PrecisionSpec",
@@ -114,11 +109,7 @@ class PrecisionSpec:
     matrix: SymmetricMatrix
 
     def __post_init__(self) -> None:
-        pivot = first_nonpositive_pivot(self.matrix)
-        if pivot is not None:
-            raise NotPositiveDefinite(
-                f"precision matrix is not positive definite (pivot {pivot} fails)"
-            )
+        _pd_factorization(self.matrix, "precision matrix")
 
     @property
     def dim(self) -> int:

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the implementation paths it checks:
 determinants by recursive cofactor expansion or by a hand-written
-Gaussian elimination (the package uses LAPACK), CSV cells one at a time
+Gaussian elimination (the package uses LAPACK), the correlation-scaled
+factorization by the Gauss-Jordan pivot sweep written out in numpy (the
+package takes one LAPACK Cholesky call), CSV cells one at a time
 with ``float`` (the package parses the body in bulk), JSON by the
 recursive ``isinstance`` writer the CLI replaced, beta and correlation
 CDFs by adaptive quadrature of smooth trig-substituted integrands,
@@ -38,6 +40,7 @@ from concgraph import (
     sample_gaussian,
     sample_partial_correlation,
 )
+from concgraph.matrices import PIVOT_FLOOR
 
 
 def det_cofactor_expansion(arr) -> float:
@@ -82,6 +85,48 @@ def det_elimination(arr):
         if k + 1 < n:
             a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / piv, a[k, k + 1 :])
     return float(det)
+
+
+def pivot_sweep(entries) -> list[tuple[int | None, np.ndarray | None]]:
+    """(pivot, partial correlations) of every matrix of a (count, N, N)
+    stack, by sweeping the pivots of R = D^-1/2 S D^-1/2 in order.
+
+    Sweeping pivot k replaces the unswept block by its Schur complement,
+    so the pivots are those of the symmetric triangular decomposition;
+    after all N sweeps the array holds -R^-1.  ``pivot`` is the index of
+    the first pivot at or below PIVOT_FLOOR (a NaN pivot fails too), or
+    None; the partial correlations -K_ij / sqrt(K_ii K_jj) are None when
+    a pivot fails.  A nonpositive diagonal entry is left unscaled.
+    """
+    entries = np.asarray(entries, dtype=float)
+    dim = entries.shape[-1]
+    diag = np.diagonal(entries, axis1=-2, axis2=-1)
+    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    r = entries / (scale[..., :, None] * scale[..., None, :])
+    a = r.copy()
+    # First failing pivot of each matrix; -1 while none has failed.
+    pivots = np.full(entries.shape[:-2], -1)
+    for k in range(dim):
+        # Written so that a NaN pivot fails as well.
+        failed = ~(a[..., k, k] > PIVOT_FLOOR)
+        if failed.any():
+            pivots[failed] = k
+            # A failed matrix's result is discarded.  It is replaced by
+            # the identity with pivots 0..k-1 already swept, so its
+            # remaining sweeps stay finite and end at -K = -I.
+            a[failed] = np.diag(np.where(np.arange(dim) < k, -1.0, 1.0))
+        piv = a[..., k, k].copy()
+        row = a[..., k, :].copy()
+        a -= row[..., :, None] * row[..., None, :] / piv[..., None, None]
+        a[..., k, :] = row / piv[..., None]
+        a[..., :, k] = row / piv[..., None]
+        a[..., k, k] = -1.0 / piv
+    root = np.sqrt(-np.diagonal(a, axis1=-2, axis2=-1))
+    partial = a / (root[..., :, None] * root[..., None, :])
+    return [
+        (None, partial[m]) if pivot < 0 else (int(pivot), None)
+        for m, pivot in enumerate(pivots)
+    ]
 
 
 def cofactor_expansion(arr, k: int, l: int) -> float:
@@ -335,9 +380,14 @@ def random_pd_matrix(rng: np.random.Generator, dim: int, jitter: float = 0.5):
 def random_sample_covariance(rng: np.random.Generator, dim: int, n: int):
     """Sample covariance (1/n convention) of standard normal data, a
     realistic positive definite input when n > dim."""
-    x = rng.standard_normal((n, dim))
+    return covariance_of(rng.standard_normal((n, dim)))
+
+
+def covariance_of(x: np.ndarray) -> np.ndarray:
+    """Exactly symmetric sample covariance (1/n convention) of the n x N
+    observations x."""
     xc = x - x.mean(axis=0)
-    s = xc.T @ xc / n
+    s = xc.T @ xc / x.shape[0]
     return (s + s.T) / 2.0
 
 

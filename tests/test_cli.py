@@ -1026,3 +1026,21 @@ class TestUsage:
 
     def test_negative_seed(self, capsys):
         assert main(["verify", "--reps", "50", "--seed", "-3"]) == 1
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["select", "--input", "{csv}"],
+        ["verify", "--reps", "20", "--seed", "1"],
+        ["montecarlo", "--dim", "3", "--n", "10", "--reps", "1000", "--seed", "1"],
+        ["quantile", "--prob", "0.025", "--m", "3.5"],
+    ], ids=["select", "verify", "montecarlo", "quantile"])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_exit_2_with_one_error_line(self, sample_csv, tmp_path, capsys, argv, target):
+        path, _ = sample_csv
+        out = tmp_path / "no" / "such" / "x.json" if target == "missing directory" else tmp_path
+        assert main([a.format(csv=path) for a in argv] + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err

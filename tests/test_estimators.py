@@ -10,13 +10,16 @@ from concgraph import (
     Dataset,
     DomainError,
     NotPositiveDefinite,
+    PrecisionSpec,
     SymmetricMatrix,
+    TestConfig,
     cofactor,
     edge_statistic,
     pd_interval,
     quadratic_decomposition,
     sample_covariance,
     sample_partial_correlation,
+    select_graph,
 )
 
 
@@ -181,3 +184,25 @@ class TestSamplePartialCorrelation:
             [[1.0, c, 0.0], [c, 1.0, 0.0], [0.0, 0.0, 2.5]]
         )
         assert sample_partial_correlation(s, 0, 1) == pytest.approx(c, abs=1e-12)
+
+
+INDEFINITE = SymmetricMatrix([[1.0, 2.0], [2.0, 1.0]])
+
+
+def collinear_data() -> Dataset:
+    x = np.random.default_rng(4).standard_normal((10, 2))
+    return Dataset(values=np.column_stack([x, x[:, 0] + x[:, 1]]), names=("a", "b", "c"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_partial_correlation(INDEFINITE, 0, 1),
+     "covariance matrix is not positive definite (pivot 1 fails)"),
+    (lambda: select_graph(collinear_data(), TestConfig(alpha=0.05, method="umpu")),
+     "sample covariance is not positive definite (pivot 2, variable 'c', fails)"),
+    (lambda: PrecisionSpec(INDEFINITE),
+     "precision matrix is not positive definite (pivot 1 fails)"),
+], ids=["covariance", "sample covariance", "precision"])
+def test_failed_pivot_message(call, message):
+    with pytest.raises(NotPositiveDefinite) as info:
+        call()
+    assert str(info.value) == message

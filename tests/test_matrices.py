@@ -155,9 +155,9 @@ class TestFactorizationStack:
         stack = np.array([failing_at(rng, dim, k) for k in range(dim)] + [-np.eye(dim)])
         assert [f.pivot for f in _factorize(stack)] == list(range(dim)) + [0]
 
-    def test_bits_recorded_before_stacking(self):
-        # The sweep is elementwise (no BLAS), so its bits do not depend on
-        # the machine; these were recorded from the one-matrix sweep.
+    def test_four_by_four_matches_the_sweep(self):
+        # LAPACK's bits may depend on the BLAS build, so r is held within
+        # 4 ulps of the sweep's; R is elementwise, so its bits are pinned.
         s = np.array([
             [2.0, 0.3, -0.7, 0.1],
             [0.3, 1.5, 0.2, -0.4],
@@ -165,11 +165,12 @@ class TestFactorizationStack:
             [0.1, -0.4, 0.6, 0.9],
         ])
         (f,) = _factorize(s[np.newaxis])
+        ((pivot, expected),) = oracles.pivot_sweep(s[np.newaxis])
+        assert f.pivot is pivot is None
         upper = np.triu_indices(4, 1)
-        assert [float(v).hex() for v in f.partial_correlations[upper]] == [
-            "0x1.4e13f86cd4975p-2", "-0x1.a6eed696b7764p-2", "0x1.487278f232bd9p-2",
-            "0x1.67dc23e877abep-2", "-0x1.e1c568c0790a9p-2", "0x1.ff6723c377d87p-2",
-        ]
+        got, want = f.partial_correlations[upper], expected[upper]
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+        assert np.array_equal(f.partial_correlations, f.partial_correlations.T)
         assert [float(v).hex() for v in f._scaled[upper]] == [
             "0x1.62b9586ad0a22p-3", "-0x1.24a1e34d5522bp-2", "0x1.314c3d92a9e91p-4",
             "0x1.822cb17ff2eb9p-4", "-0x1.60870d91bf3cfp-2", "0x1.75e9746a0b099p-2",
@@ -223,6 +224,72 @@ class TestFactorizationStack:
         assert matrices[0].entries[0, 0] != 99.0
         assert not matrices[0].entries.flags.writeable
         assert not matrices[0].factorization._scaled.flags.writeable
+
+
+def near_collinear(rng, dim: int, k: int, noise: float) -> np.ndarray:
+    """Sample covariance of 4 dim draws whose column k is a combination of
+    the columns before it plus noise of relative size ``noise``."""
+    x = rng.standard_normal((4 * dim, dim))
+    x[:, k] = x[:, :k] @ rng.standard_normal(k)
+    x[:, k] += noise * np.linalg.norm(x[:, k]) / 2.0 / math.sqrt(dim) * rng.standard_normal(4 * dim)
+    return oracles.covariance_of(x)
+
+
+def chain_covariance(dim: int) -> np.ndarray:
+    """Sample covariance of a chain file: n = 4 dim draws of a Gaussian
+    whose precision has 1 on the diagonal and -0.4 between neighbours."""
+    k = np.eye(dim)
+    idx = np.arange(dim - 1)
+    k[idx, idx + 1] = k[idx + 1, idx] = -0.4
+    factor = np.linalg.cholesky(np.linalg.inv(k))
+    x = np.random.default_rng(1).standard_normal((4 * dim, dim)) @ factor.T
+    return oracles.covariance_of(x)
+
+
+def assert_matches_the_sweep(stack: np.ndarray) -> None:
+    """Every matrix of the stack, factored in the stack and alone, has the
+    sweep's first failing pivot and, when it has none, partial
+    correlations within 1e-12 of the sweep's, exactly symmetric, and the
+    same bits in the stack as alone."""
+    off = ~np.eye(stack.shape[-1], dtype=bool)
+    for entries, got, (pivot, expected) in zip(stack, _factorize(stack), oracles.pivot_sweep(stack)):
+        (alone,) = _factorize(entries[np.newaxis])
+        assert got.pivot == alone.pivot == pivot
+        if pivot is None:
+            r = got.partial_correlations
+            assert np.array_equal(r, alone.partial_correlations)
+            assert np.array_equal(r, r.T)
+            assert np.max(np.abs(r - expected)[off]) <= 1e-12
+        else:
+            assert got.partial_correlations is alone.partial_correlations is None
+
+
+class TestFactorizationAgainstTheSweep:
+    @pytest.mark.parametrize("dim", [*range(2, 11), 16, 31, 64, 65, 100, 130])
+    def test_mixed_stack(self, rng, dim):
+        ks = range(dim) if dim <= 10 else sorted({0, 1, dim // 3, dim // 2, dim - 2, dim - 1})
+        stack = np.array(
+            [oracles.random_pd_matrix(rng, dim) for _ in range(3)]
+            + [oracles.random_sample_covariance(rng, dim, 4 * dim) for _ in range(2)]
+            + [failing_at(rng, dim, k) for k in ks]
+            + [near_collinear(rng, dim, max(1, dim // 2), noise) for noise in (1e-7, 1e-9)]
+            + [chain_covariance(dim)]
+        )
+        assert_matches_the_sweep(stack[rng.permutation(len(stack))])
+
+    def test_near_collinear_fails_at_the_dependent_column(self, rng):
+        for dim in (2, 5, 40):
+            for noise in (1e-7, 1e-9):
+                (f,) = _factorize(near_collinear(rng, dim, dim - 1, noise)[np.newaxis])
+                assert f.pivot == dim - 1
+
+    def test_random_covariance_instances(self):
+        by_dim = {}
+        for s, *_ in random_covariance_instances(200, seed=3):
+            by_dim.setdefault(s.dim, []).append(s.entries)
+        assert sorted(by_dim) == [3, 4, 5, 6]
+        for entries in by_dim.values():
+            assert_matches_the_sweep(np.array(entries))
 
 
 def well_conditioned(rng, dim: int, definite: bool) -> np.ndarray:
