@@ -113,8 +113,9 @@ def _inverse_factor(r: np.ndarray) -> np.ndarray | None:
     LAPACK factors each matrix of the stack on its own, so each X has the
     bits that a stack of that matrix alone gives."""
     dim = r.shape[-1]
-    eye = np.eye(dim)
-    augmented = np.tile(np.block([[eye, eye], [eye, _AUGMENT * eye]]), r.shape[:-2] + (1, 1))
+    shift = np.eye(2 * dim, k=dim)
+    augmented = np.empty(r.shape[:-2] + (2 * dim, 2 * dim))
+    augmented[...] = shift + shift.T + np.diag(np.repeat([0.0, _AUGMENT], dim))
     augmented[..., :dim, :dim] = r
     try:
         factor = np.linalg.cholesky(augmented)
@@ -161,7 +162,8 @@ def _factorize(entries: np.ndarray) -> list[Factorization]:
         return [Factorization(pivot=_first_failing_pivot(r[0]), partial_correlations=None)]
     k = x @ np.swapaxes(x, -1, -2)
     # Mirroring K's upper triangle keeps r_ij == r_ji bit for bit.
-    k = np.triu(k) + np.swapaxes(np.triu(k, 1), -1, -2)
+    lower = np.tril_indices(r.shape[-1], -1)
+    k[..., lower[0], lower[1]] = k[..., lower[1], lower[0]]
     root = np.sqrt(np.diagonal(k, axis1=-2, axis2=-1))
     partial = -k / (root[..., :, None] * root[..., None, :])
     partial.setflags(write=False)

@@ -231,7 +231,8 @@ def near_collinear(rng, dim: int, k: int, noise: float) -> np.ndarray:
     the columns before it plus noise of relative size ``noise``."""
     x = rng.standard_normal((4 * dim, dim))
     x[:, k] = x[:, :k] @ rng.standard_normal(k)
-    x[:, k] += noise * np.linalg.norm(x[:, k]) / 2.0 / math.sqrt(dim) * rng.standard_normal(4 * dim)
+    rms = np.linalg.norm(x[:, k]) / math.sqrt(len(x))
+    x[:, k] += noise * rms * rng.standard_normal(len(x))
     return oracles.covariance_of(x)
 
 
@@ -268,13 +269,17 @@ class TestFactorizationAgainstTheSweep:
     @pytest.mark.parametrize("dim", [*range(2, 11), 16, 31, 64, 65, 100, 130])
     def test_mixed_stack(self, rng, dim):
         ks = range(dim) if dim <= 10 else sorted({0, 1, dim // 3, dim // 2, dim - 2, dim - 1})
-        stack = np.array(
+        definite = (
             [oracles.random_pd_matrix(rng, dim) for _ in range(3)]
             + [oracles.random_sample_covariance(rng, dim, 4 * dim) for _ in range(2)]
-            + [failing_at(rng, dim, k) for k in ks]
-            + [near_collinear(rng, dim, max(1, dim // 2), noise) for noise in (1e-7, 1e-9)]
             + [chain_covariance(dim)]
         )
+        failing = [failing_at(rng, dim, k) for k in ks] + [
+            near_collinear(rng, dim, max(1, dim // 2), noise) for noise in (1e-7, 1e-9)
+        ]
+        # A stack that LAPACK accepts whole, and one it refuses.
+        assert_matches_the_sweep(np.array(definite))
+        stack = np.array(definite + failing)
         assert_matches_the_sweep(stack[rng.permutation(len(stack))])
 
     def test_near_collinear_fails_at_the_dependent_column(self, rng):
