@@ -6,15 +6,15 @@
 Runs, each in CHECKOUT with the interpreter that runs this script:
 
 - ``perfbench/run.py --workload all --seed S --seconds 20`` for S = 1, 2
-  and 3 (every workload, untraced and traced; about 3 minutes each);
+  and 3 (every workload, untraced and traced; about 2 minutes each);
 - ``scripts/scale_timings.py --dims 200 1000`` (whole CLI processes on
   chain files; several minutes).
 
 OUT is a JSON object ``{"trees": [...]}``.  Each tree is one checkout's
 ``git_rev`` and ``src_sha256``, as ``run.py`` prints them on its
 ``record`` lines, with the list of its runs.  Runs of a tree already in
-OUT are appended to it, so the parent and a change measured one after
-the other in one session land in one file.  OUT is rewritten after every
+OUT are appended to it, so the parent and a change, measured one after
+the other on one machine, land in one file.  OUT is rewritten after every
 run, so a failed run keeps the ones before it.  Standard library only.
 """
 
