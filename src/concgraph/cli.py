@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import re
@@ -474,6 +475,7 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser unchanged; build it once per process
 def build_parser() -> _Parser:
     parser = _Parser(prog="concgraph", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)

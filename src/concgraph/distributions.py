@@ -210,9 +210,10 @@ def _reg_inc_beta_array(x: np.ndarray, p: float, q: float) -> np.ndarray:
 
 _BISECT_WIDTH = 1e-13
 
-# Entries kept by the quantile cache.  A long-lived process that sees many
-# (level, n) pairs, such as one Holm stopping level per graph over many
-# datasets, would otherwise grow it without bound.
+# Entries kept by the quantile cache here and by the critical-value cache of
+# ``independence``.  A long-lived process that sees many (level, n) pairs,
+# such as one Holm stopping level per graph over many datasets, would
+# otherwise grow them without bound.
 QUANTILE_CACHE_SIZE = 4096
 
 
@@ -326,12 +327,11 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
 
 
-@lru_cache(maxsize=QUANTILE_CACHE_SIZE)
 def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF: ``statistics.NormalDist().inv_cdf``,
     Wichura's AS 241 (Applied Statistics 37, 1988), relative error below
-    1e-15.  Cached like :func:`beta_sym_quantile`, since the Fisher test
-    asks for the same critical value on every call.
+    1e-15.  Not cached: the Fisher test reads its critical value through
+    the critical-value cache of ``independence``.
     """
     if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
         raise DomainError(f"probability must lie in (0, 1), got {p!r}")

@@ -31,24 +31,25 @@ public partial-correlation test per pair, the decision being checked;
 scaling leaves t unchanged and keeps the quadratic well conditioned
 whatever the units of the variables.
 
-The three tests are one body, ``_edge_test``: it checks the inputs,
-reads r from the one factorization, forms the statistic (r, or Fisher's
-z for ``fisher``), takes c (``null_corr_quantile``, or the normal
-quantile) and calls ``_decision``.  That builds every decision, each
-Holm edge of ``select_graph`` included, with the closed rule: a
-statistic exactly at a threshold rejects.  Each input check is raised
-in one place: the level in ``_check_level``, the method in
-``_check_method`` and the sample size in ``distributions._half_shape``.
+The three tests are one body, ``_edge_test``: it checks the inputs, reads
+r from the one factorization, takes c from ``_critical_value`` (cached on
+the method, level, n and N after the checks, so a bad call raises every
+time), forms the statistic (r, or Fisher's z) and calls ``_decision``,
+the closed rule: a statistic exactly at a threshold rejects.  Each input
+check is raised in one place: the level in ``_check_level``, the method
+in ``_check_method`` and the sample size in ``distributions._half_shape``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .distributions import (
+    QUANTILE_CACHE_SIZE,
     _half_shape,
     beta_sym_quantile,
     fisher_z,
@@ -59,7 +60,6 @@ from .distributions import (
 from .errors import DomainError
 from .estimators import _pd_factorization
 from .matrices import (
-    Factorization,
     SymmetricMatrix,
     _check_offdiagonal,
     _lemma_coefficients,
@@ -165,15 +165,14 @@ def _decision(
     )
 
 
-def _validate_test_inputs(
-    s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
-) -> Factorization:
-    """Check an edge test's inputs in order, edge, level, then sample size,
-    and return the factorization of the positive definite s."""
-    _check_offdiagonal(s.dim, i, j)
-    _check_level(alpha)
-    _half_shape(n, s.dim)
-    return _pd_factorization(s)
+@lru_cache(maxsize=QUANTILE_CACHE_SIZE)
+def _critical_value(method: str, alpha: float, n: int, dim: int) -> float:
+    """c of a test at a checked level alpha and sizes n > dim, the same for
+    every pair; a call that raises is not cached."""
+    if method == "fisher":
+        # from the lower tail, where alpha / 2 does not round away
+        return -std_normal_quantile(alpha / 2.0)
+    return null_corr_quantile(alpha, n, dim)
 
 
 def _exact_p_value(statistic: float, n: int, dim: int) -> float:
@@ -194,16 +193,15 @@ def _fisher_p_value(z: float) -> float:
 def _edge_test(
     method: str, s: SymmetricMatrix, i: int, j: int, n: int, alpha: float
 ) -> EdgeDecision:
-    """The one body of the three edge tests: r from the one factorization
-    is the statistic of umpu and partial_corr, decided at the critical
-    value c of its exact null law, and fisher decides z(r) at the normal
-    quantile."""
-    r = float(_validate_test_inputs(s, i, j, n, alpha).partial_correlations[i, j])
-    if method == "fisher":
-        # from the lower tail, where alpha / 2 does not round away
-        c, statistic = -std_normal_quantile(alpha / 2.0), fisher_z(r, n)
-    else:
-        c, statistic = null_corr_quantile(alpha, n, s.dim), r
+    """The one body of the three edge tests: checks the edge, the level,
+    the sample size and positive definiteness on every call, in that
+    order, and decides r (fisher: z(r)) at :func:`_critical_value`."""
+    _check_offdiagonal(s.dim, i, j)
+    _check_level(alpha)
+    _half_shape(n, s.dim)
+    r = float(_pd_factorization(s).partial_correlations[i, j])
+    c = _critical_value(method, alpha, n, s.dim)
+    statistic = fisher_z(r, n) if method == "fisher" else r
     return _decision(method, i, j, statistic, c, n, s.dim)
 
 
@@ -225,7 +223,7 @@ def umpu_test(
 
 def _umpu_route(s: SymmetricMatrix, i, j, n: int, alpha: float):
     """umpu's conditional route at the pairs (i, j), two ints or two index
-    arrays, for inputs that ``_validate_test_inputs`` has accepted: t,
+    arrays, for inputs that a public edge test has accepted: t,
     R_ij standardized by R's quadratic at each pair; 1 - 2q, with q the
     Beta(m, m) quantile at alpha/2; the thresholds (c_lo, c_hi) of
     :func:`umpu_raw_thresholds`; and the decisions of t at 1 - 2q and of
@@ -260,7 +258,7 @@ def umpu_raw_thresholds(
     units of the variables, and only the one scale factor of this pair
     multiplies the result.
     """
-    _validate_test_inputs(s, i, j, n, alpha)
+    umpu_test(s, i, j, n, alpha)  # checks the inputs that the route reads
     c_lo, c_hi = _umpu_route(s, i, j, n, alpha)[2:4]
     return float(c_lo), float(c_hi)
 

@@ -67,7 +67,7 @@ __all__ = [
 PIVOT_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factorization:
     """Correlation-scaled factorization of a symmetric matrix.
 
@@ -78,11 +78,12 @@ class Factorization:
     and ``_scaled`` holds R's checked, write-locked entries; both are
     None otherwise.  ``_lemma_table`` is R^-1 from LAPACK, computed the
     first time it is read, for the quadratics of :func:`_lemma_coefficients`.
+    It is one matrix's cache, so it is compared and hashed by identity.
     """
 
     pivot: int | None
     partial_correlations: np.ndarray | None
-    _scaled: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _scaled: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def _lemma_table(self) -> np.ndarray:

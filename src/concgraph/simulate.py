@@ -67,11 +67,10 @@ __all__ = [
 
 # Replications per chunk: a chunk's stacked draws hold at most this many
 # doubles (128 KiB), and at least one replication, so memory stays flat
-# however many replications a run has.  At N = 5 (n = 25 and 50) this
-# budget ran 1000-replication calls about 13% faster than one of 4,096
-# and left the peak resident memory of a process running them 0.8 MB
-# above where one replication at a time left it (37.8 -> 38.6 MB);
-# coloring the draws in place keeps 0.15 MB of that off.
+# however many replications a run has.  At N = 5 (n = 25 and 50), twice
+# this budget was faster in only 6 of 10 alternating pairs of the
+# benchmark's montecarlo workload (median op_p50_ref 1.166 -> 1.152) and
+# raised its peak resident memory by 0.5-0.8 MB (38.9 -> 39.6 MB).
 _CHUNK_ELEMENTS = 16384
 
 # A substream key k is one 32-bit word of its SeedSequence entropy.

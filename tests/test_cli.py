@@ -1027,6 +1027,29 @@ class TestUsage:
     def test_negative_seed(self, capsys):
         assert main(["verify", "--reps", "50", "--seed", "-3"]) == 1
 
+    def test_one_parser_serves_every_call(self, sample_csv, capsys):
+        # main builds the parser once per process; no flag, default or
+        # usage error of one call reaches the next
+        path = str(sample_csv[0])
+        calls = [
+            ["select", "--input", path, "--method", "fisher", "--correction", "holm"],
+            ["select", "--input", path],
+            ["quantile", "--alpha", "0.1", "--n", "30", "--dim", "3"],
+            ["select", "--input", path, "--bogus"],
+            ["montecarlo", "--dim", "3", "--n", "10", "--reps", "1000"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            return code, *capsys.readouterr()
+
+        together = [run(argv) for argv in calls]
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            alone.append(run(argv))
+        assert together == alone
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("argv", [

@@ -456,11 +456,3 @@ class TestStdNormal:
             std_normal_quantile(1.0)
         with pytest.raises(DomainError):
             std_normal_quantile(math.nan)
-
-    def test_cache_is_bounded(self):
-        count = QUANTILE_CACHE_SIZE + 10
-        for k in range(1, count + 1):
-            std_normal_quantile(k / (count + 1))
-        info = std_normal_quantile.cache_info()
-        assert info.maxsize == QUANTILE_CACHE_SIZE
-        assert info.currsize <= QUANTILE_CACHE_SIZE

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from concgraph import independence, matrices, selection
+from concgraph.distributions import QUANTILE_CACHE_SIZE
 from concgraph import (
+    ConvergenceError,
     Dataset,
     DomainError,
     InsufficientSample,
@@ -335,6 +337,48 @@ class TestSharedBehaviour:
         assert str(got.value) == str(want.value)
 
 
+class TestCriticalValue:
+    def test_cache_is_bounded(self):
+        count = QUANTILE_CACHE_SIZE + 10
+        for k in range(1, count + 1):
+            independence._critical_value("fisher", k / (count + 1), 30, 3)
+        info = independence._critical_value.cache_info()
+        assert info.maxsize == QUANTILE_CACHE_SIZE
+        assert info.currsize <= QUANTILE_CACHE_SIZE
+
+    @pytest.mark.parametrize(
+        "method, n, alpha, error",
+        [
+            ("fisher", 30, 5e-324, DomainError),  # alpha / 2 rounds to 0
+            ("partial_corr", 10**11, 0.05, ConvergenceError),
+            ("umpu", 10**11, 0.05, ConvergenceError),
+        ],
+    )
+    def test_a_bad_call_raises_every_time(self, method, n, alpha, error):
+        s = SymmetricMatrix(np.eye(3))
+        for _ in range(3):
+            with pytest.raises(error):
+                run_edge_test(method, s, 0, 1, n, alpha)
+
+    @pytest.mark.parametrize("method", ["umpu", "partial_corr", "fisher"])
+    @pytest.mark.parametrize("numpy_first", [True, False])
+    def test_numpy_level_decides_as_float(self, method, numpy_first):
+        # equal levels share a cache entry, whichever type filled it
+        independence._critical_value.cache_clear()
+        levels = [np.float64(0.05), 0.05]
+        if not numpy_first:
+            levels.reverse()
+        got = [repr(run_edge_test(method, STRONG_EDGE, 0, 1, 10, a)) for a in levels]
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("test", [umpu_test, partial_correlation_test, fisher_test])
+    def test_a_decided_setting_still_checks_its_inputs(self, test):
+        # n = 10.0 hashes and compares like the cached key n = 10
+        test(STRONG_EDGE, 0, 1, 10, 0.05)
+        with pytest.raises(DomainError, match="sample size must be an integer"):
+            test(STRONG_EDGE, 0, 1, 10.0, 0.05)
+
+
 def test_exact_tests_decide_at_millions_of_observations():
     # m = (n - N) / 2 is near 2.5 * 10**6, where the continued fraction
     # needs more than its old cap of 500 steps
@@ -429,20 +473,15 @@ class TestEquivalence:
         assert inverses == [(40, 40)]
         assert probes == []
 
-    def test_each_pair_validated_once(self, monkeypatch):
-        calls = []
-        validate = independence._validate_test_inputs
-        monkeypatch.setattr(
-            independence, "_validate_test_inputs", lambda *a: calls.append(a[1:3]) or validate(*a)
-        )
+    def test_each_pair_validated_once(self, edge_test_calls):
+        # each entry point validates through one public test of its pair
         s = SymmetricMatrix(STRONG_EDGE.entries)
         for i, j in all_pairs(3):
             verify_equivalence(s, i, j, 10, 0.05)
-        assert calls == all_pairs(3)
-        # the public raw-scale thresholds still validate for themselves
-        calls.clear()
+        assert edge_test_calls == [("partial_corr", i, j) for i, j in all_pairs(3)]
+        edge_test_calls.clear()
         umpu_raw_thresholds(s, 0, 2, 10, 0.05)
-        assert calls == [(0, 2)]
+        assert edge_test_calls == [("umpu", 0, 2)]
 
     @pytest.mark.parametrize(
         "i, j, n, alpha, error",

@@ -149,6 +149,13 @@ class TestFactorizationStack:
             else:
                 assert got._scaled is None and got.partial_correlations is None
 
+    def test_compared_and_hashed_by_identity(self):
+        # a per-matrix cache object; its array fields have no truth value
+        f = SymmetricMatrix(np.eye(3)).factorization
+        g = SymmetricMatrix(np.eye(3)).factorization
+        assert f == f and f != g
+        assert len({f, g, f}) == 2
+
     def test_reports_the_first_failing_pivot(self, rng):
         dim = 5
         # every pivot of -I fails; only the first may be reported

@@ -297,16 +297,16 @@ class TestHolmLevel:
         assert [p <= level for p in pvalues] == textbook_holm_rejects(pvalues, alpha)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_a_graph_takes_one_critical_value(self, method, monkeypatch):
-        name = "std_normal_quantile" if method == "fisher" else "null_corr_quantile"
-        quantile, args = getattr(independence, name), []
-        monkeypatch.setattr(independence, name, lambda *a: args.append(a) or quantile(*a))
+    def test_a_graph_takes_one_critical_value(self, method):
+        independence._critical_value.cache_clear()
         graph = select_graph(chain_graph_data(), TestConfig(0.05, method), "holm")
         assert graph.edges
-        assert len(args) == 435
-        assert len(set(args)) == 1
+        assert independence._critical_value.cache_info().misses == 1
+        assert len(graph.decisions) == 435
+        assert len({d.upper for d in graph.decisions}) == 1
 
     def test_an_exact_graph_takes_one_cold_quantile(self):
+        independence._critical_value.cache_clear()
         beta_sym_quantile.cache_clear()
         select_graph(chain_graph_data(), TestConfig(0.05, "umpu"), "holm")
         assert beta_sym_quantile.cache_info().misses == 1

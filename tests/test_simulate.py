@@ -423,6 +423,7 @@ class TestWorkPerReplication:
         counts = []
         for reps in (1000, 2000):
             # cold quantiles each time, so both runs pay the same fixed cost
+            independence._critical_value.cache_clear()
             distributions.beta_sym_quantile.cache_clear()
             del calls[:]
             estimate(spec, 20, 0.05, method, reps=reps, seed=3)
