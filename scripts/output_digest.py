@@ -38,7 +38,9 @@ in order:
   overflow or underflow in the data's units: each line's hash is that of
   the unscaled chain's ``--correction none`` json line;
 - ``select --method fisher --alpha 1e-300`` on the N = 30 chain, a level
-  at which 1 - alpha/2 rounds to 1.
+  at which 1 - alpha/2 rounds to 1;
+- ``select --alpha 5e-324`` on the N = 30 chain, the one level in (0, 1)
+  whose half rounds to 0, which exits 1 with no output.
 
 Every call runs in a fresh interpreter with ``src/`` first on the path.
 """
@@ -162,6 +164,9 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
     out.append((f"select {CHAIN[0]} --method fisher --alpha 1e-300",
                 ["-m", "concgraph", "select", "--input", os.path.join(workdir, "chain30.csv"),
                  "--method", "fisher", "--alpha", "1e-300"]))
+    out.append((f"select {CHAIN[0]} --alpha 5e-324",
+                ["-m", "concgraph", "select", "--input", os.path.join(workdir, "chain30.csv"),
+                 "--alpha", "5e-324"]))
     return out
 
 

@@ -36,7 +36,6 @@ from .distributions import (
     null_corr_cdf,
     null_corr_quantile,
     reg_inc_beta,
-    std_normal_cdf,
     std_normal_quantile,
 )
 from .estimators import Dataset, sample_covariance, sample_partial_correlation
@@ -97,7 +96,6 @@ __all__ = [
     "null_corr_cdf",
     "null_corr_quantile",
     "fisher_z",
-    "std_normal_cdf",
     "std_normal_quantile",
     "Dataset",
     "sample_covariance",

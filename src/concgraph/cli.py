@@ -38,7 +38,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .estimators import Dataset
-from .distributions import beta_sym_quantile, null_corr_quantile
+from .distributions import _level_error, beta_sym_quantile, null_corr_quantile
 from .independence import TestConfig, _umpu_route, run_edge_test, verify_equivalence
 from .selection import CORRECTIONS, _validated_covariance, select_graph
 from .simulate import (
@@ -551,6 +551,9 @@ def main(argv=None) -> int:
         args.method = _METHOD_FLAGS[args.method]
     if not 0.0 < args.alpha < 1.0 and args.subcommand != "quantile":
         sys.stderr.write(f"error: --alpha must lie in (0, 1), got {args.alpha}\n")
+        return EXIT_USAGE
+    if args.alpha == 5e-324:  # in (0, 1), but refused by every command
+        sys.stderr.write(f"error: {_level_error(args.alpha, '(0, 1)')}\n")
         return EXIT_USAGE
     if args.seed < 0:
         sys.stderr.write("error: --seed must be non-negative\n")

@@ -4,8 +4,8 @@ Everything here is pure and reentrant: the regularized incomplete beta
 function and its symmetric-shape inverse, the exact null law of the
 sample partial correlation (density proportional to (1 - x**2)**((d-2)/2)
 on [-1, 1] with d = n - N degrees of freedom), the Fisher transformation
-and the standard normal CDF and quantile, the latter from the standard
-library's ``statistics`` module.  The public functions are scalar, except
+and the standard normal quantile, from the standard library's
+``statistics`` module.  The public functions are scalar, except
 :func:`null_corr_pvalues`: every exact p-value that ``select`` writes,
 under any correction, comes from one call of it per graph.  It and the
 Kolmogorov-Smirnov check of a Monte Carlo null sample use the array form
@@ -32,7 +32,6 @@ __all__ = [
     "null_corr_quantile",
     "null_corr_pvalues",
     "fisher_z",
-    "std_normal_cdf",
     "std_normal_quantile",
 ]
 
@@ -283,16 +282,23 @@ def null_corr_cdf(r: float, n: int, dim: int) -> float:
         raise _for_sample(exc, n, dim) from None
 
 
+def _level_error(alpha, interval: str) -> DomainError:
+    # 5e-324, the smallest positive double, has no critical value: its half rounds to 0
+    if isinstance(alpha, float) and alpha == 5e-324:
+        return DomainError(f"significance level {alpha!r} is too small: alpha / 2 rounds to 0")
+    return DomainError(f"significance level must lie in {interval}, got {alpha!r}")
+
+
 def null_corr_quantile(alpha: float, n: int, dim: int) -> float:
     """Two-sided critical value c for the null correlation law.
 
     c = 1 - 2 q with q the (alpha/2)-quantile of Beta(m, m), equivalently
     the (1 - alpha/2)-quantile of the law of r.  alpha = 1 is allowed as
-    the degenerate always-reject boundary (c = 0).
+    the degenerate always-reject boundary (c = 0); 5e-324 is refused.
     """
     m = _half_shape(n, dim)
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 1.0):
-        raise DomainError(f"significance level must lie in (0, 1], got {alpha!r}")
+    if not (isinstance(alpha, (int, float)) and 5e-324 < alpha <= 1.0):
+        raise _level_error(alpha, "(0, 1]")
     try:
         return 1.0 - 2.0 * beta_sym_quantile(float(alpha) / 2.0, m)
     except ConvergenceError as exc:
@@ -320,11 +326,6 @@ def fisher_z(r: float, n: int) -> float:
     if not (isinstance(r, (int, float)) and -1.0 < r < 1.0):
         raise DomainError(f"correlation must lie strictly inside (-1, 1), got {r!r}")
     return math.sqrt(n) * math.atanh(float(r))
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
 
 
 def std_normal_quantile(p: float) -> float:

@@ -51,6 +51,7 @@ import numpy as np
 from .distributions import (
     QUANTILE_CACHE_SIZE,
     _half_shape,
+    _level_error,
     beta_sym_quantile,
     fisher_z,
     null_corr_cdf,
@@ -84,8 +85,8 @@ METHODS = ("umpu", "partial_corr", "fisher")
 
 
 def _check_level(alpha) -> None:
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise DomainError(f"significance level must lie in (0, 1), got {alpha!r}")
+    if not (isinstance(alpha, (int, float)) and 5e-324 < alpha < 1.0):
+        raise _level_error(alpha, "(0, 1)")
 
 
 def _check_method(method) -> None:
@@ -112,21 +113,23 @@ class EdgeDecision:
     """Outcome of one per-edge test on n observations of dim variables.
 
     ``reject`` is True exactly when the statistic falls outside the open
-    interval (lower, upper); the acceptance region is symmetric, so
-    lower == -upper for every method.  ``p_value`` is computed on each
-    read from the method, the statistic, n and dim, so a caller that reads
-    only decisions, such as a Monte Carlo count, never pays for it.
+    interval (lower, upper) = (-upper, upper).  ``p_value`` is computed on
+    each read from the method, the statistic, n and dim, so a caller that
+    reads only decisions, such as a Monte Carlo count, never pays for it.
     """
 
     i: int
     j: int
     statistic: float
-    lower: float
     upper: float
     reject: bool
     method: str
     n: int
     dim: int
+
+    @property
+    def lower(self) -> float:
+        return -self.upper
 
     @property
     def p_value(self) -> float:
@@ -160,9 +163,7 @@ def _decision(
 ) -> EdgeDecision:
     """The decision of every test: reject iff |statistic| >= c, the
     closed rule on the acceptance region (-c, c)."""
-    return EdgeDecision(
-        i, j, statistic, -c, c, threshold_reject(statistic, -c, c), method, n, dim
-    )
+    return EdgeDecision(i, j, statistic, c, threshold_reject(statistic, -c, c), method, n, dim)
 
 
 @lru_cache(maxsize=QUANTILE_CACHE_SIZE)

@@ -265,14 +265,12 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True)
 class QuadCoeffs:
-    """Coefficients of det M(x) = -a x**2 + b x + c for edge (i, j); on
-    the lemma route, of det M(x) up to the positive factor 1 / det R."""
+    """Coefficients of det M(x) = -a x**2 + b x + c, x the entry of one edge;
+    on the lemma route, of det M(x) up to the positive factor 1 / det R."""
 
     a: float
     b: float
     c: float
-    i: int
-    j: int
 
 
 @dataclass(frozen=True)
@@ -356,7 +354,7 @@ def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
     probes[:, i, j] = probes[:, j, i] = (0.0, xbar, -xbar)
     d0, dplus, dminus = _det(probes).tolist()
     a = (2.0 * d0 - dplus - dminus) / (2.0 * xbar * xbar)
-    return QuadCoeffs(a, (dplus - dminus) / (2.0 * xbar), d0, i, j)
+    return QuadCoeffs(a, (dplus - dminus) / (2.0 * xbar), d0)
 
 
 def _lemma_coefficients(f: Factorization, i, j):

@@ -37,10 +37,6 @@ class ConcentrationGraph:
     decisions: tuple[EdgeDecision, ...]
     _pvalues: tuple[float, ...] | None = field(init=False, default=None, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges in lexicographic order."""
         return sorted(self.edges)

@@ -34,7 +34,8 @@ Kolmogorov-Smirnov statistic once, over the whole sorted sample.
 
 ``estimate_size`` and ``estimate_power`` share one driver, ``_estimate``,
 which checks the methods and the level through ``independence``'s
-checks, and the sample size with this module's own message.
+checks, and the sample size with this module's own message.  Both probe
+the edge (0, 1).
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ __all__ = [
 # benchmark's montecarlo workload (median op_p50_ref 1.166 -> 1.152) and
 # raised its peak resident memory by 0.5-0.8 MB (38.9 -> 39.6 MB).
 _CHUNK_ELEMENTS = 16384
+
+_EDGE = (0, 1)  # the edge that every Monte Carlo run probes
 
 # A substream key k is one 32-bit word of its SeedSequence entropy.
 _MAX_REPS = 2**32
@@ -266,13 +269,11 @@ def _normalize_methods(method) -> tuple[str, ...]:
     return methods
 
 
-def _validate_run(spec, n, alpha, reps, seed, edge) -> None:
-    _check_offdiagonal(spec.dim, edge[0], edge[1])
+def _validate_run(spec, n, alpha, reps, seed) -> None:
+    _check_offdiagonal(spec.dim, *_EDGE)
     _check_level(alpha)
     if not isinstance(n, int) or isinstance(n, bool) or n <= spec.dim:
-        raise DomainError(
-            f"sample size must be an integer > dim, got n = {n!r}, dim = {spec.dim}"
-        )
+        raise DomainError(f"sample size must be an integer > dim, got n = {n!r}, dim = {spec.dim}")
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1000:
         raise DomainError(f"need at least 1000 replications, got {reps!r}")
     if reps > _MAX_REPS:
@@ -385,13 +386,13 @@ def _replication_covariances(specs, n, states, count) -> list[list[SymmetricMatr
     return stacks
 
 
-def _run_replications(runs, n, alpha, reps, seed, edge):
+def _run_replications(runs, n, alpha, reps, seed):
     """Replications 0..reps-1 of every (spec, methods) run on the same
     substreams: each chunk is drawn once and colored by each spec.
     Returns each run's rejections as one (reps, len(methods)) boolean
     array, whose row k holds replication k's decision of each method, and
     the first run's r of every replication."""
-    i, j = edge
+    i, j = _EDGE
     rejects = [np.empty((reps, len(methods)), dtype=bool) for _, methods in runs]
     r = []
     specs = [spec for spec, _ in runs]
@@ -420,22 +421,20 @@ def _outcomes(methods, rejects) -> dict[str, MethodOutcome]:
     return out
 
 
-def _estimate(spec, n, alpha, method, reps, seed, edge, power: bool) -> MonteCarloReport:
+def _estimate(spec, n, alpha, method, reps, seed, power: bool) -> MonteCarloReport:
     """The one Monte Carlo driver: :func:`estimate_power` with ``power``,
     :func:`estimate_size` without.  A power run adds the matched null to
     the same substreams; a size run requires a null probed edge and
     reports the KS statistic of its r sample."""
     methods = _normalize_methods(method)
-    _validate_run(spec, n, alpha, reps, seed, edge)
-    rho = spec.partial_correlation(*edge)
+    _validate_run(spec, n, alpha, reps, seed)
+    rho = spec.partial_correlation(*_EDGE)
     runs = [(spec, methods)]
     if power:
-        runs.append((spec.with_edge(edge[0], edge[1], 0.0), methods[:1]))
+        runs.append((spec.with_edge(*_EDGE, 0.0), methods[:1]))
     elif abs(rho) > 1e-12:
-        raise DomainError(
-            f"size estimation needs a null probed edge, got rho = {rho}"
-        )
-    rejects, r_values = _run_replications(runs, n, alpha, reps, seed, edge)
+        raise DomainError(f"size estimation needs a null probed edge, got rho = {rho}")
+    rejects, r_values = _run_replications(runs, n, alpha, reps, seed)
     if power:
         null = _outcomes(methods[:1], rejects[1])[methods[0]]
         extra = {"null_rate": null.rate, "null_std_error": null.std_error}
@@ -450,7 +449,7 @@ def _estimate(spec, n, alpha, method, reps, seed, edge, power: bool) -> MonteCar
         dim=spec.dim,
         n=n,
         alpha=alpha,
-        edge=edge,
+        edge=_EDGE,
         rho=rho,
         methods=methods,
         per_method=_outcomes(methods, rows),
@@ -469,15 +468,14 @@ def estimate_size(
     method="partial_corr",
     reps: int = 10000,
     seed: int = 0,
-    edge: tuple[int, int] = (0, 1),
 ) -> MonteCarloReport:
     """Rejection frequency under the null over independent replications.
 
-    The probed edge must have true partial correlation zero.  Also reports
+    Edge (0, 1) must have true partial correlation zero.  Also reports
     the KS statistic of the transformed null sample (1 + r) / 2 against
     Beta(m, m) with m = (n - N) / 2, an exact check of the null law.
     """
-    return _estimate(spec, n, alpha, method, reps, seed, edge, power=False)
+    return _estimate(spec, n, alpha, method, reps, seed, power=False)
 
 
 def estimate_power(
@@ -487,15 +485,18 @@ def estimate_power(
     method="partial_corr",
     reps: int = 10000,
     seed: int = 0,
-    edge: tuple[int, int] = (0, 1),
 ) -> MonteCarloReport:
     """Rejection frequency at the alternative held by ``spec``.
 
     The report carries the size measured at the matched null (same spec
-    with the probed precision entry zeroed, same substreams) so power and
-    size can be compared directly.
+    with the precision entry of the probed edge (0, 1) zeroed, same
+    substreams) so power and size can be compared directly.
     """
-    return _estimate(spec, n, alpha, method, reps, seed, edge, power=True)
+    return _estimate(spec, n, alpha, method, reps, seed, power=True)
+
+
+# random_covariance_instances' dimensions, largest sample size and levels
+_INSTANCE_DIMS, _INSTANCE_MAX_N, _INSTANCE_ALPHAS = (3, 4, 5, 6), 50, (0.1, 0.05, 0.01)
 
 
 def _check_instance_count(count) -> None:
@@ -504,34 +505,24 @@ def _check_instance_count(count) -> None:
 
 
 def random_covariance_instances(
-    count: int,
-    seed: int,
-    dims: Sequence[int] = (3, 4, 5, 6),
-    max_n: int = 50,
-    alphas: Sequence[float] = (0.1, 0.05, 0.01),
+    count: int, seed: int
 ) -> Iterator[tuple[SymmetricMatrix, int, int, int, float]]:
     """Random positive definite sample covariances with admissible test
     settings: yields (S, i, j, n, alpha).
 
-    Each instance draws a random diagonally dominant precision model, a
-    sample size n in [dim + 2, max_n] and a probed edge; alphas cycle.
-    Deterministic in (count, seed); checks its arguments on first use.
+    Each instance draws N from ``_INSTANCE_DIMS``, a random diagonally
+    dominant precision model, n in [N + 2, ``_INSTANCE_MAX_N``] and a
+    probed edge; ``_INSTANCE_ALPHAS`` cycle.  Deterministic in (count,
+    seed); checks the count on first use.
     """
     _check_instance_count(count)
-    if len(dims) == 0 or not all(isinstance(d, (int, np.integer)) and d >= 2 for d in dims):
-        raise DomainError(f"dims must be non-empty integers >= 2, got {dims!r}")
-    low = max(dims) + 2
-    if not isinstance(max_n, int) or max_n < low:
-        raise DomainError(f"max_n must be an integer >= max(dims) + 2 = {low}, got {max_n!r}")
-    if len(alphas) == 0 or not all(isinstance(a, (int, float)) and 0.0 < a < 1.0 for a in alphas):
-        raise DomainError(f"alphas must be non-empty levels in (0, 1), got {alphas!r}")
     rng = np.random.default_rng((seed, 0xC0))
     for k in range(count):
-        dim = int(rng.choice(dims))
-        n = int(rng.integers(dim + 2, max_n + 1))
+        dim = int(rng.choice(_INSTANCE_DIMS))
+        n = int(rng.integers(dim + 2, _INSTANCE_MAX_N + 1))
         level = float(rng.uniform(0.0, 0.7))
         spec = random_precision_matrix(dim, level, seed=(seed, k, 1))
         data = sample_gaussian(spec, n, seed=(seed, k, 2))
         s = sample_covariance(data)
         i, j = sorted(int(v) for v in rng.choice(dim, size=2, replace=False))
-        yield s, i, j, n, float(alphas[k % len(alphas)])
+        yield s, i, j, n, _INSTANCE_ALPHAS[k % len(_INSTANCE_ALPHAS)]

@@ -1,5 +1,5 @@
-"""Every entry point that takes a level, a sample size, a method or an
-edge rejects a bad one with one exception type and one message, and when
+"""Every entry point that takes a level, a sample size, a method, an
+edge, a spec or a seed rejects a bad one with one exception type and one message, and when
 two arguments are bad, the same one wins every time.
 
 Each entry point lists the arguments it checks in the order it checks
@@ -33,18 +33,26 @@ from concgraph import (
 )
 
 DIM = 3
-GOOD = {"alpha": 0.05, "n": 10, "method": "partial_corr", "edge": (0, 1)}
-BAD = {
-    "alpha": (0, 1, math.nan, True, "0.05"),
-    "n": (DIM, 2.0, True),
-    "method": ("wald",),
-    "edge": ((1, 1), (0, DIM)),
-}
 S = SymmetricMatrix([[2.0, 0.5, 0.3], [0.5, 2.0, 0.4], [0.3, 0.4, 2.0]])
 SPEC = PrecisionSpec.identity(DIM)
+# A Monte Carlo run probes the edge (0, 1), which one variable lacks.
+ONE_VARIABLE = PrecisionSpec(SymmetricMatrix([[1.0]]))
+GOOD = {
+    "alpha": 0.05, "n": 10, "method": "partial_corr", "edge": (0, 1), "spec": SPEC, "seed": 0,
+}
+BAD = {
+    "alpha": (0, 1, math.nan, True, "0.05", 5e-324),
+    "n": (DIM, 2.0, True),
+    "method": ("wald", (), ("umpu", "umpu")),
+    "edge": ((1, 1), (0, DIM), (0.0, 1)),
+    "spec": (ONE_VARIABLE,),
+    "seed": (-1,),
+}
 
 
 def _level_error(alpha):
+    if alpha == 5e-324:
+        return DomainError, "significance level 5e-324 is too small: alpha / 2 rounds to 0"
     return DomainError, f"significance level must lie in (0, 1), got {alpha!r}"
 
 
@@ -55,10 +63,29 @@ def _method_error(method):
     )
 
 
+def _run_method_error(method):
+    # a Monte Carlo run takes a method name or a sequence of them
+    if method == ():
+        return DomainError, "need at least one method"
+    if method == ("umpu", "umpu"):
+        return DomainError, "methods must be distinct"
+    return _method_error(method)
+
+
 def _edge_error(edge):
+    if type(edge[0]) is not int:
+        return DomainError, f"index must be an integer, got {edge[0]!r}"
     if edge[0] == edge[1]:
         return DomainError, "edge indices must name an off-diagonal entry"
     return DomainError, f"index {edge[1]} out of range for dimension {DIM}"
+
+
+def _spec_error(spec):
+    return DomainError, "index 1 out of range for dimension 1"
+
+
+def _seed_error(seed):
+    return DomainError, f"seed must be a non-negative integer, got {seed!r}"
 
 
 def _test_n_error(n):
@@ -93,12 +120,13 @@ def _test_entry(test):
 
 def _run_entry(estimate):
     return (
-        lambda a: estimate(SPEC, a["n"], a["alpha"], a["method"], 1000, 0, a["edge"]),
+        lambda a: estimate(a["spec"], a["n"], a["alpha"], a["method"], 1000, a["seed"]),
         {
-            "method": _method_error,
-            "edge": _edge_error,
+            "method": _run_method_error,
+            "spec": _spec_error,
             "alpha": _level_error,
             "n": _run_n_error,
+            "seed": _seed_error,
         },
     )
 
@@ -154,7 +182,7 @@ def expected_error(checks, case):
 
 
 def test_table_covers_singles_and_pairs():
-    assert len(bad_cases()) == 11 + 41
+    assert len(bad_cases()) == 17 + 112
 
 
 @pytest.mark.parametrize("name", ENTRIES)
@@ -179,67 +207,7 @@ def test_good_arguments_pass(name):
     call(GOOD)
 
 
-# random_covariance_instances: bad settings, each with its error; the
-# count is checked first, then dims, max_n and alphas
-INSTANCE_CASES = {
-    "no dims": (
-        {"dims": ()},
-        "dims must be non-empty integers >= 2, got ()",
-    ),
-    "a dim of one": (
-        {"dims": (1, 3)},
-        "dims must be non-empty integers >= 2, got (1, 3)",
-    ),
-    "max_n below the largest dim + 2": (
-        {"max_n": 5},
-        "max_n must be an integer >= max(dims) + 2 = 8, got 5",
-    ),
-    "max_n one short": (
-        {"dims": (3,), "max_n": 4},
-        "max_n must be an integer >= max(dims) + 2 = 5, got 4",
-    ),
-    "max_n a float": (
-        {"max_n": 50.0},
-        "max_n must be an integer >= max(dims) + 2 = 8, got 50.0",
-    ),
-    "no alphas": (
-        {"alphas": ()},
-        "alphas must be non-empty levels in (0, 1), got ()",
-    ),
-    "alpha above one": (
-        {"alphas": (1.5,)},
-        "alphas must be non-empty levels in (0, 1), got (1.5,)",
-    ),
-    "alpha of zero among good ones": (
-        {"alphas": (0.05, 0)},
-        "alphas must be non-empty levels in (0, 1), got (0.05, 0)",
-    ),
-    "dims before max_n and alphas": (
-        {"dims": (), "max_n": 2, "alphas": ()},
-        "dims must be non-empty integers >= 2, got ()",
-    ),
-    "max_n before alphas": (
-        {"max_n": 2, "alphas": ()},
-        "max_n must be an integer >= max(dims) + 2 = 8, got 2",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", INSTANCE_CASES)
-def test_bad_instance_settings_raise_on_the_first_instance(case):
-    settings, message = INSTANCE_CASES[case]
-    instances = random_covariance_instances(3, 1, **settings)
-    with pytest.raises(DomainError) as info:
-        next(instances)
-    assert str(info.value) == message
-
-
 def test_instance_count_is_checked_before_the_settings():
     with pytest.raises(DomainError) as info:
-        next(random_covariance_instances(0, 1, dims=(), max_n=2, alphas=()))
+        next(random_covariance_instances(0, 1))
     assert str(info.value) == "instance count must be a positive integer, got 0"
-
-
-def test_smallest_admissible_instance_settings():
-    for s, i, j, n, alpha in random_covariance_instances(20, 1, dims=(2,), max_n=4, alphas=(0.5,)):
-        assert s.dim == 2 and (i, j) == (0, 1) and n == 4 and alpha == 0.5

@@ -285,6 +285,16 @@ class TestReadCsv:
             assert main(["select", "--input", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {p}: need at least two observation rows\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        (" ,b\n1.0,2.0\n3.0,4.0\n", "header contains an empty variable name"),
+    ], ids=["empty file", "empty name"])
+    def test_unusable_header_exit_2(self, tmp_path, capsys, text, message):
+        p = tmp_path / "header.csv"
+        p.write_text(text, encoding="utf-8")
+        assert main(["select", "--input", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
     def test_blank_line_before_header(self, tmp_path):
         p = tmp_path / "blank.csv"
         p.write_text("\na,b\n1.0,2.0\n\n3.0,4.5\n", encoding="utf-8")
@@ -989,6 +999,14 @@ class TestQuantileCommand:
     def test_insufficient_sample_exit_1(self, capsys):
         assert main(["quantile", "--alpha", "0.05", "--n", "3", "--dim", "5"]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--prob", "0.3"], "--prob and --m must be given together"),
+        (["--n", "10"], "--n and --dim must both be positive"),
+    ], ids=["prob without m", "n without dim"])
+    def test_half_a_flag_pair_exit_1(self, capsys, flags, message):
+        assert main(["quantile", *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -1026,6 +1044,20 @@ class TestUsage:
 
     def test_negative_seed(self, capsys):
         assert main(["verify", "--reps", "50", "--seed", "-3"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--input", "missing.csv"],
+        ["verify", "--input", "missing.csv"],
+        ["montecarlo", "--dim", "3", "--n", "10"],
+        ["quantile", "--n", "10", "--dim", "3"],
+    ], ids=["select", "verify", "montecarlo", "quantile"])
+    def test_level_whose_half_rounds_to_zero_exit_1(self, capsys, argv):
+        # 5e-324 lies in (0, 1), but no critical value exists at it; select
+        # and verify refuse it before they read their input
+        assert main([*argv, "--alpha", "5e-324"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: significance level 5e-324 is too small: alpha / 2 rounds to 0\n"
+        )
 
     def test_one_parser_serves_every_call(self, sample_csv, capsys):
         # main builds the parser once per process; no flag, default or

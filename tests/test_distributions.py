@@ -17,7 +17,6 @@ from concgraph import (
     null_corr_cdf,
     null_corr_quantile,
     reg_inc_beta,
-    std_normal_cdf,
     std_normal_quantile,
 )
 from concgraph import distributions
@@ -229,6 +228,11 @@ class TestNullCorrCdf:
         with pytest.raises(DomainError):
             null_corr_cdf(1.5, 12, 4)
 
+    def test_non_integer_variable_count(self):
+        with pytest.raises(DomainError) as info:
+            null_corr_cdf(0.1, 10, 3.0)
+        assert str(info.value) == "variable count must be an integer, got 3.0"
+
     def test_distribution_link(self):
         # if U ~ Beta(m, m) then 2U - 1 follows the correlation law:
         # the CDFs agree after the affine map
@@ -272,6 +276,16 @@ class TestNullCorrPvalues:
 class TestNullCorrQuantile:
     def test_uniform_law(self):
         assert null_corr_quantile(0.05, 7, 5) == pytest.approx(0.95, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha, message", [
+        (0, "significance level must lie in (0, 1], got 0"),
+        (1.5, "significance level must lie in (0, 1], got 1.5"),
+        (5e-324, "significance level 5e-324 is too small: alpha / 2 rounds to 0"),
+    ])
+    def test_bad_level(self, alpha, message):
+        with pytest.raises(DomainError) as info:
+            null_corr_quantile(alpha, 12, 4)
+        assert str(info.value) == message
 
     def test_always_reject_boundary(self):
         assert null_corr_quantile(1.0, 12, 4) == 0.0
@@ -431,7 +445,7 @@ class TestStdNormal:
     @given(p=st.floats(min_value=1e-10, max_value=1.0 - 1e-10))
     @settings(max_examples=100)
     def test_roundtrip(self, p):
-        assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-12)
+        assert oracles.normal_cdf_erf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-12)
 
     def test_relative_error_against_scipy(self):
         # 7.5e-16 at worst here; the rational approximation with a Newton

@@ -46,6 +46,15 @@ class TestDataset:
         with pytest.raises(DomainError):
             Dataset(values=[[1.0, 2.0], [3.0, 4.0]], names=("a",))
 
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, 2.0, 3.0], "observations must form a 2-d array"),
+        (np.empty((3, 0)), "need at least one variable"),
+    ], ids=["1-d", "no columns"])
+    def test_requires_a_table_of_columns(self, values, message):
+        with pytest.raises(DomainError) as info:
+            Dataset(values=values, names=())
+        assert str(info.value) == message
+
     def test_values_locked(self):
         d = Dataset(values=[[1.0, 2.0], [3.0, 4.0]], names=("a", "b"))
         with pytest.raises(ValueError):

@@ -487,10 +487,14 @@ class TestLemmaQuadratic:
     def test_matches_probe_route_on_random_instances(self):
         # the probe route's c cancels at larger N, so the bound is relative
         # to the largest coefficient, not to each one
+        rng = np.random.default_rng(7)
         seen = set()
-        instances = random_covariance_instances(600, seed=7, dims=range(2, 31), max_n=120)
-        for s, i, j, _, _ in instances:
-            seen.add(s.dim)
+        for _ in range(600):
+            dim = int(rng.integers(2, 31))
+            n = int(rng.integers(dim + 2, 121))
+            s = SymmetricMatrix(oracles.random_sample_covariance(rng, dim, n))
+            i, j = sorted(rng.choice(dim, size=2, replace=False).tolist())
+            seen.add(dim)
             assert lemma_error(s.factorization, i, j) <= 1e-10
         assert seen == set(range(2, 31))
 
@@ -521,23 +525,23 @@ class TestPdInterval:
         # det M of a correlation matrix with a thousand variables is near
         # 1e-185, where b**2 and a c underflow unless the quadratic is
         # scaled first; a power of two changes no bit of the result
-        q = QuadCoeffs(*_lemma_coefficients(pd_matrix_from_seed(5, 6).factorization, 1, 4), 1, 4)
-        scaled = QuadCoeffs(*(math.ldexp(v, power) for v in (q.a, q.b, q.c)), 1, 4)
+        q = QuadCoeffs(*_lemma_coefficients(pd_matrix_from_seed(5, 6).factorization, 1, 4))
+        scaled = QuadCoeffs(*(math.ldexp(v, power) for v in (q.a, q.b, q.c)))
         assert pd_interval(scaled) == pd_interval(q)
         for x in (-0.5, 0.0, 0.3):
             assert edge_statistic(scaled, x) == edge_statistic(q, x)
 
     def test_unit_quadratic(self):
-        iv = pd_interval(QuadCoeffs(a=1.0, b=0.0, c=1.0, i=0, j=1))
+        iv = pd_interval(QuadCoeffs(a=1.0, b=0.0, c=1.0))
         assert (iv.x1, iv.x2) == pytest.approx((-1.0, 1.0), abs=1e-15)
 
     def test_worked_example(self):
-        iv = pd_interval(QuadCoeffs(a=2.0, b=2.0, c=4.0, i=0, j=1))
+        iv = pd_interval(QuadCoeffs(a=2.0, b=2.0, c=4.0))
         assert (iv.x1, iv.x2) == pytest.approx((-1.0, 2.0), abs=1e-12)
 
     def test_zero_discriminant_degenerate(self):
         with pytest.raises(DegenerateEdge):
-            pd_interval(QuadCoeffs(a=1.0, b=0.0, c=0.0, i=0, j=1))
+            pd_interval(QuadCoeffs(a=1.0, b=0.0, c=0.0))
 
     def test_first_degenerate_quadratic_in_order_is_named(self):
         # a negative discriminant and a negative a: whichever comes first
@@ -546,7 +550,7 @@ class TestPdInterval:
         cases = (([good, bad_disc, bad_a], bad_disc), ([bad_a, good, bad_disc], bad_a))
         for quadratics, first in cases:
             with pytest.raises(DegenerateEdge) as want:
-                pd_interval(QuadCoeffs(*first, 0, 1))
+                pd_interval(QuadCoeffs(*first))
             with pytest.raises(DegenerateEdge) as got:
                 _roots_and_statistic(*np.array(quadratics).T, 0.0)
             assert str(got.value) == str(want.value)
@@ -554,9 +558,9 @@ class TestPdInterval:
 
     def test_nonpositive_leading_coefficient_degenerate(self):
         with pytest.raises(DegenerateEdge):
-            pd_interval(QuadCoeffs(a=0.0, b=1.0, c=1.0, i=0, j=1))
+            pd_interval(QuadCoeffs(a=0.0, b=1.0, c=1.0))
         with pytest.raises(DegenerateEdge):
-            pd_interval(QuadCoeffs(a=-1.0, b=0.0, c=1.0, i=0, j=1))
+            pd_interval(QuadCoeffs(a=-1.0, b=0.0, c=1.0))
 
     def test_determinant_vanishes_at_roots(self, rng):
         for _ in range(25):
@@ -605,7 +609,7 @@ class TestEdgeStatistic:
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateEdge):
-            edge_statistic(QuadCoeffs(a=1.0, b=0.0, c=-1.0, i=0, j=1), 0.0)
+            edge_statistic(QuadCoeffs(a=1.0, b=0.0, c=-1.0), 0.0)
 
 
 class TestLemmaResidual:

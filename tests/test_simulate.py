@@ -292,7 +292,7 @@ class TestChunkedEngine:
         chunk = simulate._chunk_length(n, runs[0][0].dim)
         # several chunks and a short last one
         assert reps >= 3 * chunk and reps % chunk
-        rejects, r = simulate._run_replications(runs, n, 0.05, reps, seed, (0, 1))
+        rejects, r = simulate._run_replications(runs, n, 0.05, reps, seed)
         assert len(rejects) == len(runs)
         loops = []
         for (spec, methods), got in zip(runs, rejects):
