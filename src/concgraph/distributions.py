@@ -251,6 +251,12 @@ def beta_sym_quantile(prob: float, m: float) -> float:
 
 
 def _half_shape(n: int, dim: int) -> float:
+    """m = (n - N) / 2 for an integer sample size n > N integer variables.
+    Every edge test reads it, so exact ``int``s with n > dim, the common
+    case, return after two type tests and one comparison; any other
+    value takes the full checks, in their order and with their messages."""
+    if type(n) is int and type(dim) is int and n > dim:
+        return (n - dim) / 2.0
     if not isinstance(n, (int,)) or isinstance(n, bool):
         raise DomainError(f"sample size must be an integer, got {n!r}")
     if not isinstance(dim, (int,)) or isinstance(dim, bool):

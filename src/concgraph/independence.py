@@ -108,7 +108,7 @@ class TestConfig:
         _check_method(self.method)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EdgeDecision:
     """Outcome of one per-edge test on n observations of dim variables.
 
@@ -116,6 +116,12 @@ class EdgeDecision:
     interval (lower, upper) = (-upper, upper).  ``p_value`` is computed on
     each read from the method, the statistic, n and dim, so a caller that
     reads only decisions, such as a Monte Carlo count, never pays for it.
+
+    Every public edge test builds one, so ``__init__`` fills the fields
+    with one write to ``__dict__`` instead of the generated one
+    ``object.__setattr__`` per field, about half the cost; equality,
+    hashing, repr, ``dataclasses.replace`` and the frozen fields are
+    those of a generated one.
     """
 
     i: int
@@ -126,6 +132,11 @@ class EdgeDecision:
     method: str
     n: int
     dim: int
+
+    def __init__(self, i, j, statistic, upper, reject, method, n, dim) -> None:
+        self.__dict__.update(
+            i=i, j=j, statistic=statistic, upper=upper, reject=reject, method=method, n=n, dim=dim
+        )
 
     @property
     def lower(self) -> float:
@@ -197,13 +208,14 @@ def _edge_test(
     """The one body of the three edge tests: checks the edge, the level,
     the sample size and positive definiteness on every call, in that
     order, and decides r (fisher: z(r)) at :func:`_critical_value`."""
-    _check_offdiagonal(s.dim, i, j)
+    dim = s.dim
+    _check_offdiagonal(dim, i, j)
     _check_level(alpha)
-    _half_shape(n, s.dim)
+    _half_shape(n, dim)
     r = float(_pd_factorization(s).partial_correlations[i, j])
-    c = _critical_value(method, alpha, n, s.dim)
+    c = _critical_value(method, alpha, n, dim)
     statistic = fisher_z(r, n) if method == "fisher" else r
-    return _decision(method, i, j, statistic, c, n, s.dim)
+    return _decision(method, i, j, statistic, c, n, dim)
 
 
 def umpu_test(

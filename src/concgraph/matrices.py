@@ -67,7 +67,7 @@ __all__ = [
 PIVOT_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Factorization:
     """Correlation-scaled factorization of a symmetric matrix.
 
@@ -79,11 +79,21 @@ class Factorization:
     None otherwise.  ``_lemma_table`` is R^-1 from LAPACK, computed the
     first time it is read, for the quadratics of :func:`_lemma_coefficients`.
     It is one matrix's cache, so it is compared and hashed by identity.
+
+    A stack of Monte Carlo covariances builds one per matrix, so
+    ``__init__`` fills the fields with one write to ``__dict__`` instead
+    of the generated one ``object.__setattr__`` per field; the record is
+    as frozen, and takes ``dataclasses.replace``, as a generated one.
     """
 
     pivot: int | None
     partial_correlations: np.ndarray | None
     _scaled: np.ndarray | None = field(default=None, repr=False)
+
+    def __init__(self, pivot, partial_correlations, _scaled=None) -> None:
+        self.__dict__.update(
+            pivot=pivot, partial_correlations=partial_correlations, _scaled=_scaled
+        )
 
     @cached_property
     def _lemma_table(self) -> np.ndarray:
@@ -169,10 +179,9 @@ def _factorize(entries: np.ndarray) -> list[Factorization]:
     partial = -k / (root[..., :, None] * root[..., None, :])
     partial.setflags(write=False)
     r.setflags(write=False)
-    return [
-        Factorization(pivot=None, partial_correlations=partial[m], _scaled=r[m])
-        for m in range(len(r))
-    ]
+    # (pivot, partial_correlations, _scaled), positionally: a Monte Carlo
+    # chunk builds one per replication
+    return [Factorization(None, p, s) for p, s in zip(partial, r)]
 
 
 def _check_entries(arr: np.ndarray) -> None:
@@ -282,6 +291,13 @@ class PdInterval:
 
 
 def _check_index(dim: int, k: int) -> None:
+    """An index must be an integer (a numpy integer, never a bool) in
+    [0, dim).  Every edge test checks two, so an exact ``int`` in range,
+    the common case, returns after one type test and one comparison; any
+    other value takes the full checks, in their order and with their
+    messages."""
+    if type(k) is int and 0 <= k < dim:
+        return
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise DomainError(f"index must be an integer, got {k!r}")
     if not 0 <= k < dim:

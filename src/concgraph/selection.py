@@ -83,17 +83,16 @@ def _validated_covariance(data: Dataset) -> SymmetricMatrix:
     return s
 
 
-def _holm_level(pvalues: list[float], alpha: float) -> float:
-    """The level at which Holm's step-down stops: alpha / (count - K) for
-    the first sorted rank K whose p-value exceeds it, or alpha when no
-    rank does.  The step-down rejects exactly the p-values at or below
-    this level, so one level decides every pair."""
+def _holm_divisor(pvalues: list[float], alpha: float) -> int:
+    """The divisor of alpha at which Holm's step-down stops: count - K for
+    the first sorted rank K whose p-value exceeds alpha / (count - K), or
+    1 when no rank does.  The step-down rejects exactly the p-values at or
+    below alpha over this divisor, so one level decides every pair."""
     count = len(pvalues)
     for rank, p in enumerate(sorted(pvalues)):
-        level = alpha / (count - rank)
-        if p > level:
-            return level
-    return alpha
+        if p > alpha / (count - rank):
+            return count - rank
+    return 1
 
 
 def select_graph(
@@ -105,14 +104,16 @@ def select_graph(
     Every pair is tested once, by one public edge test, at one level for
     the whole graph: config.alpha under correction "none", alpha over the
     number of pairs under "bonferroni", and under "holm" the level at
-    which the step-down on the p-values stops.  The positive-definiteness
-    check and every partial correlation come from one correlation-scaled
-    factorization of the sample covariance, so the graph costs one O(N^3)
-    factorization however many pairs there are, and rescaling a variable
-    changes no decision.  The corrections are standard plumbing for
-    multiple testing, outside the per-edge optimality statement.  The
-    graph owns its p-values, one pass: under Holm the one it decided
-    from, otherwise a writer's first read of ``_pvalue_column``.
+    which the step-down on the p-values stops.  A corrected level at or
+    below 5e-324 is refused with DomainError before any pair is tested.
+    The positive-definiteness check and every partial correlation come
+    from one correlation-scaled factorization of the sample covariance,
+    so the graph costs one O(N^3) factorization however many pairs there
+    are, and rescaling a variable changes no decision.  The corrections
+    are standard plumbing for multiple testing, outside the per-edge
+    optimality statement.  The graph owns its p-values, one pass: under
+    Holm the one it decided from, otherwise a writer's first read of
+    ``_pvalue_column``.
     """
     if correction not in CORRECTIONS:
         raise DomainError(
@@ -120,15 +121,22 @@ def select_graph(
         )
     s = _validated_covariance(data)
     pairs = all_pairs(data.dim)
-    method, n = config.method, data.n
-    level = config.alpha
+    method, n, alpha = config.method, data.n, config.alpha
+    divisor = 1
     if correction == "bonferroni":
-        level = config.alpha / max(len(pairs), 1)
+        divisor = max(len(pairs), 1)
     elif correction == "holm":
         r = s.factorization.partial_correlations[np.triu_indices(s.dim, 1)]
         statistics = [fisher_z(x, n) for x in r.tolist()] if method == "fisher" else r
         pvalues = _graph_pvalues(method, statistics, n, s.dim)
-        level = _holm_level(pvalues, config.alpha)
+        divisor = _holm_divisor(pvalues, alpha)
+    level = alpha / divisor
+    # a level the user never gave, 0 or 5e-324, has no critical value
+    if level <= 5e-324:
+        raise DomainError(
+            f"significance level {alpha!r} is too small for the {correction} correction: "
+            f"alpha / {divisor} is at most 5e-324"
+        )
     decisions = [run_edge_test(method, s, i, j, n, level) for i, j in pairs]
     edges = frozenset((d.i, d.j) for d in decisions if d.reject)
     graph = ConcentrationGraph(names=data.names, edges=edges, decisions=tuple(decisions))

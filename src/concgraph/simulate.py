@@ -51,7 +51,7 @@ import numpy as np
 from .errors import DomainError, NotPositiveDefinite
 from .estimators import Dataset, _covariances, _pd_factorization, sample_covariance
 from .distributions import _reg_inc_beta_array
-from .independence import _check_level, _check_method, run_edge_test
+from .independence import _TESTS, _check_level, _check_method
 from .matrices import SymmetricMatrix, _check_offdiagonal, _matrix_stack
 
 __all__ = [
@@ -372,16 +372,26 @@ def _replication_covariances(specs, n, states, count) -> list[list[SymmetricMatr
     spec, each with its factorization attached, from one stack of draws
     colored by every spec's Cholesky factor.  Each replication draws from
     the PCG64 generator that ``default_rng((seed, k))`` builds, seeded
-    from the next row of ``states``, so the specs share their substreams."""
-    z = np.empty((count, n, specs[0].dim))
+    from the next row of ``states``, so the specs share their substreams.
+
+    A spec colors the chunk with one 2-d product of all its count * n
+    draws, the product ``sample_gaussian`` takes for one replication's n
+    rows: each colored row is one row of z times L^T either way, and one
+    BLAS call replaces a batched matmul's call per replication."""
+    dim = specs[0].dim
+    z = np.empty((count, n, dim))
     row_seed = _row_seed_type()
     generator, pcg64 = np.random.Generator, np.random.PCG64
     for row, state in zip(z, states):
         generator(pcg64(row_seed(state))).standard_normal(out=row)
-    stacks = [_matrix_stack(_covariances(z @ spec._cholesky.T)) for spec in specs[:-1]]
+    rows = z.reshape(-1, dim)
+    stacks = [
+        _matrix_stack(_covariances((rows @ spec._cholesky.T).reshape(z.shape)))
+        for spec in specs[:-1]
+    ]
     # The last spec colors in place, so the chunk holds one stack of draws
     # fewer while its covariances are formed; the product is the same.
-    np.matmul(z, specs[-1]._cholesky.T, out=z)
+    np.matmul(rows, specs[-1]._cholesky.T, out=rows)
     stacks.append(_matrix_stack(_covariances(z)))
     return stacks
 
@@ -402,9 +412,12 @@ def _run_replications(runs, n, alpha, reps, seed):
         count = min(chunk, reps - start)
         stacks = _replication_covariances(specs, n, states, count)
         for (_, methods), rows, covariances in zip(runs, rejects, stacks):
+            # _normalize_methods has checked every name, so each test is
+            # looked up once per chunk; read from _TESTS here, never bound
+            # at import, so a test patched into it counts every call.
+            tests = [_TESTS[name] for name in methods]
             rows[start : start + count] = [
-                [run_edge_test(name, s, i, j, n, alpha).reject for name in methods]
-                for s in covariances
+                [test(s, i, j, n, alpha).reject for test in tests] for s in covariances
             ]
         # Each test above has checked that s is positive definite.
         r.extend(s.factorization.partial_correlations[i, j] for s in stacks[0])

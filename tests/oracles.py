@@ -15,12 +15,15 @@ S / g (the package scales the quadratic of R instead), umpu's
 conditional route one pair at a time in Python floats (the package
 evaluates it over index arrays), and Holm by
 deciding every pair twice with scalar p-values (the package decides each
-pair once, after one array pass of p-values).
+pair once, after one array pass of p-values), and frozen records by the
+``__init__`` that ``dataclasses`` generates (the package writes each
+record's fields in one update).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -460,3 +463,16 @@ def replication_loop(spec, n, alpha, methods, reps, seed, edge=(0, 1)):
         for a, b in agree:
             agree[(a, b)] += decisions[a].reject == decisions[b].reject
     return rows, counts, agree, r
+
+
+def generated_twin(cls):
+    """A frozen dataclass with cls's name, fields and options, whose
+    ``__init__`` is the one ``dataclasses`` generates, one
+    ``object.__setattr__`` per field."""
+    fields = [
+        (f.name, f.type, dataclasses.field(default=f.default, repr=f.repr, compare=f.compare))
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, frozen=True, eq=cls.__dataclass_params__.eq
+    )

@@ -42,9 +42,9 @@ GOOD = {
 }
 BAD = {
     "alpha": (0, 1, math.nan, True, "0.05", 5e-324),
-    "n": (DIM, 2.0, True),
+    "n": (DIM, 2.0, True, np.int64(10)),
     "method": ("wald", (), ("umpu", "umpu")),
-    "edge": ((1, 1), (0, DIM), (0.0, 1)),
+    "edge": ((1, 1), (0, DIM), (0.0, 1), (True, 1), (-1, 1), (0, np.int64(DIM))),
     "spec": (ONE_VARIABLE,),
     "seed": (-1,),
 }
@@ -73,11 +73,15 @@ def _run_method_error(method):
 
 
 def _edge_error(edge):
-    if type(edge[0]) is not int:
-        return DomainError, f"index must be an integer, got {edge[0]!r}"
-    if edge[0] == edge[1]:
+    # i is checked before j; each bad j here is an index out of range
+    i, j = edge
+    if type(i) is not int:
+        return DomainError, f"index must be an integer, got {i!r}"
+    if not 0 <= i < DIM:
+        return DomainError, f"index {i} out of range for dimension {DIM}"
+    if i == j:
         return DomainError, "edge indices must name an off-diagonal entry"
-    return DomainError, f"index {edge[1]} out of range for dimension {DIM}"
+    return DomainError, f"index {j} out of range for dimension {DIM}"
 
 
 def _spec_error(spec):
@@ -182,7 +186,7 @@ def expected_error(checks, case):
 
 
 def test_table_covers_singles_and_pairs():
-    assert len(bad_cases()) == 17 + 112
+    assert len(bad_cases()) == 21 + 171
 
 
 @pytest.mark.parametrize("name", ENTRIES)

@@ -622,6 +622,24 @@ class TestSelectCommand:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["alpha"] == float(alpha)
 
+    @pytest.mark.parametrize("correction", ["bonferroni", "holm"])
+    @pytest.mark.parametrize("alpha", ["1e-321", "3e-321"])
+    def test_corrected_level_at_the_smallest_double_exit_2(
+        self, tmp_path, capsys, correction, alpha
+    ):
+        # each alpha is admissible, but alpha / 435 rounds to 0 (1e-321) or
+        # to 5e-324 (3e-321), which has no critical value; the error names
+        # the correction, the given alpha and the divisor, never the level
+        data = chain_data(30, 100, seed=1)
+        path = tmp_path / "wide.csv"
+        write_csv(path, data.names, data.values.tolist())
+        argv = ["select", "--input", str(path), "--correction", correction, "--alpha", alpha]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: significance level {alpha} is too small for the {correction} "
+            "correction: alpha / 435 is at most 5e-324\n"
+        ))
+
     def test_missing_input_flag_exit_1(self, capsys):
         assert main(["select"]) == 1
 

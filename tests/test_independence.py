@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +237,46 @@ class TestExactPValue:
         assert again.p_value == independence._exact_p_value(0.9, n, d.dim)
 
 
+class TestEdgeDecisionRecord:
+    """EdgeDecision writes its fields in one update; it must behave as the
+    record that the generated ``__init__`` builds."""
+
+    FIELDS = (0, 2, -0.25, 0.5, False, "umpu", 30, 4)
+
+    def test_behaves_as_the_generated_record(self):
+        twin = oracles.generated_twin(independence.EdgeDecision)
+        d, g = independence.EdgeDecision(*self.FIELDS), twin(*self.FIELDS)
+        assert repr(d) == repr(g)
+        assert dataclasses.astuple(d) == dataclasses.astuple(g) == self.FIELDS
+        assert dataclasses.asdict(d) == dataclasses.asdict(g)
+        same = independence.EdgeDecision(**dataclasses.asdict(d))
+        assert d == same and d is not same and hash(d) == hash(same) == hash(g)
+        assert d != replace(d, reject=True)
+        assert d.lower == -0.5 and d.p_value == pytest.approx(independence._exact_p_value(-0.25, 30, 4))
+
+    def test_replace_copies_and_pickles_as_the_generated_record(self):
+        twin = oracles.generated_twin(independence.EdgeDecision)
+        d, g = independence.EdgeDecision(*self.FIELDS), twin(*self.FIELDS)
+        copy = replace(d, statistic=0.75, reject=True)
+        assert type(copy) is independence.EdgeDecision
+        assert repr(copy) == repr(replace(g, statistic=0.75, reject=True))
+        assert pickle.loads(pickle.dumps(d)) == d
+
+    def test_frozen(self):
+        d = independence.EdgeDecision(*self.FIELDS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.reject = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del d.i
+        assert d.reject is False
+
+    def test_a_test_builds_the_same_record(self, rng):
+        s, i, j, n = random_instance(rng)
+        d = umpu_test(s, i, j, n, 0.05)
+        twin = oracles.generated_twin(independence.EdgeDecision)
+        assert repr(d) == repr(twin(*dataclasses.astuple(d)))
+
+
 class TestFisher:
     def test_zero_statistic(self):
         d = fisher_test(SymmetricMatrix(np.eye(3)), 0, 1, 30, 0.05)
@@ -285,6 +327,16 @@ class TestSharedBehaviour:
         assert d1.statistic == pytest.approx(d2.statistic, abs=1e-14)
         assert d1.reject == d2.reject
         assert d1.p_value == pytest.approx(d2.p_value, abs=1e-14)
+
+    @pytest.mark.parametrize("itype", [np.int64, np.int32])
+    @pytest.mark.parametrize("method", ["umpu", "partial_corr", "fisher"])
+    def test_numpy_integer_indices_decide_as_ints(self, method, itype, rng):
+        # numpy integers take the full index checks, not the exact-int path
+        s, _, _, n = random_instance(rng)
+        for i, j in all_pairs(s.dim):
+            d = run_edge_test(method, s, itype(i), itype(j), n, 0.05)
+            assert type(d.i) is itype
+            assert d == run_edge_test(method, s, i, j, n, 0.05)
 
     @pytest.mark.parametrize("method", ["umpu", "partial_corr", "fisher"])
     def test_permutation_invariance(self, method, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,27 @@ class TestFactorizationStack:
         g = SymmetricMatrix(np.eye(3)).factorization
         assert f == f and f != g
         assert len({f, g, f}) == 2
+
+    def test_stacked_record_behaves_as_the_generated_record(self, rng):
+        # built with one update of __dict__, but frozen, replaceable and
+        # printed as the generated record, and still compared by identity
+        stack = np.array([oracles.random_pd_matrix(rng, 4) for _ in range(3)])
+        f = _factorize(stack)[1]
+        twin = oracles.generated_twin(matrices.Factorization)
+        g = twin(f.pivot, f.partial_correlations, f._scaled)
+        assert repr(f) == repr(g)
+        assert dataclasses.astuple(f)[0] is None
+        copy = dataclasses.replace(f)
+        assert type(copy) is matrices.Factorization and copy is not f and copy != f
+        assert copy.partial_correlations is f.partial_correlations
+        assert copy._scaled is f._scaled
+        assert hash(f) == object.__hash__(f) and f == f
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.pivot = 0
+        assert np.array_equal(f._lemma_table, np.linalg.inv(f._scaled))
+        assert f._lemma_table is f._lemma_table
+        failed = matrices.Factorization(2, None)
+        assert (failed.pivot, failed.partial_correlations, failed._scaled) == (2, None, None)
 
     def test_reports_the_first_failing_pivot(self, rng):
         dim = 5

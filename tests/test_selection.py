@@ -292,7 +292,7 @@ class TestHolmLevel:
     @pytest.mark.parametrize("case", CASES)
     def test_equal_to_the_textbook_step_down(self, case):
         pvalues, alpha, stop = self.CASES[case]
-        level = selection._holm_level(pvalues, alpha)
+        level = alpha / selection._holm_divisor(pvalues, alpha)
         assert level == stop == textbook_holm_stop(pvalues, alpha)
         assert [p <= level for p in pvalues] == textbook_holm_rejects(pvalues, alpha)
 
