@@ -221,7 +221,7 @@ def read_dataset_csv(path: str) -> Dataset:
 def _csv_rows(handle, path: str):
     """The non-blank rows of a CSV file.  A line ``csv`` cannot read, such
     as one with a cell over its field-size limit, is a DataError naming
-    the file and line."""
+    the file and line; so is a byte that is not UTF-8, naming the file."""
     reader = csv.reader(handle)
     try:
         for row in reader:
@@ -229,6 +229,9 @@ def _csv_rows(handle, path: str):
                 yield row
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DataError(f"{path}: not UTF-8 text: cannot decode byte 0x{byte:02x}") from None
 
 
 def _read_dataset_cells(path: str) -> Dataset:

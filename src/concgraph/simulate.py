@@ -12,21 +12,22 @@ block of k at once, with the same uint32 hash in numpy array arithmetic,
 and hands each row to numpy's own PCG64 seeding, so the draws are bit for
 bit those of ``default_rng((s, k))`` without hashing one key at a time.
 
-Replications run in chunks.  A spec computes its covariance Cholesky
-factor once.  Each chunk stacks its replications' draws into one
-(chunk, n, N) array, colors them with one matrix product, forms every
-sample covariance at once, checks them once as a stack and factors them
-all with one correlation-scaled Cholesky call.  A power run colors the same
-draws once for the alternative and once for the matched null, so each
-substream is drawn once.  Each replication then runs its edge tests one
-by one; every test reads r from the factorization, so no replication
-computes a determinant.  A run's rejections are one boolean array, a row
-per replication and a column per method, so its rejection counts, the
-agreements of each pair of methods and the matched null's count are
-column sums.  Every stacked step acts on each replication separately, so
-a replication's covariance, statistics and decisions are bit for bit
-those of ``sample_gaussian`` -> ``sample_covariance`` -> ``run_edge_test``
-on its substream, and the chunk length changes no result.
+Replications run in chunks, one loop per chunk.  A spec computes its
+covariance Cholesky factor once.  The loop stacks the chunk's draws into
+one (chunk, n, N) array; then, for each spec, it colors them with one
+matrix product, forms every sample covariance at once, checks them once
+as a stack, factors them all with one correlation-scaled Cholesky call
+and runs each replication's edge tests one by one.  A power run colors
+the same draws once for the alternative and once for the matched null,
+so each substream is drawn once.  Every test reads r from the
+factorization, so no replication computes a determinant.  A run's
+rejections are one boolean array, a row per replication and a column per
+method, so its rejection counts, the agreements of each pair of methods
+and the matched null's count are column sums.  Every stacked step acts
+on each replication separately, so a replication's covariance,
+statistics and decisions are bit for bit those of ``sample_gaussian`` ->
+``sample_covariance`` -> ``run_edge_test`` on its substream, and the
+chunk length changes no result.
 
 A replication pays only for what its report reads: its decisions'
 p-values are never computed.  A size run evaluates the null CDF for its
@@ -367,60 +368,41 @@ def _substream_states(seed: int, reps: int) -> Iterator[np.ndarray]:
         yield from _substream_seeds(seed, start, min(start + _SEED_BLOCK, reps))
 
 
-def _replication_covariances(specs, n, states, count) -> list[list[SymmetricMatrix]]:
-    """Sample covariances of the next ``count`` replications under each
-    spec, each with its factorization attached, from one stack of draws
-    colored by every spec's Cholesky factor.  Each replication draws from
-    the PCG64 generator that ``default_rng((seed, k))`` builds, seeded
-    from the next row of ``states``, so the specs share their substreams.
-
-    A spec colors the chunk with one 2-d product of all its count * n
-    draws, the product ``sample_gaussian`` takes for one replication's n
-    rows: each colored row is one row of z times L^T either way, and one
-    BLAS call replaces a batched matmul's call per replication."""
-    dim = specs[0].dim
-    z = np.empty((count, n, dim))
-    row_seed = _row_seed_type()
-    generator, pcg64 = np.random.Generator, np.random.PCG64
-    for row, state in zip(z, states):
-        generator(pcg64(row_seed(state))).standard_normal(out=row)
-    rows = z.reshape(-1, dim)
-    stacks = [
-        _matrix_stack(_covariances((rows @ spec._cholesky.T).reshape(z.shape)))
-        for spec in specs[:-1]
-    ]
-    # The last spec colors in place, so the chunk holds one stack of draws
-    # fewer while its covariances are formed; the product is the same.
-    np.matmul(rows, specs[-1]._cholesky.T, out=rows)
-    stacks.append(_matrix_stack(_covariances(z)))
-    return stacks
-
-
 def _run_replications(runs, n, alpha, reps, seed):
     """Replications 0..reps-1 of every (spec, methods) run on the same
-    substreams: each chunk is drawn once and colored by each spec.
+    substreams, in one loop per chunk.  The chunk's replications draw
+    into one (count, n, N) stack, each from the PCG64 generator that
+    ``default_rng((seed, k))`` builds; each spec colors all count * n
+    rows with one 2-d product by L^T (the product ``sample_gaussian``
+    takes for one replication's n rows), forms and factors their
+    covariances as one stack and runs one public test per method on each.
     Returns each run's rejections as one (reps, len(methods)) boolean
-    array, whose row k holds replication k's decision of each method, and
-    the first run's r of every replication."""
+    array, whose row k holds replication k's decision of each method,
+    and the first run's r of every replication."""
     i, j = _EDGE
     rejects = [np.empty((reps, len(methods)), dtype=bool) for _, methods in runs]
     r = []
-    specs = [spec for spec, _ in runs]
-    chunk = _chunk_length(n, specs[0].dim)
+    dim = runs[0][0].dim
+    chunk = _chunk_length(n, dim)
     states = _substream_states(seed, reps)
+    row_seed = _row_seed_type()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     for start in range(0, reps, chunk):
-        count = min(chunk, reps - start)
-        stacks = _replication_covariances(specs, n, states, count)
-        for (_, methods), rows, covariances in zip(runs, rejects, stacks):
+        z = np.empty((min(chunk, reps - start), n, dim))
+        for row, state in zip(z, states):
+            generator(pcg64(row_seed(state))).standard_normal(out=row)
+        for k, ((spec, methods), hits) in enumerate(zip(runs, rejects)):
+            colored = (z.reshape(-1, dim) @ spec._cholesky.T).reshape(z.shape)
+            covariances = _matrix_stack(_covariances(colored))
             # _normalize_methods has checked every name, so each test is
             # looked up once per chunk; read from _TESTS here, never bound
             # at import, so a test patched into it counts every call.
             tests = [_TESTS[name] for name in methods]
-            rows[start : start + count] = [
+            hits[start : start + len(z)] = [
                 [test(s, i, j, n, alpha).reject for test in tests] for s in covariances
             ]
-        # Each test above has checked that s is positive definite.
-        r.extend(s.factorization.partial_correlations[i, j] for s in stacks[0])
+            if k == 0:  # each test above has checked that s is positive definite
+                r += [s.factorization.partial_correlations[i, j] for s in covariances]
     return rejects, np.array(r)
 
 

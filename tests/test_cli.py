@@ -575,6 +575,27 @@ class TestSelectCommand:
             f"error: {p}: line {line}: field larger than field limit (131072)\n"
         )
 
+    @pytest.mark.parametrize("command", ["select", "verify"])
+    @pytest.mark.parametrize(
+        "where, byte", [("header", 0xE9), ("body", 0xFF), ("after the last row", 0xE9)]
+    )
+    def test_byte_that_is_not_utf8_exit_2(self, tmp_path, capsys, command, where, byte):
+        # once a UnicodeDecodeError traceback, wherever the byte was
+        lines = [b"a,b,c", b"1,2,3", b"4,5,7", b"7,8,8"]
+        bad = bytes([byte])
+        if where == "header":
+            lines[0] = b"a" + bad + b",b,c"
+        elif where == "body":
+            lines[2] = b"4," + bad + b"5,7"
+        else:
+            lines.append(bad)
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        assert main([command, "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: not UTF-8 text: cannot decode byte 0x{byte:02x}\n"
+
     def test_non_convergence_exit_2(self, sample_csv, capsys, monkeypatch):
         path, _ = sample_csv
         distributions.beta_sym_quantile.cache_clear()

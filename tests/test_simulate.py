@@ -1,5 +1,7 @@
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from concgraph import (
     verify_equivalence,
 )
 from concgraph import distributions, independence, matrices, simulate
+
+GOLDEN_PATH = Path(__file__).parent.parent / "perfbench" / "montecarlo_golden.json"
 
 
 class TestPrecisionSpec:
@@ -525,3 +529,33 @@ class TestPinnedCounts:
         )
         assert report.per_method["partial_corr"].rejections == 554
         assert report.null_rate == 0.057
+
+
+class TestBenchmarkGolden:
+    """Every run the benchmark's montecarlo workload checks, replayed
+    against the counts recorded in ``perfbench/montecarlo_golden.json``:
+    N = 5, alpha 0.05, size runs at n = 25 and power runs at n = 50 with
+    rho 0.3 on edge (0, 1).  The KS tolerance is the benchmark's."""
+
+    def test_recorded_counts(self):
+        with open(GOLDEN_PATH, encoding="utf-8") as handle:
+            entries = json.load(handle)["calls"]
+        assert len(entries) == 96
+        mismatches = []
+        for e in entries:
+            method = e["method"].replace("-", "_")
+            if e["kind"] == "size":
+                report = estimate_size(
+                    PrecisionSpec.identity(5), 25, 0.05, method, e["reps"], e["seed"]
+                )
+                got = (report.per_method[method].rejections, None)
+                ks_gap = abs(report.ks_statistic - e["ks_statistic"])
+            else:
+                spec = PrecisionSpec.single_edge(5, 0, 1, 0.3)
+                report = estimate_power(spec, 50, 0.05, method, e["reps"], e["seed"])
+                got = (report.per_method[method].rejections, round(report.null_rate * e["reps"]))
+                ks_gap = 0.0
+            if got != (e["rejections"], e["null_rejections"]) or not ks_gap <= 1e-9:
+                mismatches.append((e, got, ks_gap))
+        assert mismatches == []
+
