@@ -370,15 +370,15 @@ def _substream_states(seed: int, reps: int) -> Iterator[np.ndarray]:
 
 def _run_replications(runs, n, alpha, reps, seed):
     """Replications 0..reps-1 of every (spec, methods) run on the same
-    substreams, in one loop per chunk.  The chunk's replications draw
-    into one (count, n, N) stack, each from the PCG64 generator that
-    ``default_rng((seed, k))`` builds; each spec colors all count * n
-    rows with one 2-d product by L^T (the product ``sample_gaussian``
-    takes for one replication's n rows), forms and factors their
-    covariances as one stack and runs one public test per method on each.
-    Returns each run's rejections as one (reps, len(methods)) boolean
-    array, whose row k holds replication k's decision of each method,
-    and the first run's r of every replication."""
+    substreams, in one loop per chunk: the chunk's replications draw into
+    one (count, n, N) stack, each from the PCG64 generator that
+    ``default_rng((seed, k))`` builds, and each spec colors all count * n
+    rows with one 2-d product by L^T (``sample_gaussian``'s product on one
+    replication's n rows), forms and factors their covariances as one
+    stack and runs one public test per method on each.  Returns each
+    run's rejections as one (reps, len(methods)) boolean array, whose row
+    k holds replication k's decision of each method, and the first run's
+    r of every replication."""
     i, j = _EDGE
     rejects = [np.empty((reps, len(methods)), dtype=bool) for _, methods in runs]
     r = []
@@ -391,12 +391,12 @@ def _run_replications(runs, n, alpha, reps, seed):
         z = np.empty((min(chunk, reps - start), n, dim))
         for row, state in zip(z, states):
             generator(pcg64(row_seed(state))).standard_normal(out=row)
+        rows = z.reshape(-1, dim)
         for k, ((spec, methods), hits) in enumerate(zip(runs, rejects)):
-            colored = (z.reshape(-1, dim) @ spec._cholesky.T).reshape(z.shape)
-            covariances = _matrix_stack(_covariances(colored))
-            # _normalize_methods has checked every name, so each test is
-            # looked up once per chunk; read from _TESTS here, never bound
-            # at import, so a test patched into it counts every call.
+            # the colored draws stay unnamed, so they are freed before the stack is factored
+            covariances = _matrix_stack(_covariances((rows @ spec._cholesky.T).reshape(z.shape)))
+            # _normalize_methods has checked every name; each test is read from _TESTS
+            # once per chunk, never bound at import, so a test patched in counts every call.
             tests = [_TESTS[name] for name in methods]
             hits[start : start + len(z)] = [
                 [test(s, i, j, n, alpha).reject for test in tests] for s in covariances
