@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Record a checkout's benchmark runs in a BENCH_*.json file:
+"""Record the benchmark runs of a parent and a change in a BENCH_*.json
+file, alternating the two checkouts:
 
-    python scripts/bench_record.py CHECKOUT OUT
+    python scripts/bench_record.py PARENT CHANGE OUT
 
-Runs, each in CHECKOUT with the interpreter that runs this script:
+Runs, in each checkout with the interpreter that runs this script:
 
 - ``perfbench/run.py --workload all --seed S --seconds 20`` for S = 1, 2
   and 3 (every workload, untraced and traced; about 2 minutes each);
 - ``scripts/scale_timings.py --dims 200 1000`` (whole CLI processes on
-  chain files; several minutes).
+  chain files, with each process's peak memory; several minutes).
+
+Each step runs both checkouts back to back, and the one that goes first
+alternates from step to step (the parent first at seed 1), so the
+host's drift over the recording falls on both trees alike.
 
 OUT is a JSON object ``{"trees": [...]}``.  Each tree is one checkout's
 ``git_rev`` and ``src_sha256``, as ``run.py`` prints them on its
 ``record`` lines, with the list of its runs.  Runs of a tree already in
-OUT are appended to it, so the parent and a change, measured one after
-the other on one machine, land in one file.  OUT is rewritten after every
-run, so a failed run keeps the ones before it.  Standard library only.
+OUT are appended to it.  OUT is rewritten after every run, so a failed
+run keeps the ones before it.  Standard library only.
 """
 
 import json
@@ -84,20 +88,22 @@ def write(doc: dict, out: Path) -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) != 3:
         sys.stderr.write(__doc__)
         return 1
-    checkout, out = Path(argv[0]).resolve(), Path(argv[1])
+    parent, change, out = Path(argv[0]).resolve(), Path(argv[1]).resolve(), Path(argv[2])
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"trees": []}
-    machine = None
-    for seed in SEEDS:
-        text = run(["perfbench/run.py", "--workload", "all", "--seed", str(seed), "--seconds", str(SECONDS)], checkout)
-        machine, entry = parse_perfbench(text, seed)
-        add_run(doc, machine, entry)
+    machines = {}
+    for step, seed in enumerate(SEEDS):
+        for checkout in (parent, change) if step % 2 == 0 else (change, parent):
+            text = run(["perfbench/run.py", "--workload", "all", "--seed", str(seed), "--seconds", str(SECONDS)], checkout)
+            machines[checkout], entry = parse_perfbench(text, seed)
+            add_run(doc, machines[checkout], entry)
+            write(doc, out)
+    for checkout in (parent, change) if len(SEEDS) % 2 == 0 else (change, parent):
+        text = run(["scripts/scale_timings.py", "--dims", *map(str, DIMS)], checkout)
+        add_run(doc, machines[checkout], {"kind": "scale_timings", "result": json.loads(text.splitlines()[-1])})
         write(doc, out)
-    text = run(["scripts/scale_timings.py", "--dims", *map(str, DIMS)], checkout)
-    add_run(doc, machine, {"kind": "scale_timings", "result": json.loads(text.splitlines()[-1])})
-    write(doc, out)
     return 0
 
 

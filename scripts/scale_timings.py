@@ -11,16 +11,22 @@ neighbours (seed 1).  It then runs ``select --correction none``,
 no p-value) and ``verify --input`` on the file, each as
 ``python -m concgraph`` with ``src/`` first on the path and its report
 written to a scratch file, and times the whole process, three times in a
-row.  Writing the input is not timed.  The last line of output is one
+row.  Writing the input is not timed.  Each run's peak resident memory
+is the process's own ``ru_maxrss``, from the resource usage that
+``os.wait4`` returns when it is reaped.  A child's ``ru_maxrss`` starts
+from the peak of the process that spawned it, so each input is written
+by a fresh interpreter and this one stays smaller than any call it times.  The last line of output is one
 JSON object: the machine, then one entry per call with N, n, the
 command, its exit code (the largest of the runs), the wall time of each
-run and their median, in seconds.  Threads are left at the environment's
-defaults; set ``OPENBLAS_NUM_THREADS`` and the like to pin them.
+run and their median, in seconds, and the peak memory of each run and
+their median, in MB.  Threads are left at the environment's defaults;
+set ``OPENBLAS_NUM_THREADS`` and the like to pin them.
 """
 
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -60,6 +66,17 @@ def write_chain(path: str, dim: int, n: int, seed: int = 1) -> None:
         writer.writerows([[repr(v) for v in row] for row in values.tolist()])
 
 
+def write_chain_apart(path: str, dim: int, n: int) -> None:
+    """:func:`write_chain` in a fresh interpreter.  Written here, the
+    N = 1000 file took this process to 587 MB, and every call spawned
+    after it read 587 MB, a call that peaks at 485 MB alone included."""
+    process = multiprocessing.get_context("spawn").Process(target=write_chain, args=(path, dim, n))
+    process.start()
+    process.join()
+    if process.exitcode:
+        raise SystemExit(f"error: writing {path} exited {process.exitcode}")
+
+
 def machine() -> dict:
     cpu = platform.processor() or "unknown"
     try:
@@ -86,17 +103,23 @@ def _env() -> dict:
     return env
 
 
-def time_call(argv: list[str]) -> tuple[int, float]:
-    """Exit code and wall time of one ``python -m concgraph`` process."""
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "concgraph", *argv],
-        cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=False,
-    )
-    seconds = time.perf_counter() - start
-    if proc.returncode:
-        sys.stderr.write(proc.stderr.decode("utf-8", "replace"))
-    return proc.returncode, seconds
+def time_call(argv: list[str]) -> tuple[int, float, float]:
+    """Exit code, wall time and peak resident memory in MB of one
+    ``python -m concgraph`` process."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "concgraph", *argv],
+            cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL, stderr=err,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        if code:
+            err.seek(0)
+            sys.stderr.write(err.read().decode("utf-8", "replace"))
+    # ru_maxrss is in KiB on Linux
+    return code, seconds, usage.ru_maxrss / 1024.0
 
 
 def main(argv=None) -> int:
@@ -112,19 +135,21 @@ def main(argv=None) -> int:
         for dim in args.dims:
             n = 4 * dim
             path = os.path.join(workdir, f"chain{dim}.csv")
-            write_chain(path, dim, n)
+            write_chain_apart(path, dim, n)
             for label, command in COMMANDS:
-                codes, runs = zip(
+                codes, runs, peaks = zip(
                     *(time_call([*command, "--input", path, "--out", out]) for _ in range(RUNS))
                 )
-                seconds = statistics.median(runs)
+                seconds, peak = statistics.median(runs), statistics.median(peaks)
                 timings.append(
                     {"N": dim, "n": n, "command": label, "exit": max(codes),
-                     "runs": [round(t, 3) for t in runs], "seconds": round(seconds, 3)}
+                     "runs": [round(t, 3) for t in runs], "seconds": round(seconds, 3),
+                     "peak_rss_runs_mb": [round(m, 1) for m in peaks], "peak_rss_mb": round(peak, 1)}
                 )
                 print(
                     f"N = {dim}, n = {n}: {label}: exit {max(codes)}, "
-                    f"runs {', '.join(f'{t:.2f}' for t in runs)} s, median {seconds:.2f} s",
+                    f"runs {', '.join(f'{t:.2f}' for t in runs)} s, median {seconds:.2f} s, "
+                    f"peak {', '.join(f'{m:.0f}' for m in peaks)} MB",
                     flush=True,
                 )
     print(json.dumps({"machine": machine(), "timings": timings}))

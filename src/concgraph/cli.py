@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import math
 import os
 import re
@@ -107,6 +108,10 @@ def json_dumps(obj) -> str:
     return _emit(obj)
 
 
+# Rows of a JSON table joined at a time.
+_ROW_BLOCK = 4096
+
+
 class _JsonText(str):
     """JSON text already written, such as a table from
     :func:`_json_table`, that ``_emit`` copies as it is."""
@@ -171,13 +176,18 @@ def _column_cells(columns) -> tuple[list[str], list[list]]:
 def _json_table(columns: dict) -> _JsonText:
     """The JSON array of flat row objects, row k holding element k of
     every column under the column's key: the bytes ``_emit`` writes for
-    the list of row dicts, from one row template formatted per row."""
+    the list of row dicts, from one row template formatted per row.  Rows
+    are joined a block at a time, so that no list holds every row's own
+    string: at N = 1000 (499,500 rows) that list took 80 MB next to the
+    53 MB table."""
     fields, cells = _column_cells(columns.values())
     template = "{{" + ", ".join(
         _quote(str(key)).replace("{", "{{").replace("}", "}}") + ": " + field
         for key, field in zip(columns, fields)
     ) + "}}"
-    return _JsonText("[" + ", ".join(map(template.format, *cells)) + "]")
+    rows = map(template.format, *cells)
+    blocks = iter(lambda: ", ".join(itertools.islice(rows, _ROW_BLOCK)), "")
+    return _JsonText("[" + ", ".join(blocks) + "]")
 
 
 def read_dataset_csv(path: str) -> Dataset:

@@ -189,21 +189,26 @@ def _reg_inc_beta_array(x: np.ndarray, p: float, q: float) -> np.ndarray:
 
     The continued fractions run on arrays.  The prefactor stays on
     ``math``, one element at a time, since numpy's log, log1p and exp
-    differ from libm's in the last bit on some inputs.
+    differ from libm's in the last bit on some inputs.  For symmetric
+    shapes p == q, as every caller passes, the scalar routine's two tails
+    are the one continued fraction of Beta(p, p) at x or 1 - x, so one
+    pass serves both.
     """
     out = np.where(x == 1.0, 1.0, 0.0)
     inner = np.flatnonzero((x > 0.0) & (x < 1.0))
     if not inner.size:
         return out
     head = _log_beta_head(p, q)
-    bt = np.array(
-        [math.exp(head + p * math.log(v) + q * math.log1p(-v)) for v in x[inner].tolist()]
-    )
-    lower = x[inner] < (p + 1.0) / (p + q + 2.0)
-    k, kbt = inner[lower], bt[lower]
-    out[k] = kbt * _beta_cf_array(p, q, x[k]) / p
-    k, kbt = inner[~lower], bt[~lower]
-    out[k] = 1.0 - kbt * _beta_cf_array(q, p, 1.0 - x[k]) / q
+    x = x[inner]
+    bt = np.array([math.exp(head + p * math.log(v) + q * math.log1p(-v)) for v in x.tolist()])
+    lower = x < (p + 1.0) / (p + q + 2.0)
+    if p == q:
+        tail = bt * _beta_cf_array(p, p, np.where(lower, x, 1.0 - x)) / p
+        out[inner] = np.where(lower, tail, 1.0 - tail)
+        return out
+    out[inner[lower]] = bt[lower] * _beta_cf_array(p, q, x[lower]) / p
+    upper = ~lower
+    out[inner[upper]] = 1.0 - bt[upper] * _beta_cf_array(q, p, 1.0 - x[upper]) / q
     return out
 
 

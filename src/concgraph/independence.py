@@ -43,7 +43,7 @@ in ``_check_method`` and the sample size in ``distributions._half_shape``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -108,7 +108,7 @@ class TestConfig:
         _check_method(self.method)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class EdgeDecision:
     """Outcome of one per-edge test on n observations of dim variables.
 
@@ -117,10 +117,11 @@ class EdgeDecision:
     each read from the method, the statistic, n and dim, so a caller that
     reads only decisions, such as a Monte Carlo count, never pays for it.
 
-    Every public edge test builds one, so ``__init__`` fills the fields
-    with one write to ``__dict__`` instead of the generated one
-    ``object.__setattr__`` per field, about half the cost; equality,
-    hashing, repr, ``dataclasses.replace`` and the frozen fields are
+    A ``select`` graph holds one per pair, so the fields live in slots,
+    with no dict per decision.  Every public edge test builds one, so
+    ``__init__`` writes each slot through its descriptor instead of the
+    generated one ``object.__setattr__`` per field; equality, hashing,
+    repr, ``dataclasses.replace``, pickling and the frozen fields are
     those of a generated one.
     """
 
@@ -134,9 +135,14 @@ class EdgeDecision:
     dim: int
 
     def __init__(self, i, j, statistic, upper, reject, method, n, dim) -> None:
-        self.__dict__.update(
-            i=i, j=j, statistic=statistic, upper=upper, reject=reject, method=method, n=n, dim=dim
-        )
+        _set_i(self, i)
+        _set_j(self, j)
+        _set_statistic(self, statistic)
+        _set_upper(self, upper)
+        _set_reject(self, reject)
+        _set_method(self, method)
+        _set_n(self, n)
+        _set_dim(self, dim)
 
     @property
     def lower(self) -> float:
@@ -147,6 +153,12 @@ class EdgeDecision:
         if self.method == "fisher":
             return _fisher_p_value(self.statistic)
         return _exact_p_value(self.statistic, self.n, self.dim)
+
+
+# The slot descriptors' setters, which write under the frozen __setattr__.
+_set_i, _set_j, _set_statistic, _set_upper, _set_reject, _set_method, _set_n, _set_dim = (
+    getattr(EdgeDecision, f.name).__set__ for f in fields(EdgeDecision)
+)
 
 
 @dataclass(frozen=True)

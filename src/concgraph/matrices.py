@@ -7,7 +7,9 @@ against a floor and yields K = R^-1 = L^-T L^-1, from which every partial
 correlation follows as r_ij = -K_ij / sqrt(K_ii K_jj).  Partial
 correlations are invariant to the scale of each variable, and so is the
 factorization.  A stack of matrices, such as the covariances of a chunk
-of Monte Carlo replications, is checked once and factored by one call.
+of Monte Carlo replications, is checked once and factored by one call,
+which builds nothing that depends on N alone, and hands back its stack of
+partial correlations, so one slice reads an entry of every matrix.
 
 Determinant quadratics serve only the verification route, which
 ``verify`` runs on R to check the partial correlations that the tests
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -122,12 +125,18 @@ def _inverse_factor(r: np.ndarray) -> np.ndarray | None:
     (count, N, N) stack, from one LAPACK Cholesky call; None when LAPACK
     refuses a matrix or a pivot diag(L)**2 is at or below PIVOT_FLOOR.
     LAPACK factors each matrix of the stack on its own, so each X has the
-    bits that a stack of that matrix alone gives."""
-    dim = r.shape[-1]
-    shift = np.eye(2 * dim, k=dim)
-    augmented = np.empty(r.shape[:-2] + (2 * dim, 2 * dim))
-    augmented[...] = shift + shift.T + np.diag(np.repeat([0.0, _AUGMENT], dim))
-    augmented[..., :dim, :dim] = r
+    bits that a stack of that matrix alone gives.
+
+    LAPACK reads only the lower triangle of the augmented matrix, so its
+    upper-right block is left zero, and the two diagonals below R, at
+    flat offsets 2N**2 and (2N + 1) N of each 2N x 2N matrix, are written
+    with a stride of 2N + 1: no template of N is built."""
+    count, dim = len(r), r.shape[-1]
+    augmented = np.zeros((count, 2 * dim, 2 * dim))
+    augmented[:, :dim, :dim] = r
+    flat = augmented.reshape(count, -1)
+    flat[:, 2 * dim * dim :: 2 * dim + 1] = 1.0
+    flat[:, (2 * dim + 1) * dim :: 2 * dim + 1] = _AUGMENT
     try:
         factor = np.linalg.cholesky(augmented)
     except np.linalg.LinAlgError:
@@ -151,37 +160,52 @@ def _first_failing_pivot(r: np.ndarray) -> int:
     return bad - 1
 
 
-def _factorize(entries: np.ndarray) -> list[Factorization]:
-    """Factor R = D^-1/2 S D^-1/2 for every matrix of a (count, N, N)
-    stack at once; a single matrix is a stack of one.
+def _factor_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """R = D^-1/2 S D^-1/2 for every matrix of a (count, N, N) stack, and
+    the (count, N, N) stack of their partial correlations from one
+    Cholesky call, or None when any matrix fails; both write-locked.
 
     A nonpositive diagonal entry is left unscaled: R's pivot there cannot
-    exceed it, so the factorization fails there or earlier.  When any
-    matrix fails, each is factored again alone, and one that fails alone
-    finds its first failing pivot by bisection, so each result is bit for
-    bit the one a stack of that matrix alone gives.
+    exceed it, so the factorization fails there or earlier.
     """
     diag = np.diagonal(entries, axis1=-2, axis2=-1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     # Dividing by the product sqrt(s_ii) sqrt(s_jj), which commutes,
     # keeps R exactly symmetric.
     r = entries / (scale[..., :, None] * scale[..., None, :])
+    r.setflags(write=False)
     x = _inverse_factor(r)
     if x is None:
-        if len(r) > 1:
-            return [f for m in range(len(r)) for f in _factorize(entries[m : m + 1])]
-        return [Factorization(pivot=_first_failing_pivot(r[0]), partial_correlations=None)]
+        return r, None
     k = x @ np.swapaxes(x, -1, -2)
     # Mirroring K's upper triangle keeps r_ij == r_ji bit for bit.
-    lower = np.tril_indices(r.shape[-1], -1)
-    k[..., lower[0], lower[1]] = k[..., lower[1], lower[0]]
+    lower = np.arange(r.shape[-1])[:, None] > np.arange(r.shape[-1])
+    k[:, lower] = np.swapaxes(k, -1, -2)[:, lower]
     root = np.sqrt(np.diagonal(k, axis1=-2, axis2=-1))
     partial = -k / (root[..., :, None] * root[..., None, :])
     partial.setflags(write=False)
-    r.setflags(write=False)
-    # (pivot, partial_correlations, _scaled), positionally: a Monte Carlo
-    # chunk builds one per replication
-    return [Factorization(None, p, s) for p, s in zip(partial, r)]
+    return r, partial
+
+
+def _factor_each(entries: np.ndarray, r: np.ndarray) -> list[Factorization]:
+    """The factorizations of a stack that failed, each matrix factored
+    again alone; one that fails alone finds its first failing pivot by
+    bisection."""
+    if len(r) > 1:
+        return [f for m in range(len(r)) for f in _factorize(entries[m : m + 1])]
+    return [Factorization(pivot=_first_failing_pivot(r[0]), partial_correlations=None)]
+
+
+def _factorize(entries: np.ndarray) -> list[Factorization]:
+    """Factor R = D^-1/2 S D^-1/2 for every matrix of a (count, N, N)
+    stack at once; a single matrix is a stack of one.  When any matrix
+    fails, each is factored again alone, so each result is bit for bit
+    the one a stack of that matrix alone gives."""
+    r, partial = _factor_stack(entries)
+    if partial is None:
+        return _factor_each(entries, r)
+    # (pivot, partial_correlations, _scaled), positionally
+    return list(map(Factorization, repeat(None), partial, r))
 
 
 def _check_entries(arr: np.ndarray) -> None:
@@ -194,20 +218,28 @@ def _check_entries(arr: np.ndarray) -> None:
         raise DomainError("matrix must be exactly symmetric")
 
 
-def _matrix_stack(entries: np.ndarray) -> list[SymmetricMatrix]:
-    """One SymmetricMatrix per matrix of a (count, N, N) stack.  The
-    stack is copied and checked once, as SymmetricMatrix checks one
-    matrix, and each matrix gets its factorization from one Cholesky call
-    on the whole stack."""
+def _matrix_stack(entries: np.ndarray) -> tuple[list[SymmetricMatrix], np.ndarray | None]:
+    """One SymmetricMatrix per matrix of a (count, N, N) stack, and the
+    stack's (count, N, N) partial correlations, or None when a matrix is
+    not positive definite.  The stack is copied and checked once, as
+    SymmetricMatrix checks one matrix, and factored by one Cholesky call;
+    each matrix gets its factorization as it is made, whose partial
+    correlations are that matrix of the returned stack."""
     stack = np.array(entries, dtype=float)
     _check_entries(stack)
     stack.setflags(write=False)
+    r, partial = _factor_stack(stack)
+    if partial is None:
+        factorizations = _factor_each(stack, r)
+    else:
+        # a Monte Carlo chunk builds one per replication, without a list
+        factorizations = map(Factorization, repeat(None), partial, r)
     matrices = []
-    for arr, factorization in zip(stack, _factorize(stack)):
+    for arr, factorization in zip(stack, factorizations):
         m = SymmetricMatrix._checked(arr)
         m._factorization = factorization
         matrices.append(m)
-    return matrices
+    return matrices, partial
 
 
 class SymmetricMatrix:

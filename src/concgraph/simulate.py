@@ -17,21 +17,24 @@ covariance Cholesky factor once.  The loop stacks the chunk's draws into
 one (chunk, n, N) array; then, for each spec, it colors them with one
 matrix product, forms every sample covariance at once, checks them once
 as a stack, factors them all with one correlation-scaled Cholesky call
-and runs each replication's edge tests one by one.  A power run colors
-the same draws once for the alternative and once for the matched null,
-so each substream is drawn once.  Every test reads r from the
-factorization, so no replication computes a determinant.  A run's
-rejections are one boolean array, a row per replication and a column per
-method, so its rejection counts, the agreements of each pair of methods
-and the matched null's count are column sums.  Every stacked step acts
-on each replication separately, so a replication's covariance,
+and runs each method's public edge test on every replication, writing
+that method's column of decisions.  The chunk's r, which a size run
+reports, is one slice of the factored stack of partial correlations.  A
+power run colors the same draws once for the alternative and once for
+the matched null, so each substream is drawn once.  Every test reads r
+from the factorization, so no replication computes a determinant.  A
+run's rejections are one boolean array, a row per replication and a
+column per method, so its rejection counts, the agreements of each pair
+of methods and the matched null's count are column sums.  Every stacked
+step acts on each replication separately, so a replication's covariance,
 statistics and decisions are bit for bit those of ``sample_gaussian`` ->
 ``sample_covariance`` -> ``run_edge_test`` on its substream, and the
 chunk length changes no result.
 
 A replication pays only for what its report reads: its decisions'
 p-values are never computed.  A size run evaluates the null CDF for its
-Kolmogorov-Smirnov statistic once, over the whole sorted sample.
+Kolmogorov-Smirnov statistic once, over the whole sorted sample, in one
+continued-fraction pass for both tails of the symmetric law.
 
 ``estimate_size`` and ``estimate_power`` share one driver, ``_estimate``,
 which checks the methods and the level through ``independence``'s
@@ -375,13 +378,14 @@ def _run_replications(runs, n, alpha, reps, seed):
     ``default_rng((seed, k))`` builds, and each spec colors all count * n
     rows with one 2-d product by L^T (``sample_gaussian``'s product on one
     replication's n rows), forms and factors their covariances as one
-    stack and runs one public test per method on each.  Returns each
-    run's rejections as one (reps, len(methods)) boolean array, whose row
-    k holds replication k's decision of each method, and the first run's
-    r of every replication."""
+    stack and runs one public test per method on each, a method's column
+    at a time.  Returns each run's rejections as one (reps, len(methods))
+    boolean array, whose row k holds replication k's decision of each
+    method, and the first run's r of every replication, read from each
+    chunk's stack of partial correlations as one slice."""
     i, j = _EDGE
     rejects = [np.empty((reps, len(methods)), dtype=bool) for _, methods in runs]
-    r = []
+    r = np.empty(reps)
     dim = runs[0][0].dim
     chunk = _chunk_length(n, dim)
     states = _substream_states(seed, reps)
@@ -392,18 +396,20 @@ def _run_replications(runs, n, alpha, reps, seed):
         for row, state in zip(z, states):
             generator(pcg64(row_seed(state))).standard_normal(out=row)
         rows = z.reshape(-1, dim)
+        stop = start + len(z)
         for k, ((spec, methods), hits) in enumerate(zip(runs, rejects)):
             # the colored draws stay unnamed, so they are freed before the stack is factored
-            covariances = _matrix_stack(_covariances((rows @ spec._cholesky.T).reshape(z.shape)))
+            covariances, partial = _matrix_stack(
+                _covariances((rows @ spec._cholesky.T).reshape(z.shape))
+            )
             # _normalize_methods has checked every name; each test is read from _TESTS
             # once per chunk, never bound at import, so a test patched in counts every call.
-            tests = [_TESTS[name] for name in methods]
-            hits[start : start + len(z)] = [
-                [test(s, i, j, n, alpha).reject for test in tests] for s in covariances
-            ]
-            if k == 0:  # each test above has checked that s is positive definite
-                r += [s.factorization.partial_correlations[i, j] for s in covariances]
-    return rejects, np.array(r)
+            for column, name in enumerate(methods):
+                test = _TESTS[name]
+                hits[start:stop, column] = [test(s, i, j, n, alpha).reject for s in covariances]
+            if k == 0:  # each test above has checked its s, so the chunk factored as one stack
+                r[start:stop] = partial[:, i, j]
+    return rejects, r
 
 
 def _outcomes(methods, rejects) -> dict[str, MethodOutcome]:

@@ -1,5 +1,6 @@
 """scripts/bench_record.py files canned ``perfbench/run.py --workload all``
-output under the tree of its ``record`` lines, without running perfbench."""
+output under the tree of its ``record`` lines, and alternates the parent
+and the change step by step, without running perfbench."""
 
 import importlib.util
 import json
@@ -78,3 +79,35 @@ def test_refuses_records_of_two_machines():
     text = canned_output().replace('"cpu": "Test CPU"', '"cpu": "Other CPU"', 1)
     with pytest.raises(ValueError, match="one machine record"):
         BENCH.parse_perfbench(text, seed=2)
+
+
+def test_alternates_the_two_checkouts(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    revs = {parent: MACHINE, change: dict(MACHINE, git_rev="abc", src_sha256="fedcba9876543210")}
+    calls = []
+
+    def fake_run(argv, cwd):
+        calls.append((cwd.name, argv[0]))
+        if argv[0] == "scripts/scale_timings.py":
+            return "N = 200\n" + json.dumps({"machine": {}, "timings": [cwd.name]}) + "\n"
+        return canned_output(revs[cwd])
+
+    monkeypatch.setattr(BENCH, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert BENCH.main([str(parent), str(change), str(out)]) == 0
+    assert calls == [
+        ("parent", "perfbench/run.py"), ("change", "perfbench/run.py"),
+        ("change", "perfbench/run.py"), ("parent", "perfbench/run.py"),
+        ("parent", "perfbench/run.py"), ("change", "perfbench/run.py"),
+        ("change", "scripts/scale_timings.py"), ("parent", "scripts/scale_timings.py"),
+    ]
+    trees = json.loads(out.read_text(encoding="utf-8"))["trees"]
+    assert [t["git_rev"] for t in trees] == [MACHINE["git_rev"], "abc"]
+    for tree, name in zip(trees, ("parent", "change")):
+        assert [r.get("seed") for r in tree["runs"]] == [1, 2, 3, None]
+        assert tree["runs"][-1]["result"]["timings"] == [name]
+
+
+def test_needs_both_checkouts_and_out(capsys):
+    assert BENCH.main(["one", "out.json"]) == 1
+    assert "PARENT CHANGE OUT" in capsys.readouterr().err

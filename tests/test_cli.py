@@ -178,6 +178,13 @@ class TestTableWriter:
         want = ["\t".join(cli._emit(v) for v in row) for row in zip(*columns.values())]
         assert list(map("\t".join(fields).format, *cells)) == want
 
+    @pytest.mark.parametrize("count", [0, 1, cli._ROW_BLOCK, cli._ROW_BLOCK + 1, 2 * cli._ROW_BLOCK + 3])
+    def test_rows_joined_across_blocks(self, count):
+        rng = np.random.default_rng(count)
+        columns = {"i": list(range(count)), "x": rng.standard_normal(count).tolist()}
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        assert cli._json_table(columns) == cli._emit(rows)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
     def test_non_finite_cell_is_a_domain_error(self, bad):
         columns = {"i": [0, 1, 2], "x": [0.5, bad, float("nan")]}

@@ -108,6 +108,27 @@ class TestRegIncBetaArray:
             want = [reg_inc_beta(float(v), p, q) for v in x]
             assert bits(got) == bits(want)
 
+    @pytest.mark.parametrize("m", (0.5, 1.0, 1.5, 10.0, 10.5, 74.0, 1500.0, 9950.5))
+    def test_symmetric_shapes_take_one_pass(self, m, monkeypatch):
+        # both tails of Beta(m, m) run through one continued fraction, on
+        # x below 1/2 and on 1 - x above it, with the scalar's bits
+        rng = np.random.default_rng(int(2 * m))
+        spread = 1.0 / math.sqrt(8.0 * m + 1.0)
+        x = np.concatenate([
+            [0.0, 0.5, 1.0, 1e-300, 0.5 - 1e-16, 0.5 + 1e-16, 1.0 - 1e-16],
+            rng.uniform(0.0, 1.0, 100),
+            np.clip(0.5 + spread * rng.standard_normal(100), 0.0, 1.0),
+        ])
+        assert (x < 0.5).sum() > 50 and (x > 0.5).sum() > 50
+        passes = []
+        lentz = distributions._beta_cf_array
+        monkeypatch.setattr(
+            distributions, "_beta_cf_array", lambda a, b, y: passes.append(y.size) or lentz(a, b, y)
+        )
+        got = _reg_inc_beta_array(x, m, m)
+        assert passes == [np.count_nonzero((x > 0.0) & (x < 1.0))]
+        assert bits(got) == bits([reg_inc_beta(float(v), m, m) for v in x])
+
     def test_both_branches_taken(self):
         x = np.array([0.1, 0.9])
         split = (3.0 + 1.0) / (3.0 + 3.0 + 2.0)

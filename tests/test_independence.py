@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -276,6 +277,27 @@ class TestEdgeDecisionRecord:
         d = umpu_test(s, i, j, n, 0.05)
         twin = oracles.generated_twin(independence.EdgeDecision)
         assert repr(d) == repr(twin(*dataclasses.astuple(d)))
+
+
+def bytes_per_record(cls, count: int = 20_000) -> float:
+    """Memory that tracemalloc sees per record, for count records each
+    holding its own float, as a graph's decisions do."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = [cls(0, 2, float(k), 0.5, False, "umpu", 30, 4) for k in range(count)]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == count
+    return used / count
+
+
+def test_a_decision_takes_no_more_memory_than_the_generated_record():
+    # a select graph at N = 1000 holds 499,500 decisions
+    twin = oracles.generated_twin(independence.EdgeDecision)
+    assert bytes_per_record(independence.EdgeDecision) <= bytes_per_record(twin)
 
 
 class TestFisher:

@@ -133,6 +133,65 @@ def failing_at(rng, dim: int, k: int) -> np.ndarray:
     return a
 
 
+def template_factorize(entries: np.ndarray):
+    """(pivot-free, partial correlations) of a stack as the factorization
+    built them with a full [[R, I], [I, cI]] template and the index arrays
+    of np.tril_indices, or None where the stack fails: the reference for
+    the bits of the constant-free construction."""
+    dim = entries.shape[-1]
+    diag = np.diagonal(entries, axis1=-2, axis2=-1)
+    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    r = entries / (scale[..., :, None] * scale[..., None, :])
+    shift = np.eye(2 * dim, k=dim)
+    augmented = np.empty(r.shape[:-2] + (2 * dim, 2 * dim))
+    augmented[...] = shift + shift.T + np.diag(np.repeat([0.0, matrices._AUGMENT], dim))
+    augmented[..., :dim, :dim] = r
+    try:
+        factor = np.linalg.cholesky(augmented)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.diagonal(factor, axis1=-2, axis2=-1)[..., :dim] ** 2 > matrices.PIVOT_FLOOR):
+        return None
+    x = factor[..., dim:, :dim]
+    k = x @ np.swapaxes(x, -1, -2)
+    lower = np.tril_indices(dim, -1)
+    k[..., lower[0], lower[1]] = k[..., lower[1], lower[0]]
+    root = np.sqrt(np.diagonal(k, axis1=-2, axis2=-1))
+    return -k / (root[..., :, None] * root[..., None, :])
+
+
+class TestConstantFreeFactor:
+    """The factorization writes only what LAPACK reads and mirrors K by a
+    mask; every bit is the full template's, signed zeros included."""
+
+    @pytest.mark.parametrize("dim", (2, 5, 30))
+    def test_same_bits_as_the_template(self, rng, dim):
+        stack = np.array(
+            [oracles.random_pd_matrix(rng, dim) for _ in range(6)]
+            # K = I: every off-diagonal r is -0.0; a block-diagonal S has
+            # exact zeros in K across its blocks
+            + [np.eye(dim), np.kron(np.eye(dim)[: (dim + 1) // 2, : (dim + 1) // 2],
+                                     [[2.0, 0.5], [0.5, 1.0]])[:dim, :dim]]
+        )
+        want = template_factorize(stack)
+        _, partial = matrices._factor_stack(stack)
+        assert partial.tobytes() == want.tobytes()
+        assert np.signbit(partial[-2][~np.eye(dim, dtype=bool)]).all()
+        for entries, f in zip(stack, _factorize(stack)):
+            assert f.partial_correlations.tobytes() == template_factorize(entries[np.newaxis])[0].tobytes()
+
+    @pytest.mark.parametrize("dim", (2, 5, 30))
+    def test_a_failing_stack_fails_as_with_the_template(self, rng, dim):
+        stack = np.array([oracles.random_pd_matrix(rng, dim), failing_at(rng, dim, dim - 1)])
+        assert template_factorize(stack) is None
+        r, partial = matrices._factor_stack(stack)
+        assert partial is None
+        assert matrices._inverse_factor(r) is None
+        assert [f.pivot for f in _factorize(stack)] == [None, dim - 1]
+        got = _factorize(stack)[0].partial_correlations
+        assert got.tobytes() == template_factorize(stack[:1])[0].tobytes()
+
+
 class TestFactorizationStack:
     def test_stack_matches_each_matrix_alone(self, rng):
         dim = 6
@@ -218,7 +277,7 @@ class TestFactorizationStack:
 
     def test_matrix_stack_attaches_factorizations(self, rng):
         stack = np.array([oracles.random_pd_matrix(rng, 3), failing_at(rng, 3, 2)])
-        matrices = _matrix_stack(stack)
+        matrices, _ = _matrix_stack(stack)
         assert all(m._factorization is not None for m in matrices)
         assert [np.array_equal(m.entries, e) for m, e in zip(matrices, stack)] == [True, True]
         assert first_nonpositive_pivot(matrices[0]) is None
@@ -248,7 +307,7 @@ class TestFactorizationStack:
 
     def test_matrix_stack_shares_no_writable_array(self, rng):
         stack = np.array([oracles.random_pd_matrix(rng, 3) for _ in range(2)])
-        matrices = _matrix_stack(stack)
+        matrices, _ = _matrix_stack(stack)
         stack[0, 0, 0] = 99.0
         assert matrices[0].entries[0, 0] != 99.0
         assert not matrices[0].entries.flags.writeable

@@ -1,5 +1,5 @@
 """scripts/scale_timings.py runs end to end on a small graph, three runs
-per command."""
+per command, each with its wall time and its own peak memory."""
 
 import json
 import subprocess
@@ -27,3 +27,7 @@ def test_smoke_at_ten_variables():
         assert len(t["runs"]) == 3
         assert all(run > 0 for run in t["runs"])
         assert t["seconds"] == sorted(t["runs"])[1]
+        # each run's own peak: at least an interpreter with numpy loaded
+        assert len(t["peak_rss_runs_mb"]) == 3
+        assert all(10.0 < mb < 1000.0 for mb in t["peak_rss_runs_mb"])
+        assert t["peak_rss_mb"] == sorted(t["peak_rss_runs_mb"])[1]

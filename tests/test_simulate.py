@@ -356,6 +356,53 @@ class TestChunkedEngine:
         assert len(rows) == 1000
 
 
+class TestChunkSlice:
+    """A chunk's r is one [:, i, j] slice of its factored stack."""
+
+    @staticmethod
+    def spy_stacks(monkeypatch):
+        """The (matrices, partial correlations) of every chunk, as the
+        engine gets them."""
+        chunks = []
+        stack = simulate._matrix_stack
+        monkeypatch.setattr(simulate, "_matrix_stack", lambda e: chunks.append(stack(e)) or chunks[-1])
+        return chunks
+
+    def test_slice_is_each_replications_r(self, monkeypatch):
+        chunks = self.spy_stacks(monkeypatch)
+        spec, n, reps = PrecisionSpec.identity(5), 25, 1000
+        _, r = simulate._run_replications([(spec, ("umpu",))], n, 0.05, reps, 3)
+        assert len(chunks) == -(-reps // simulate._chunk_length(n, spec.dim))
+        want = [s.factorization.partial_correlations[0, 1] for chunk, _ in chunks for s in chunk]
+        assert r.dtype == np.float64 and r.tobytes() == np.array(want).tobytes()
+        assert r.base is None  # a copy: no chunk's stack outlives its chunk
+
+    def test_a_chunk_that_falls_back_raises_before_its_slice(self, monkeypatch):
+        # the second chunk's fourth covariance is singular, so that chunk's
+        # stack fails and each of its matrices is factored alone
+        chunks = self.spy_stacks(monkeypatch)
+        covariances = simulate._covariances
+        formed = []
+
+        def one_singular(x):
+            s = covariances(x)
+            formed.append(s)
+            if len(formed) == 2:
+                s[3] = np.ones_like(s[3])
+            return s
+
+        monkeypatch.setattr(simulate, "_covariances", one_singular)
+        with pytest.raises(NotPositiveDefinite, match=r"pivot 1 fails"):
+            estimate_size(PrecisionSpec.identity(5), 25, 0.05, "umpu", reps=1000, seed=3)
+        (_, first), (chunk, partial) = chunks
+        assert first is not None and partial is None
+        assert [first_nonpositive_pivot(m) for m in chunk[2:5]] == [None, 1, None]
+        for k, m in enumerate(chunk):
+            if k != 3:
+                (alone,) = matrices._factorize(m.entries[np.newaxis])
+                assert m.factorization.partial_correlations.tobytes() == alone.partial_correlations.tobytes()
+
+
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100, 2**128 - 1)
 
 
