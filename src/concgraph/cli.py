@@ -28,6 +28,7 @@ import re
 import sys
 import warnings
 from dataclasses import asdict
+from operator import attrgetter
 
 import numpy as np
 
@@ -377,16 +378,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.input is not None:
         data = read_dataset_csv(args.input)
         s = _validated_covariance(data)
-        # One public test decides each pair; umpu's route checks them all
-        # in one pass.
+        # One public test decides each pair, and its r, upper and reject
+        # are read into the columns as it is made, so no decision outlives
+        # its pair; umpu's route checks them all in one pass.
         i, j = np.triu_indices(data.dim, 1)
-        pc = [
-            run_edge_test("partial_corr", s, a, b, data.n, args.alpha)
-            for a, b in zip(i.tolist(), j.tolist())
-        ]
-        r = np.array([d.statistic for d in pc])
-        upper = np.array([d.upper for d in pc])
-        pc_reject = np.array([d.reject for d in pc], dtype=bool)
+        r, upper, pc_reject = np.empty(len(i)), np.empty(len(i)), np.empty(len(i), dtype=bool)
+        read = attrgetter("statistic", "upper", "reject")
+        for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            r[k], upper[k], pc_reject[k] = read(
+                run_edge_test("partial_corr", s, a, b, data.n, args.alpha)
+            )
         t, c, _, _, reject, raw_reject = _umpu_route(s, i, j, data.n, args.alpha)
         same, raw_agrees = reject == pc_reject, raw_reject == reject
         gap, threshold_gap = np.abs(t - r), np.abs(c - upper)

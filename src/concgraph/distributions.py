@@ -182,33 +182,27 @@ def reg_inc_beta(x: float, p: float, q: float) -> float:
     return 1.0 - bt * _beta_cf(q, p, 1.0 - x) / q
 
 
-def _reg_inc_beta_array(x: np.ndarray, p: float, q: float) -> np.ndarray:
-    """:func:`reg_inc_beta` at every element of a 1-d float array of
-    arguments in [0, 1], bit for bit the scalar value at each.  The
-    arguments and the shapes are not checked.
+def _reg_inc_beta_array(x: np.ndarray, m: float) -> np.ndarray:
+    """:func:`reg_inc_beta` of the symmetric Beta(m, m) law, I_x(m, m), at
+    every element of a 1-d float array of arguments in [0, 1], bit for bit
+    the scalar value at each.  The arguments and the shape are not checked.
 
-    The continued fractions run on arrays.  The prefactor stays on
+    The continued fraction runs on arrays.  The prefactor stays on
     ``math``, one element at a time, since numpy's log, log1p and exp
-    differ from libm's in the last bit on some inputs.  For symmetric
-    shapes p == q, as every caller passes, the scalar routine's two tails
-    are the one continued fraction of Beta(p, p) at x or 1 - x, so one
-    pass serves both.
+    differ from libm's in the last bit on some inputs.  For equal shapes
+    the scalar routine's two tails are the one continued fraction of
+    Beta(m, m) at x or 1 - x, so one pass serves both.
     """
     out = np.where(x == 1.0, 1.0, 0.0)
     inner = np.flatnonzero((x > 0.0) & (x < 1.0))
     if not inner.size:
         return out
-    head = _log_beta_head(p, q)
+    head = _log_beta_head(m, m)
     x = x[inner]
-    bt = np.array([math.exp(head + p * math.log(v) + q * math.log1p(-v)) for v in x.tolist()])
-    lower = x < (p + 1.0) / (p + q + 2.0)
-    if p == q:
-        tail = bt * _beta_cf_array(p, p, np.where(lower, x, 1.0 - x)) / p
-        out[inner] = np.where(lower, tail, 1.0 - tail)
-        return out
-    out[inner[lower]] = bt[lower] * _beta_cf_array(p, q, x[lower]) / p
-    upper = ~lower
-    out[inner[upper]] = 1.0 - bt[upper] * _beta_cf_array(q, p, 1.0 - x[upper]) / q
+    bt = np.array([math.exp(head + m * math.log(v) + m * math.log1p(-v)) for v in x.tolist()])
+    lower = x < (m + 1.0) / (m + m + 2.0)
+    tail = bt * _beta_cf_array(m, m, np.where(lower, x, 1.0 - x)) / m
+    out[inner] = np.where(lower, tail, 1.0 - tail)
     return out
 
 
@@ -325,7 +319,7 @@ def null_corr_pvalues(r, n: int, dim: int) -> np.ndarray:
     if bad.size:
         raise DomainError(f"correlation must lie in [-1, 1], got {r[bad[0]].item()!r}")
     try:
-        return np.minimum(1.0, 2.0 * _reg_inc_beta_array((1.0 - np.abs(r)) / 2.0, m, m))
+        return np.minimum(1.0, 2.0 * _reg_inc_beta_array((1.0 - np.abs(r)) / 2.0, m))
     except ConvergenceError as exc:
         raise _for_sample(exc, n, dim) from None
 

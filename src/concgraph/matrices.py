@@ -6,9 +6,10 @@ one LAPACK Cholesky call factors R = L L^T, checks its pivots diag(L)**2
 against a floor and yields K = R^-1 = L^-T L^-1, from which every partial
 correlation follows as r_ij = -K_ij / sqrt(K_ii K_jj).  Partial
 correlations are invariant to the scale of each variable, and so is the
-factorization.  A stack of matrices, such as the covariances of a chunk
-of Monte Carlo replications, is checked once and factored by one call,
-which builds nothing that depends on N alone, and hands back its stack of
+factorization.  One routine factors every matrix: a single matrix is a
+stack of one, and a stack, such as the covariances of a chunk of Monte
+Carlo replications, is checked once and factored by one call, which
+builds nothing that depends on N alone and hands back its stack of
 partial correlations, so one slice reads an entry of every matrix.
 
 Determinant quadratics serve only the verification route, which
@@ -40,6 +41,7 @@ serve that check alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -160,10 +162,15 @@ def _first_failing_pivot(r: np.ndarray) -> int:
     return bad - 1
 
 
-def _factor_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """R = D^-1/2 S D^-1/2 for every matrix of a (count, N, N) stack, and
-    the (count, N, N) stack of their partial correlations from one
-    Cholesky call, or None when any matrix fails; both write-locked.
+def _factor_stack(entries: np.ndarray) -> tuple[Iterable[Factorization], np.ndarray | None]:
+    """Factor R = D^-1/2 S D^-1/2 for every matrix of a (count, N, N)
+    stack with one Cholesky call; a single matrix is a stack of one.
+    Returns the matrices' factorizations, each built as it is read, and
+    the write-locked (count, N, N) stack of their partial correlations,
+    or None when any matrix fails.  Then each matrix is factored again
+    alone, so each record is bit for bit the one a stack of that matrix
+    alone gives; one that fails alone finds its first failing pivot by
+    bisection.
 
     A nonpositive diagonal entry is left unscaled: R's pivot there cannot
     exceed it, so the factorization fails there or earlier.
@@ -176,7 +183,9 @@ def _factor_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     r.setflags(write=False)
     x = _inverse_factor(r)
     if x is None:
-        return r, None
+        if len(r) > 1:
+            return (f for m in range(len(r)) for f in _factor_stack(entries[m : m + 1])[0]), None
+        return (Factorization(pivot=_first_failing_pivot(r[0]), partial_correlations=None),), None
     k = x @ np.swapaxes(x, -1, -2)
     # Mirroring K's upper triangle keeps r_ij == r_ji bit for bit.
     lower = np.arange(r.shape[-1])[:, None] > np.arange(r.shape[-1])
@@ -184,28 +193,8 @@ def _factor_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     root = np.sqrt(np.diagonal(k, axis1=-2, axis2=-1))
     partial = -k / (root[..., :, None] * root[..., None, :])
     partial.setflags(write=False)
-    return r, partial
-
-
-def _factor_each(entries: np.ndarray, r: np.ndarray) -> list[Factorization]:
-    """The factorizations of a stack that failed, each matrix factored
-    again alone; one that fails alone finds its first failing pivot by
-    bisection."""
-    if len(r) > 1:
-        return [f for m in range(len(r)) for f in _factorize(entries[m : m + 1])]
-    return [Factorization(pivot=_first_failing_pivot(r[0]), partial_correlations=None)]
-
-
-def _factorize(entries: np.ndarray) -> list[Factorization]:
-    """Factor R = D^-1/2 S D^-1/2 for every matrix of a (count, N, N)
-    stack at once; a single matrix is a stack of one.  When any matrix
-    fails, each is factored again alone, so each result is bit for bit
-    the one a stack of that matrix alone gives."""
-    r, partial = _factor_stack(entries)
-    if partial is None:
-        return _factor_each(entries, r)
     # (pivot, partial_correlations, _scaled), positionally
-    return list(map(Factorization, repeat(None), partial, r))
+    return map(Factorization, repeat(None), partial, r), partial
 
 
 def _check_entries(arr: np.ndarray) -> None:
@@ -222,18 +211,14 @@ def _matrix_stack(entries: np.ndarray) -> tuple[list[SymmetricMatrix], np.ndarra
     """One SymmetricMatrix per matrix of a (count, N, N) stack, and the
     stack's (count, N, N) partial correlations, or None when a matrix is
     not positive definite.  The stack is copied and checked once, as
-    SymmetricMatrix checks one matrix, and factored by one Cholesky call;
-    each matrix gets its factorization as it is made, whose partial
-    correlations are that matrix of the returned stack."""
+    SymmetricMatrix checks one matrix, and factored by
+    :func:`_factor_stack`; each matrix gets its factorization as it is
+    made, with no list of them, whose partial correlations are that
+    matrix of the returned stack."""
     stack = np.array(entries, dtype=float)
     _check_entries(stack)
     stack.setflags(write=False)
-    r, partial = _factor_stack(stack)
-    if partial is None:
-        factorizations = _factor_each(stack, r)
-    else:
-        # a Monte Carlo chunk builds one per replication, without a list
-        factorizations = map(Factorization, repeat(None), partial, r)
+    factorizations, partial = _factor_stack(stack)
     matrices = []
     for arr, factorization in zip(stack, factorizations):
         m = SymmetricMatrix._checked(arr)
@@ -287,9 +272,10 @@ class SymmetricMatrix:
 
     @property
     def factorization(self) -> Factorization:
-        """The correlation-scaled factorization, computed once."""
+        """The correlation-scaled factorization, computed once, by
+        :func:`_factor_stack` on a stack of this matrix alone."""
         if self._factorization is None:
-            (self._factorization,) = _factorize(self._entries[np.newaxis])
+            (self._factorization,), _ = _factor_stack(self._entries[np.newaxis])
         return self._factorization
 
     def with_edge(self, i: int, j: int, x: float) -> "SymmetricMatrix":

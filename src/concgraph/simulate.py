@@ -441,7 +441,7 @@ def _estimate(spec, n, alpha, method, reps, seed, power: bool) -> MonteCarloRepo
         extra = {"null_rate": null.rate, "null_std_error": null.std_error}
     else:
         m = (n - spec.dim) / 2.0
-        f = _reg_inc_beta_array(np.sort((1.0 + r_values) / 2.0), m, m)
+        f = _reg_inc_beta_array(np.sort((1.0 + r_values) / 2.0), m)
         extra = {"ks_statistic": _ks_distance(f)}
     rows = rejects[0]
     return MonteCarloReport(

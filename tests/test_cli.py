@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -777,6 +778,22 @@ class TestVerifyCommand:
         assert main(["verify", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["instances"] == 3
         assert edge_test_calls == [("partial_corr", i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
+
+    def test_input_keeps_no_decision_while_writing(self, sample_csv, capsys, monkeypatch):
+        # each decision is read into the columns as it is made, so none is
+        # alive while the table, the peak of the command's memory, is written
+        path, _ = sample_csv
+        table = cli._json_table
+        alive = []
+
+        def counted(columns):
+            alive.append(sum(type(o) is independence.EdgeDecision for o in gc.get_objects()))
+            return table(columns)
+
+        monkeypatch.setattr(cli, "_json_table", counted)
+        assert main(["verify", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["instances"] == 3
+        assert alive == [0]
 
     def test_input_at_twenty_variables_matches_select(self, tmp_path, capsys):
         # every pair of an N = 20 file through the determinant quadratic:

@@ -28,7 +28,7 @@ from concgraph import (
 from concgraph import matrices
 from concgraph.matrices import (
     _det,
-    _factorize,
+    _factor_stack,
     _lemma_coefficients,
     _matrix_stack,
     _roots_and_statistic,
@@ -174,21 +174,25 @@ class TestConstantFreeFactor:
                                      [[2.0, 0.5], [0.5, 1.0]])[:dim, :dim]]
         )
         want = template_factorize(stack)
-        _, partial = matrices._factor_stack(stack)
+        _, partial = _factor_stack(stack)
         assert partial.tobytes() == want.tobytes()
         assert np.signbit(partial[-2][~np.eye(dim, dtype=bool)]).all()
-        for entries, f in zip(stack, _factorize(stack)):
+        for entries, f in zip(stack, _factor_stack(stack)[0]):
             assert f.partial_correlations.tobytes() == template_factorize(entries[np.newaxis])[0].tobytes()
 
     @pytest.mark.parametrize("dim", (2, 5, 30))
     def test_a_failing_stack_fails_as_with_the_template(self, rng, dim):
         stack = np.array([oracles.random_pd_matrix(rng, dim), failing_at(rng, dim, dim - 1)])
         assert template_factorize(stack) is None
-        r, partial = matrices._factor_stack(stack)
+        records, partial = _factor_stack(stack)
         assert partial is None
+        diag = np.diagonal(stack, axis1=-2, axis2=-1)
+        scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        r = stack / (scale[..., :, None] * scale[..., None, :])
         assert matrices._inverse_factor(r) is None
-        assert [f.pivot for f in _factorize(stack)] == [None, dim - 1]
-        got = _factorize(stack)[0].partial_correlations
+        records = list(records)
+        assert [f.pivot for f in records] == [None, dim - 1]
+        got = records[0].partial_correlations
         assert got.tobytes() == template_factorize(stack[:1])[0].tobytes()
 
 
@@ -200,7 +204,7 @@ class TestFactorizationStack:
             + [failing_at(rng, dim, k) for k in range(dim)]
         )
         stack = stack[rng.permutation(len(stack))]
-        for entries, got in zip(stack, _factorize(stack)):
+        for entries, got in zip(stack, _factor_stack(stack)[0]):
             alone = SymmetricMatrix(entries).factorization
             assert got.pivot == alone.pivot
             if got.pivot is None:
@@ -220,7 +224,7 @@ class TestFactorizationStack:
         # built with one update of __dict__, but frozen, replaceable and
         # printed as the generated record, and still compared by identity
         stack = np.array([oracles.random_pd_matrix(rng, 4) for _ in range(3)])
-        f = _factorize(stack)[1]
+        f = list(_factor_stack(stack)[0])[1]
         twin = oracles.generated_twin(matrices.Factorization)
         g = twin(f.pivot, f.partial_correlations, f._scaled)
         assert repr(f) == repr(g)
@@ -241,7 +245,7 @@ class TestFactorizationStack:
         dim = 5
         # every pivot of -I fails; only the first may be reported
         stack = np.array([failing_at(rng, dim, k) for k in range(dim)] + [-np.eye(dim)])
-        assert [f.pivot for f in _factorize(stack)] == list(range(dim)) + [0]
+        assert [f.pivot for f in _factor_stack(stack)[0]] == list(range(dim)) + [0]
 
     def test_four_by_four_matches_the_sweep(self):
         # LAPACK's bits may depend on the BLAS build, so r is held within
@@ -252,7 +256,7 @@ class TestFactorizationStack:
             [-0.7, 0.2, 3.0, 0.6],
             [0.1, -0.4, 0.6, 0.9],
         ])
-        (f,) = _factorize(s[np.newaxis])
+        (f,), _ = _factor_stack(s[np.newaxis])
         ((pivot, expected),) = oracles.pivot_sweep(s[np.newaxis])
         assert f.pivot is pivot is None
         upper = np.triu_indices(4, 1)
@@ -266,7 +270,7 @@ class TestFactorizationStack:
 
     def test_partial_correlations_match_numpy_inverse(self, rng):
         stack = np.array([oracles.random_pd_matrix(rng, 4) for _ in range(20)])
-        for entries, got in zip(stack, _factorize(stack)):
+        for entries, got in zip(stack, _factor_stack(stack)[0]):
             sd = np.sqrt(np.diag(entries))
             k = np.linalg.inv(entries / np.outer(sd, sd))
             d = np.sqrt(np.diag(k))
@@ -341,8 +345,10 @@ def assert_matches_the_sweep(stack: np.ndarray) -> None:
     correlations within 1e-12 of the sweep's, exactly symmetric, and the
     same bits in the stack as alone."""
     off = ~np.eye(stack.shape[-1], dtype=bool)
-    for entries, got, (pivot, expected) in zip(stack, _factorize(stack), oracles.pivot_sweep(stack)):
-        (alone,) = _factorize(entries[np.newaxis])
+    for entries, got, (pivot, expected) in zip(
+        stack, _factor_stack(stack)[0], oracles.pivot_sweep(stack)
+    ):
+        (alone,), _ = _factor_stack(entries[np.newaxis])
         assert got.pivot == alone.pivot == pivot
         if pivot is None:
             r = got.partial_correlations
@@ -373,7 +379,7 @@ class TestFactorizationAgainstTheSweep:
     def test_near_collinear_fails_at_the_dependent_column(self, rng):
         for dim in (2, 5, 40):
             for noise in (1e-7, 1e-9):
-                (f,) = _factorize(near_collinear(rng, dim, dim - 1, noise)[np.newaxis])
+                (f,), _ = _factor_stack(near_collinear(rng, dim, dim - 1, noise)[np.newaxis])
                 assert f.pivot == dim - 1
 
     def test_random_covariance_instances(self):

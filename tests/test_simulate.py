@@ -399,7 +399,7 @@ class TestChunkSlice:
         assert [first_nonpositive_pivot(m) for m in chunk[2:5]] == [None, 1, None]
         for k, m in enumerate(chunk):
             if k != 3:
-                (alone,) = matrices._factorize(m.entries[np.newaxis])
+                (alone,), _ = matrices._factor_stack(m.entries[np.newaxis])
                 assert m.factorization.partial_correlations.tobytes() == alone.partial_correlations.tobytes()
 
 
