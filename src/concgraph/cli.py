@@ -138,16 +138,19 @@ def _emit(obj) -> str:
     raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
-def _column_cells(columns) -> tuple[list[str], list[list]]:
-    """The format field and the values of each column of a table, a list
-    or a 1-d array, for ``str.format`` to write every row from one
-    template.
+def _column_cells(columns) -> tuple[list[str], list]:
+    """The format field of each column of a table, a list or a 1-d array,
+    and an iterator over its cells, for ``str.format`` to write every row
+    from one template.
 
     A float column is checked for finiteness once and written at 17
     significant digits, as ``_format_float`` writes one float, with the
     same error for a non-finite value; a bool column is written as
     true/false, an integer column as its digits, and a column of strings
-    as they are (the caller escapes them).
+    as they are (the caller escapes them).  A numeric or bool column
+    becomes Python values ``_ROW_BLOCK`` rows at a time, so that no list
+    holds a whole column's: at N = 1000 the eight columns of ``verify
+    --input`` took about 140 MB as lists.
     """
     fields, cells = [], []
     for column in columns:
@@ -164,14 +167,19 @@ def _column_cells(columns) -> tuple[list[str], list[list]]:
                     f"cannot serialize non-finite number {float(array[bad[0]])!r}"
                 )
             fields.append("{:.17g}")
-            cells.append(array.tolist())
-        elif array.dtype.kind == "b":
-            fields.append("{}")
-            cells.append(np.where(array, "true", "false").tolist())
         else:
             fields.append("{}")
-            cells.append(array.tolist())
+        cells.append(_python_cells(array))
     return fields, cells
+
+
+def _python_cells(array: np.ndarray):
+    """The cells of a 1-d array as Python values, true/false for bools,
+    converted ``_ROW_BLOCK`` at a time as they are read."""
+    blocks = (array[k:k + _ROW_BLOCK] for k in range(0, len(array), _ROW_BLOCK))
+    if array.dtype.kind == "b":
+        blocks = (np.where(block, "true", "false") for block in blocks)
+    return itertools.chain.from_iterable(block.tolist() for block in blocks)
 
 
 def _json_table(columns: dict) -> _JsonText:
@@ -196,37 +204,135 @@ def read_dataset_csv(path: str) -> Dataset:
     of decimal values per observation.  Missing, non-numeric or non-finite
     cells are errors that name the offending row and column.
 
-    The header is read with ``csv``; the body is parsed in bulk by numpy's
-    C reader.  A file the bulk read refuses, or whose values are not a
-    finite table of at least two rows, goes through the per-cell route,
-    which names the bad cell, or returns the values when every cell is one
-    Python's ``float`` accepts and numpy does not (a quoted number, ``1_0``,
-    non-ASCII digits).  Both routes convert text with the same C routine,
-    so a file both accept gives the same array.  A leading UTF-8
-    byte-order mark, as spreadsheets write one, is not part of the header.
+    The header is read with ``csv``.  The body is parsed in bulk, in
+    blocks of whole lines, when it is a plain table: ASCII digits, points,
+    signs and exponents, the same number of non-empty cells on every line,
+    LF or CRLF line ends and blank lines between rows.  Any other file, or
+    one whose values are not a finite table of at least two rows, goes
+    through the per-cell route, which names the bad cell, or returns the
+    values when every cell is one Python's ``float`` accepts (a quoted
+    number, spaces around a cell, ``1_0``, non-ASCII digits).  The two
+    routes convert text with different C routines, and both give each
+    cell's correctly rounded double, so a file both accept gives the same
+    array.  A leading UTF-8 byte-order mark, as spreadsheets write one, is
+    not part of the header.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         header = next(_csv_rows(handle, path), None)
         names = tuple(cell.strip() for cell in header or ())
         values = None
         if names and all(names) and len(set(names)) == len(names):
-            try:
-                with warnings.catch_warnings():
-                    # an empty body: the per-cell route reports it
-                    warnings.simplefilter("ignore", UserWarning)
-                    values = np.loadtxt(
-                        handle, dtype=np.float64, delimiter=",", comments=None, ndmin=2
-                    )
-            except ValueError:
-                pass
-    if (
-        values is None
-        or values.shape[1] != len(names)
-        or len(values) < 2
-        or not np.isfinite(values).all()
-    ):
+            values = _read_body(handle, len(names))
+    if values is None or len(values) < 2 or not np.isfinite(values).all():
         return _read_dataset_cells(path)
     return Dataset(values=values, names=names)
+
+
+# Characters read from the body at a time, each block being these and the
+# rest of the line they end in.  Blocks of 256 KiB read no faster and raise
+# the peak memory of a select at N = 8, n = 20,000 by 3 MB.
+_BLOCK_CHARS = 1 << 16
+# The bytes of a cell that the bulk route reads.
+_NUMBER_BYTES = b"0123456789.+-eE"
+# An x87 extended double, a 64-bit significand in the low 8 of 16
+# little-endian bytes: the bulk route parses with libc's strtold and
+# rounds to double, repairing the cells where that can differ from
+# rounding the decimal once.  Elsewhere it parses doubles directly.
+_EXTENDED = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+)
+_TINY = np.finfo(np.float64).tiny
+
+
+def _read_body(handle, dim: int) -> np.ndarray | None:
+    """The rest of the file as an (n, dim) array of doubles, parsed a
+    block at a time by :func:`_parse_block`, or None when the text is not
+    UTF-8, a block is not a plain table or there is no row.
+
+    The blocks are copied into one array grown in place, which a large
+    ``realloc`` does without a copy, so the values are never held twice."""
+    row_seps = b"," * (dim - 1) + b"\n"
+    values, count = np.empty(0), 0
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x warns where 2.x raises; either is a refusal
+            warnings.simplefilter("error")
+            for text in _body_blocks(handle):
+                block = _parse_block(text, row_seps)
+                if block is None:
+                    return None
+                if count + len(block) > len(values):
+                    values.resize(max(count + len(block), 2 * len(values)), refcheck=False)
+                values[count:count + len(block)] = block
+                count += len(block)
+    except (ValueError, Warning):  # Unicode errors are ValueErrors
+        return None
+    if not count:
+        return None
+    values.resize(count, refcheck=False)
+    return values.reshape(-1, dim)
+
+
+def _body_blocks(handle):
+    """The rest of a text handle in blocks of whole lines: ``_BLOCK_CHARS``
+    characters and the rest of the line they end in, the last block ended
+    by a newline.  ``readline`` joins the pieces of a long line once."""
+    while block := handle.read(_BLOCK_CHARS):
+        block += handle.readline()
+        yield block if block.endswith("\n") else block + "\n"
+
+
+def _parse_block(text: str, row_seps: bytes) -> np.ndarray | None:
+    """The doubles of a block of whole lines, row after row, each the
+    correctly rounded value of its cell, or None unless the block is ASCII
+    and each of its lines, blank ones aside, holds the separators
+    ``row_seps`` between non-empty cells of ``_NUMBER_BYTES``."""
+    raw = text.encode("ascii")  # a UnicodeEncodeError refuses the file
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    values = _parse_lines(raw, row_seps)
+    if values is None and (b"\n\n" in raw or raw.startswith(b"\n")):
+        values = _parse_lines(re.sub(rb"\n\n+", b"\n", raw).lstrip(b"\n"), row_seps)
+    return values
+
+
+def _parse_lines(raw: bytes, row_seps: bytes) -> np.ndarray | None:
+    """:func:`_parse_block` of ASCII lines with LF ends and no blank line.
+
+    ``np.fromstring`` also reads what this refuses, such as a hex float, a
+    trailing separator, or a trailing space as a 0, so the text is checked
+    first and the count of values after.
+    """
+    # every byte that is not part of a number, in order: the separators
+    seps = raw.translate(None, _NUMBER_BYTES)
+    rows = len(seps) // len(row_seps)
+    if seps != row_seps * rows:
+        return None
+    # one separator after each cell; fromstring takes the last as a trailing one
+    flat = raw.replace(b"\n", b",")
+    commas = np.frombuffer(flat, dtype=np.uint8) == ord(",")
+    if flat.startswith(b",") or (commas[1:] & commas[:-1]).any():
+        return None  # an empty cell
+    values = np.fromstring(flat, dtype=np.longdouble if _EXTENDED else np.float64, sep=",")
+    if values.size != len(seps):
+        return None
+    if not _EXTENDED:
+        return values
+    # Rounding the correctly rounded extended value to double rounds the
+    # decimal correctly, unless that value is a midpoint between two
+    # doubles (its low 11 significand bits 0b10000000000) or the double is
+    # subnormal: those cells are read again with float.
+    doubles = values.astype(np.float64)
+    redo = (values.view(np.uint64)[::2] & 0x7FF) == 0x400
+    redo |= (np.abs(doubles) < _TINY) & (values != 0)
+    redo = np.flatnonzero(redo)
+    if redo.size:
+        cells = flat.split(b",")
+        for k in redo.tolist():
+            doubles[k] = float(cells[k])
+    return doubles
 
 
 def _csv_rows(handle, path: str):

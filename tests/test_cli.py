@@ -1,9 +1,11 @@
+import decimal
 import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -186,6 +188,22 @@ class TestTableWriter:
         rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
         assert cli._json_table(columns) == cli._emit(rows)
 
+    def test_columns_become_python_values_a_block_at_a_time(self):
+        # the peak is the text and its joined blocks; the columns as whole
+        # lists of Python values took 6 MB more at these 32,768 rows
+        count = 8 * cli._ROW_BLOCK
+        rng = np.random.default_rng(5)
+        columns = {"i": np.arange(count), "reject": rng.random(count) < 0.5}
+        columns |= {key: rng.standard_normal(count) for key in ("x", "y", "z")}
+        cli._json_table(columns)
+        tracemalloc.start()
+        try:
+            text = cli._json_table(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(text) + 1.5e6
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
     def test_non_finite_cell_is_a_domain_error(self, bad):
         columns = {"i": [0, 1, 2], "x": [0.5, bad, float("nan")]}
@@ -205,6 +223,37 @@ def read_outcome(read, path):
     except DataError as exc:
         return str(exc)
     return data.names, data.values.shape, data.values.tobytes()
+
+
+def decimal_corpus(seed, count):
+    """Decimal texts that rounding twice, to an extended double and then
+    to a double, can misread: ``count`` values across 1e±30 in each of
+    five formats; ``count // 4`` values in the subnormal range in two
+    formats; and the exact midpoint after each normal and subnormal value
+    drawn, in full, with the two decimals one unit away from it in its
+    last digit."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(count) * 10.0 ** rng.uniform(-30, 30, count)
+    formats = ("{!r}", "{:.17g}", "{:.20g}", "{:.25e}", "{:.6f}")
+    texts = [fmt.format(v) for fmt in formats for v in x.tolist()]
+    exact = decimal.Context(prec=2000)
+    tiny = rng.uniform(-1, 1, count // 4) * 2.0**-1022
+    lo = np.concatenate([rng.standard_normal(count) * 10.0 ** rng.uniform(-30, 30, count), tiny])
+    for a, b in zip(lo.tolist(), np.nextafter(lo, np.inf).tolist()):
+        mid = exact.divide(exact.add(decimal.Decimal(a), decimal.Decimal(b)), 2)
+        unit = decimal.Decimal((0, (1,), mid.as_tuple().exponent))
+        texts += [format(mid, "e"), format(exact.add(mid, unit), "e"), format(exact.subtract(mid, unit), "e")]
+    return texts + [repr(v) for v in tiny.tolist()] + [f"{v:.25e}" for v in tiny.tolist()]
+
+
+# Cells at the edges of the double range: half the least subnormal (which
+# rounds to 0) and just above it, an underflow to -0, the largest
+# subnormal and the least normal, and the largest double.
+EDGE_TEXTS = [
+    format(decimal.Decimal(5e-324) / 2, "e"), "2.4703282292062328e-324", "-1e-400",
+    "2.2250738585072009e-308", "2.2250738585072014e-308", "1.7976931348623157e308",
+    "-0", "0.0", "+.5", "7.",
+]
 
 
 NUMBER_TEXTS = st.one_of(
@@ -334,6 +383,123 @@ class TestReadCsv:
         d = read_dataset_csv(str(p))
         assert d.names == expected.names
         assert d.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("ends", [0, 1, 3], ids=["no last end", "last end", "blank end"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("dim, n", [(8, 500), (4000, 3)], ids=["tall", "line over a block"])
+    def test_crlf_blank_and_long_lines_take_the_bulk_route(
+        self, tmp_path, monkeypatch, ends, end, dim, n
+    ):
+        values = np.random.default_rng(dim).standard_normal((n, dim))
+        lines = [",".join(f"x{k}" for k in range(dim)), ""]
+        for k, row in enumerate(values.tolist()):
+            lines += [",".join(map(repr, row))] + [""] * (k % 7 == 6)
+        p = tmp_path / "plain.csv"
+        p.write_bytes((end.join(lines) + end * ends).encode())
+        if dim > 8:
+            assert min(map(len, lines[2:])) > cli._BLOCK_CHARS
+        expected = oracles.read_dataset_cells(str(p))
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read cell by cell")
+
+        monkeypatch.setattr(cli, "_read_dataset_cells", refuse)
+        d = read_dataset_csv(str(p))
+        assert d.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_bulk_route_reads_every_cell_as_float_does(self, tmp_path, monkeypatch, seed):
+        texts = decimal_corpus(seed, 4000) + EDGE_TEXTS
+        texts += ["1"] * (-len(texts) % 5)
+        p = tmp_path / "corpus.csv"
+        p.write_text("a,b,c,d,e\n" + "".join(
+            ",".join(texts[k:k + 5]) + "\n" for k in range(0, len(texts), 5)
+        ), encoding="utf-8")
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read cell by cell")
+
+        monkeypatch.setattr(cli, "_read_dataset_cells", refuse)
+        got = read_dataset_csv(str(p)).values.ravel()
+        want = np.array([float(text) for text in texts])
+        assert got.tobytes() == want.tobytes()
+        if cli._EXTENDED:
+            # rounding strtold's extended values once more gets some of
+            # these cells wrong, so the repair ran and mattered
+            with np.errstate(all="ignore"):
+                twice = np.fromstring(",".join(texts), dtype=np.longdouble, sep=",").astype(np.float64)
+            assert np.count_nonzero(twice.view(np.uint64) != want.view(np.uint64)) > 100
+
+    @pytest.mark.parametrize("text", [
+        "a,b,c\n1,2, \n4,5,6\n",
+        "a,b,c\r\n1,2,\r\n4,5,6\r\n",
+        "a,b,c\n1,2,\r4,5,6\n",
+        "a,b\n0x1p3,2\n3,4\n",
+        "a,b\n1,2,\n3,4,\n",
+        "a,b,c\n1,,2\n3,4,5\n",
+        "a,b\n1,2\n3,1e\n",
+        "a,b\n1,2\n3,4e-5-6\n",
+    ], ids=["trailing space", "empty cell before CRLF", "lone CR", "hex float",
+            "trailing comma", "empty cell", "bare exponent", "two numbers"])
+    @pytest.mark.parametrize("parser", ["numpy", "numpy 1.x", "empty as 0"])
+    def test_what_fromstring_misreads_takes_the_per_cell_route(
+        self, tmp_path, monkeypatch, text, parser
+    ):
+        # np.fromstring reads "1,2, " and "1,2,\r" with a trailing 0, and
+        # accepts a hex float and a trailing separator.  numpy 1.24-1.26
+        # warn and return the values read so far where 2.x raises, and the
+        # route's own checks refuse an empty cell that a parser reads as 0.
+        p = tmp_path / "hazard.csv"
+        p.write_bytes(text.encode())
+        fromstring = np.fromstring
+
+        def warns(string, dtype, sep):
+            try:
+                return fromstring(string, dtype=dtype, sep=sep)
+            except ValueError:
+                warnings.warn("string or file could not be read to its end", DeprecationWarning)
+                return np.zeros(1, dtype)
+
+        def empty_as_0(string, dtype, sep):
+            # a trailing separator ends the text, as numpy reads it
+            cells = string.removesuffix(sep.encode()).split(sep.encode())
+            return np.array([float(cell or 0) for cell in cells], dtype)
+
+        if parser != "numpy":
+            monkeypatch.setattr(np, "fromstring", warns if parser == "numpy 1.x" else empty_as_0)
+        cells, calls = cli._read_dataset_cells, []
+        monkeypatch.setattr(cli, "_read_dataset_cells", lambda path: calls.append(path) or cells(path))
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            mine = read_outcome(read_dataset_csv, str(p))
+        assert leaked == []
+        assert calls == [str(p)]
+        assert mine == read_outcome(oracles.read_dataset_cells, str(p))
+
+    def test_a_parse_short_of_the_cells_takes_the_per_cell_route(self, tmp_path, monkeypatch):
+        p = tmp_path / "plain.csv"
+        write_csv(p, ("a", "b"), [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]])
+        fromstring = np.fromstring
+        monkeypatch.setattr(np, "fromstring", lambda *a, **k: fromstring(*a, **k)[:-1])
+        cells, calls = cli._read_dataset_cells, []
+        monkeypatch.setattr(cli, "_read_dataset_cells", lambda path: calls.append(path) or cells(path))
+        assert read_dataset_csv(str(p)).values.tolist() == [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]]
+        assert calls == [str(p)]
+
+    def test_bulk_route_peaks_below_the_loadtxt_read(self, tmp_path):
+        values = np.random.default_rng(3).standard_normal((20_000, 8))
+        p = tmp_path / "tall.csv"
+        write_csv(p, [f"x{k}" for k in range(8)], values.tolist())
+        read_dataset_csv(str(p))
+        tracemalloc.start()
+        try:
+            d = read_dataset_csv(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.values.tobytes() == values.tobytes()
+        # np.loadtxt peaked at 2.59 MiB for this 1.22 MiB result
+        assert peak <= (2.59 + 0.25) * 2**20
 
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, capsys):
         # spreadsheets write UTF-8 CSV with a leading U+FEFF
