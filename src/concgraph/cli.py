@@ -126,7 +126,11 @@ def _emit(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, dict):
-        return "{" + ", ".join([f"{_quote(str(k))}: {_emit(v)}" for k, v in obj.items()]) + "}"
+        # one join, so that a large value such as a table is copied once
+        pieces = []
+        for k, v in obj.items():
+            pieces += (", ", _quote(str(k)), ": ", _emit(v))
+        return "".join(["{", *pieces[1:], "}"])
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join([_emit(v) for v in obj]) + "]"
     if obj is None:
