@@ -233,8 +233,8 @@ def read_dataset_csv(path: str) -> Dataset:
 
 
 # Characters read from the body at a time, each block being these and the
-# rest of the line they end in.  Blocks of 256 KiB read no faster and raise
-# the peak memory of a select at N = 8, n = 20,000 by 3 MB.
+# rest of the line they end in.  Blocks of 256 KiB read more slowly and
+# raise the peak memory of a select at N = 8, n = 20,000 by 4 MB.
 _BLOCK_CHARS = 1 << 16
 # The bytes of a cell that the bulk route reads.
 _NUMBER_BYTES = b"0123456789.+-eE"
