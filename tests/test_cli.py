@@ -248,12 +248,25 @@ def decimal_corpus(seed, count):
 
 # Cells at the edges of the double range: half the least subnormal (which
 # rounds to 0) and just above it, an underflow to -0, the largest
-# subnormal and the least normal, and the largest double.
+# subnormal and the least normal, and the largest double.  Between the
+# largest subnormal and the least normal, strtold rounds the decimals
+# just below their midpoint to the midpoint itself, which is a normal
+# extended value whose rounding to double ties up to the least normal.
 EDGE_TEXTS = [
     format(decimal.Decimal(5e-324) / 2, "e"), "2.4703282292062328e-324", "-1e-400",
     "2.2250738585072009e-308", "2.2250738585072014e-308", "1.7976931348623157e308",
+    "2.22507385850720113605740979670913e-308", "2.22507385850720113605740979670914e-308",
+    "-2.22507385850720113605740979670913e-308", "-2.22507385850720113605740979670914e-308",
     "-0", "0.0", "+.5", "7.",
 ]
+
+
+@pytest.fixture(params=["native", "float64"])
+def bulk_parse(request, monkeypatch):
+    """The bulk route as this platform runs it, and parsing doubles
+    directly, as it does where np.longdouble is not an x87 extended double."""
+    if request.param == "float64":
+        monkeypatch.setattr(cli, "_EXTENDED", False)
 
 
 NUMBER_TEXTS = st.one_of(
@@ -408,7 +421,7 @@ class TestReadCsv:
         assert d.values.tobytes() == expected.values.tobytes()
 
     @pytest.mark.parametrize("seed", [11, 12])
-    def test_bulk_route_reads_every_cell_as_float_does(self, tmp_path, monkeypatch, seed):
+    def test_bulk_route_reads_every_cell_as_float_does(self, tmp_path, monkeypatch, seed, bulk_parse):
         texts = decimal_corpus(seed, 4000) + EDGE_TEXTS
         texts += ["1"] * (-len(texts) % 5)
         p = tmp_path / "corpus.csv"
@@ -443,7 +456,7 @@ class TestReadCsv:
             "trailing comma", "empty cell", "bare exponent", "two numbers"])
     @pytest.mark.parametrize("parser", ["numpy", "numpy 1.x", "empty as 0"])
     def test_what_fromstring_misreads_takes_the_per_cell_route(
-        self, tmp_path, monkeypatch, text, parser
+        self, tmp_path, monkeypatch, text, parser, bulk_parse
     ):
         # np.fromstring reads "1,2, " and "1,2,\r" with a trailing 0, and
         # accepts a hex float and a trailing separator.  numpy 1.24-1.26
