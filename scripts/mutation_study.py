@@ -59,8 +59,8 @@ MUTATIONS = (
      "(b - root) / (2.0 * a), (b + root) / (2.0 * a)",
      "(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)"),
     ("x * 1.5 in t", INDEPENDENCE,
-     "_lemma_coefficients(f, i, j), f._scaled[i, j])",
-     "_lemma_coefficients(f, i, j), 1.5 * f._scaled[i, j])"),
+     "_lemma_coefficients(r, g, i, j), r[i, j])",
+     "_lemma_coefficients(r, g, i, j), 1.5 * r[i, j])"),
     ("-a in the lemma", MATRICES,
      "return k, 2.0", "return -k, 2.0"),
     ("b's sign in the lemma", MATRICES,

@@ -403,12 +403,21 @@ def _read_dataset_cells(path: str) -> Dataset:
     return Dataset(values=array, names=names)
 
 
+# Characters per write, so a text file never encodes a whole report at once.
+_WRITE_SLICE = 1 << 20
+
+
+def _write_text(handle, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        handle.write(text[start : start + _WRITE_SLICE])
+    if not text.endswith("\n"):
+        handle.write("\n")
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         try:
-            sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
+            _write_text(sys.stdout, text)
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader is gone.  Point stdout at the null device so that
@@ -418,9 +427,7 @@ def _write_output(text: str, out: str | None) -> None:
             os.close(devnull)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            _write_text(handle, text)
 
 
 def _decision_columns(graph) -> dict[str, list]:

@@ -1,4 +1,5 @@
-"""Sample statistics from raw observations."""
+"""Sample statistics from raw observations; every partial correlation is
+indexed from the one matrix of r that ``_partial_correlations`` reads."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
-from .matrices import Factorization, SymmetricMatrix, _check_offdiagonal
+from .matrices import SymmetricMatrix, _check_offdiagonal
 
 __all__ = ["Dataset", "sample_covariance", "sample_partial_correlation"]
 
@@ -76,18 +77,17 @@ def _covariances(x: np.ndarray) -> np.ndarray:
     return (s + np.swapaxes(s, -1, -2)) / 2.0
 
 
-def _pd_factorization(
+def _partial_correlations(
     s: SymmetricMatrix, subject: str = "covariance matrix", names=None
-) -> Factorization:
-    """The factorization of s, which must be positive definite; else
-    NotPositiveDefinite names the subject, the failing pivot and, given
-    the variables' names, its variable."""
-    factorization = s.factorization
-    pivot = factorization.pivot
+) -> np.ndarray:
+    """The write-locked N x N partial correlations of s, which must be
+    positive definite; else NotPositiveDefinite names the subject, the
+    failing pivot and, given the variables' names, its variable."""
+    pivot, partial = s._factored()
     if pivot is not None:
         where = f"pivot {pivot}" if names is None else f"pivot {pivot}, variable {names[pivot]!r},"
         raise NotPositiveDefinite(f"{subject} is not positive definite ({where} fails)")
-    return factorization
+    return partial
 
 
 def sample_partial_correlation(s: SymmetricMatrix, i: int, j: int) -> float:
@@ -102,4 +102,4 @@ def sample_partial_correlation(s: SymmetricMatrix, i: int, j: int) -> float:
     |r| < 1 then holds automatically.
     """
     _check_offdiagonal(s.dim, i, j)
-    return float(_pd_factorization(s).partial_correlations[i, j])
+    return float(_partial_correlations(s)[i, j])

@@ -24,7 +24,8 @@ R_ij of the correlation-scaled matrix R through the determinant
 quadratic of R, decides t at 1 - 2q, and scales the quadratic's interval
 back to S for the thresholds of ``umpu_raw_thresholds``.  Every step is
 a numpy expression over index arrays of pairs, and every quadratic comes
-from one LAPACK inverse of R by the matrix determinant lemma, so
+from one LAPACK inverse of R by the matrix determinant lemma, which
+the covariance matrix keeps for the route apart from its r, so
 ``verify --input`` checks all pairs in one O(N^3) pass next to one
 public partial-correlation test per pair, the decision being checked;
 ``verify_equivalence`` runs the same route on its one pair.  The
@@ -59,7 +60,7 @@ from .distributions import (
     std_normal_quantile,
 )
 from .errors import DomainError
-from .estimators import _pd_factorization
+from .estimators import _partial_correlations
 from .matrices import (
     SymmetricMatrix,
     _check_offdiagonal,
@@ -224,7 +225,7 @@ def _edge_test(
     _check_offdiagonal(dim, i, j)
     _check_level(alpha)
     _half_shape(n, dim)
-    r = float(_pd_factorization(s).partial_correlations[i, j])
+    r = float(_partial_correlations(s)[i, j])
     c = _critical_value(method, alpha, n, dim)
     statistic = fisher_z(r, n) if method == "fisher" else r
     return _decision(method, i, j, statistic, c, n, dim)
@@ -254,9 +255,9 @@ def _umpu_route(s: SymmetricMatrix, i, j, n: int, alpha: float):
     :func:`umpu_raw_thresholds`; and the decisions of t at 1 - 2q and of
     s_ij at (c_lo, c_hi).  Every step is a numpy expression of R and
     G = R^-1, so the pairs of a matrix are checked in one pass."""
-    f = s.factorization
+    r, g = s._route_tables()
     q = beta_sym_quantile(alpha / 2.0, (n - s.dim) / 2.0)
-    x1, x2, t = _roots_and_statistic(*_lemma_coefficients(f, i, j), f._scaled[i, j])
+    x1, x2, t = _roots_and_statistic(*_lemma_coefficients(r, g, i, j), r[i, j])
     width = x2 - x1
     scale = np.sqrt(s.entries[i, i]) * np.sqrt(s.entries[j, j])
     c_lo, c_hi = scale * (x1 + width * q), scale * (x2 - width * q)
@@ -277,7 +278,7 @@ def umpu_raw_thresholds(
 
     The interval comes from the determinant quadratic of the
     correlation-scaled matrix R, read in O(1) from R^-1, which the
-    covariance's factorization computes once: scaling row and column k by
+    covariance matrix computes once for the route: scaling row and column k by
     sqrt(s_kk) maps R to S, so the interval of S in s_ij is
     sqrt(s_ii s_jj) times that of R in r_ij.  R does not depend on the
     units of the variables, and only the one scale factor of this pair
@@ -315,7 +316,7 @@ def verify_equivalence(
     of R decided at 1 - 2q, with the partial-correlation test.
 
     The quadratic is read from R^-1, one LAPACK inverse that the
-    covariance's factorization computes on the first call, so that
+    covariance matrix computes for the route on the first call, so that
     checking every pair of a matrix costs O(N^3) in total; it never reads
     the Cholesky factor that gives r.  ``verify --input`` runs the same route on
     every pair of its matrix at once.

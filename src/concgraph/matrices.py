@@ -1,10 +1,11 @@
 """Symmetric-matrix algebra.
 
-Every matrix carries one correlation-scaled factorization, computed on
-first use: S is standardized to R = D^-1/2 S D^-1/2 with D = diag S, and
-one LAPACK Cholesky call factors R = L L^T, checks its pivots diag(L)**2
-against a floor and yields K = R^-1 = L^-T L^-1, from which every partial
-correlation follows as r_ij = -K_ij / sqrt(K_ii K_jj).  Partial
+Every matrix keeps one correlation-scaled factorization, a (pivot,
+partial correlations) pair computed on first use: S is standardized to
+R = D^-1/2 S D^-1/2 with D = diag S, and one LAPACK Cholesky call
+factors R = L L^T, checks its pivots diag(L)**2 against a floor and
+yields K = R^-1 = L^-T L^-1, from which every partial correlation
+follows as r_ij = -K_ij / sqrt(K_ii K_jj).  Partial
 correlations are invariant to the scale of each variable, and so is the
 factorization.  One routine factors every matrix: a single matrix is a
 stack of one, and a stack, such as the covariances of a chunk of Monte
@@ -30,10 +31,11 @@ alone: with d = x - m_ij,
 
 The roots and the statistic do not change under a positive scale of a, b
 and c, so verify reads this quadratic of R from one LAPACK LU inverse of
-R, kept with the factorization, as numpy expressions over index arrays
-of pairs; ``pd_interval`` and ``edge_statistic`` are the same formulas
-on one quadratic.  The route never reads L or K, so it stays independent
-of what it checks.  ``quadratic_decomposition``, which extracts the
+R as numpy expressions over index arrays of pairs; the matrix keeps this
+R and G = R^-1 for the route, apart from its factorization, from the
+route's first use.  ``pd_interval`` and ``edge_statistic`` are the same
+formulas on one quadratic.  The route never reads L or K, so it stays
+independent of what it checks.  ``quadratic_decomposition``, which extracts the
 coefficients from three determinants of probe matrices, is the route's
 oracle and serves the lemma check of the acceptance suite; cofactors
 serve that check alone.
@@ -42,8 +44,7 @@ serve that check alone.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -52,7 +53,6 @@ from .errors import DegenerateEdge, DomainError, NotPositiveDefinite
 
 __all__ = [
     "SymmetricMatrix",
-    "Factorization",
     "QuadCoeffs",
     "PdInterval",
     "determinant",
@@ -70,48 +70,6 @@ __all__ = [
 # scaled matrix has a unit diagonal, so the floor is relative to it and does
 # not depend on the units of the variables.
 PIVOT_FLOOR = 1e-12
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class Factorization:
-    """Correlation-scaled factorization of a symmetric matrix.
-
-    ``pivot`` is the index of the first pivot of R at or below
-    PIVOT_FLOOR, or None when the matrix is positive definite.  When it
-    is, ``partial_correlations`` is the write-locked N x N array whose
-    off-diagonal entry (i, j) is r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1,
-    and ``_scaled`` holds R's checked, write-locked entries; both are
-    None otherwise.  ``_lemma_table`` is R^-1 from LAPACK, computed the
-    first time it is read, for the quadratics of :func:`_lemma_coefficients`.
-    It is one matrix's cache, so it is compared and hashed by identity.
-
-    A stack of Monte Carlo covariances builds one per matrix, so
-    ``__init__`` fills the fields with one write to ``__dict__`` instead
-    of the generated one ``object.__setattr__`` per field; the record is
-    as frozen, and takes ``dataclasses.replace``, as a generated one.
-    """
-
-    pivot: int | None
-    partial_correlations: np.ndarray | None
-    _scaled: np.ndarray | None = field(default=None, repr=False)
-
-    def __init__(self, pivot, partial_correlations, _scaled=None) -> None:
-        self.__dict__.update(
-            pivot=pivot, partial_correlations=partial_correlations, _scaled=_scaled
-        )
-
-    @cached_property
-    def _lemma_table(self) -> np.ndarray:
-        # LAPACK's LU factorization with partial pivoting, never L or K.
-        try:
-            inverse = np.linalg.inv(self._scaled)
-            if not np.all(np.isfinite(inverse)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                "the correlation matrix is numerically singular: LAPACK cannot invert it"
-            ) from None
-        return inverse
 
 
 # c of the augmented matrix [[R, I], [I, cI]], whose Cholesky factor is
@@ -162,30 +120,33 @@ def _first_failing_pivot(r: np.ndarray) -> int:
     return bad - 1
 
 
-def _factor_stack(entries: np.ndarray) -> tuple[Iterable[Factorization], np.ndarray | None]:
-    """Factor R = D^-1/2 S D^-1/2 for every matrix of a (count, N, N)
-    stack with one Cholesky call; a single matrix is a stack of one.
-    Returns the matrices' factorizations, each built as it is read, and
-    the write-locked (count, N, N) stack of their partial correlations,
-    or None when any matrix fails.  Then each matrix is factored again
-    alone, so each record is bit for bit the one a stack of that matrix
-    alone gives; one that fails alone finds its first failing pivot by
-    bisection.
-
-    A nonpositive diagonal entry is left unscaled: R's pivot there cannot
-    exceed it, so the factorization fails there or earlier.
-    """
+def _correlation_matrix(entries: np.ndarray) -> np.ndarray:
+    """R = D^-1/2 S D^-1/2 of a matrix, or elementwise of a stack.  A
+    nonpositive diagonal entry is left unscaled: R's pivot there cannot
+    exceed it, so the factorization fails there or earlier."""
     diag = np.diagonal(entries, axis1=-2, axis2=-1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     # Dividing by the product sqrt(s_ii) sqrt(s_jj), which commutes,
     # keeps R exactly symmetric.
-    r = entries / (scale[..., :, None] * scale[..., None, :])
-    r.setflags(write=False)
+    return entries / (scale[..., :, None] * scale[..., None, :])
+
+
+def _factor_stack(entries: np.ndarray) -> tuple[Iterable[tuple], np.ndarray | None]:
+    """Factor R = D^-1/2 S D^-1/2 for every matrix of a (count, N, N)
+    stack with one Cholesky call; a single matrix is a stack of one.
+    Returns each matrix's (pivot, partial_correlations) pair, made as it
+    is read, and the write-locked (count, N, N) stack of their partial
+    correlations, or None when any matrix fails.  Then each matrix is
+    factored again alone, so each pair is bit for bit the one a stack of
+    that matrix alone gives; one that fails alone finds its first failing
+    pivot by bisection.
+    """
+    r = _correlation_matrix(entries)
     x = _inverse_factor(r)
     if x is None:
         if len(r) > 1:
             return (f for m in range(len(r)) for f in _factor_stack(entries[m : m + 1])[0]), None
-        return (Factorization(pivot=_first_failing_pivot(r[0]), partial_correlations=None),), None
+        return ((_first_failing_pivot(r[0]), None),), None
     k = x @ np.swapaxes(x, -1, -2)
     # Mirroring K's upper triangle keeps r_ij == r_ji bit for bit.
     lower = np.arange(r.shape[-1])[:, None] > np.arange(r.shape[-1])
@@ -193,8 +154,7 @@ def _factor_stack(entries: np.ndarray) -> tuple[Iterable[Factorization], np.ndar
     root = np.sqrt(np.diagonal(k, axis1=-2, axis2=-1))
     partial = -k / (root[..., :, None] * root[..., None, :])
     partial.setflags(write=False)
-    # (pivot, partial_correlations, _scaled), positionally
-    return map(Factorization, repeat(None), partial, r), partial
+    return zip(repeat(None), partial), partial
 
 
 def _check_entries(arr: np.ndarray) -> None:
@@ -212,17 +172,15 @@ def _matrix_stack(entries: np.ndarray) -> tuple[list[SymmetricMatrix], np.ndarra
     stack's (count, N, N) partial correlations, or None when a matrix is
     not positive definite.  The stack is copied and checked once, as
     SymmetricMatrix checks one matrix, and factored by
-    :func:`_factor_stack`; each matrix gets its factorization as it is
-    made, with no list of them, whose partial correlations are that
-    matrix of the returned stack."""
+    :func:`_factor_stack`; each matrix gets its pair as it is made."""
     stack = np.array(entries, dtype=float)
     _check_entries(stack)
     stack.setflags(write=False)
-    factorizations, partial = _factor_stack(stack)
+    pairs, partial = _factor_stack(stack)
     matrices = []
-    for arr, factorization in zip(stack, factorizations):
+    for arr, pair in zip(stack, pairs):
         m = SymmetricMatrix._checked(arr)
-        m._factorization = factorization
+        m._factorization = pair
         matrices.append(m)
     return matrices, partial
 
@@ -233,12 +191,13 @@ class SymmetricMatrix:
     Symmetry is exact (entry for entry) and enforced at construction, as is
     finiteness of every entry.  The wrapped array is write-locked, so values
     are safe to share between threads.  The correlation-scaled
-    factorization is computed on first use and kept; it is a pure function
-    of the entries, so two threads that race to compute it store equal
-    values.
+    factorization, a (pivot, partial_correlations) pair, is computed on
+    first use and kept, as are the conditional route's R and G = R^-1;
+    each is a pure function of the entries, published by one assignment,
+    so two threads that race to compute it store equal values.
     """
 
-    __slots__ = ("_entries", "_factorization")
+    __slots__ = ("_entries", "_factorization", "_route")
 
     def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=float)
@@ -249,7 +208,7 @@ class SymmetricMatrix:
         _check_entries(arr)
         arr.setflags(write=False)
         self._entries = arr
-        self._factorization: Factorization | None = None
+        self._factorization = self._route = None
 
     @classmethod
     def _checked(cls, entries: np.ndarray) -> "SymmetricMatrix":
@@ -258,7 +217,7 @@ class SymmetricMatrix:
         copying or checking it again."""
         m = cls.__new__(cls)
         m._entries = entries
-        m._factorization = None
+        m._factorization = m._route = None
         return m
 
     @property
@@ -270,13 +229,33 @@ class SymmetricMatrix:
         """Read-only view of the underlying array."""
         return self._entries
 
-    @property
-    def factorization(self) -> Factorization:
-        """The correlation-scaled factorization, computed once, by
-        :func:`_factor_stack` on a stack of this matrix alone."""
+    def _factored(self) -> tuple[int | None, np.ndarray | None]:
+        """(pivot, partial_correlations), computed once by
+        :func:`_factor_stack`: the first pivot of R at or below
+        PIVOT_FLOOR, or else None and the write-locked N x N array of
+        r_ij = -K_ij / sqrt(K_ii K_jj), K = R^-1."""
         if self._factorization is None:
             (self._factorization,), _ = _factor_stack(self._entries[np.newaxis])
         return self._factorization
+
+    def _route_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, G) for :func:`_lemma_coefficients`, computed once and
+        write-locked: R as :func:`_factor_stack` forms it, and G = R^-1
+        from LAPACK's LU factorization, never L or K."""
+        if self._route is None:
+            r = _correlation_matrix(self._entries)
+            try:
+                g = np.linalg.inv(r)
+                if not np.all(np.isfinite(g)):
+                    raise np.linalg.LinAlgError
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(
+                    "the correlation matrix is numerically singular: LAPACK cannot invert it"
+                ) from None
+            r.setflags(write=False)
+            g.setflags(write=False)
+            self._route = r, g
+        return self._route
 
     def with_edge(self, i: int, j: int, x: float) -> "SymmetricMatrix":
         """Copy of the matrix with entries (i, j) and (j, i) replaced by x."""
@@ -370,7 +349,7 @@ def first_nonpositive_pivot(m: SymmetricMatrix) -> int | None:
     for matrices that are numerically on the boundary; since R has a unit
     diagonal, rescaling a variable cannot move the decision.
     """
-    return m.factorization.pivot
+    return m._factored()[0]
 
 
 def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
@@ -391,20 +370,19 @@ def quadratic_decomposition(m: SymmetricMatrix, i: int, j: int) -> QuadCoeffs:
     return QuadCoeffs(a, (dplus - dminus) / (2.0 * xbar), d0)
 
 
-def _lemma_coefficients(f: Factorization, i, j):
+def _lemma_coefficients(scaled: np.ndarray, table: np.ndarray, i, j):
     """Coefficients a, b and c of det M(x) / det R = -a x**2 + b x + c at
-    the pairs (i, j), two ints or two index arrays, of the positive
-    definite correlation matrix R of a factorization, by the matrix
-    determinant lemma (see the module docstring).  With G = R^-1,
-    g = G_ij, k = G_ii G_jj - g**2 and r = R_ij:
+    the pairs (i, j), two ints or two index arrays, of a positive definite
+    correlation matrix R (``scaled``), by the matrix determinant lemma
+    (see the module docstring).  With G = R^-1 (``table``), g = G_ij,
+    k = G_ii G_jj - g**2 and r = R_ij:
 
         a = k,   b = 2 (g + k r),   c = 1 - 2 g r - k r**2.
 
-    O(1) per pair after the factorization's one inverse of R.  The
-    indices are not checked.
+    O(1) per pair after the one inverse of R.  The indices are not
+    checked.
     """
-    table = f._lemma_table
-    r = f._scaled[i, j]
+    r = scaled[i, j]
     g = table[i, j]
     k = table[i, i] * table[j, j] - g * g
     return k, 2.0 * (g + k * r), 1.0 - 2.0 * g * r - k * r * r

@@ -9,7 +9,7 @@ import numpy as np
 
 from .distributions import _half_shape, fisher_z, null_corr_pvalues
 from .errors import DomainError, NotPositiveDefinite
-from .estimators import Dataset, _covariances, _pd_factorization
+from .estimators import Dataset, _covariances, _partial_correlations
 from .independence import EdgeDecision, TestConfig, _fisher_p_value, run_edge_test
 from .matrices import SymmetricMatrix
 
@@ -79,7 +79,7 @@ def _validated_covariance(data: Dataset) -> SymmetricMatrix:
             f"(variable {data.names[constant[0]]!r} is constant)"
         )
     s = SymmetricMatrix(_covariances(np.ldexp(data.values, shift)))
-    _pd_factorization(s, "sample covariance", data.names)
+    _partial_correlations(s, "sample covariance", data.names)
     return s
 
 
@@ -126,7 +126,7 @@ def select_graph(
     if correction == "bonferroni":
         divisor = max(len(pairs), 1)
     elif correction == "holm":
-        r = s.factorization.partial_correlations[np.triu_indices(s.dim, 1)]
+        r = s._factored()[1][np.triu_indices(s.dim, 1)]  # checked positive definite above
         statistics = [fisher_z(x, n) for x in r.tolist()] if method == "fisher" else r
         pvalues = _graph_pvalues(method, statistics, n, s.dim)
         divisor = _holm_divisor(pvalues, alpha)

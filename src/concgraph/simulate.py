@@ -16,9 +16,10 @@ Replications run in chunks, one loop per chunk.  A spec computes its
 covariance Cholesky factor once.  The loop stacks the chunk's draws into
 one (chunk, n, N) array; then, for each spec, it colors them with one
 matrix product, forms every sample covariance at once, checks them once
-as a stack, factors them all with one correlation-scaled Cholesky call
-and runs each method's public edge test on every replication, writing
-that method's column of decisions.  The chunk's r, which a size run
+as a stack, factors them all with one correlation-scaled Cholesky call,
+which hands each covariance its (pivot, partial correlations) pair with
+no record around it, and runs each method's public edge test on every
+replication, writing that method's column of decisions.  The chunk's r, which a size run
 reports, is one slice of the factored stack of partial correlations.  A
 power run colors the same draws once for the alternative and once for
 the matched null, so each substream is drawn once.  Every test reads r
@@ -53,7 +54,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
-from .estimators import Dataset, _covariances, _pd_factorization, sample_covariance
+from .estimators import Dataset, _covariances, _partial_correlations, sample_covariance
 from .distributions import _reg_inc_beta_array
 from .independence import _TESTS, _check_level, _check_method
 from .matrices import SymmetricMatrix, _check_offdiagonal, _matrix_stack
@@ -115,7 +116,7 @@ class PrecisionSpec:
     matrix: SymmetricMatrix
 
     def __post_init__(self) -> None:
-        _pd_factorization(self.matrix, "precision matrix")
+        _partial_correlations(self.matrix, "precision matrix")
 
     @property
     def dim(self) -> int:

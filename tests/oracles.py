@@ -353,9 +353,8 @@ def conditional_route(s: SymmetricMatrix, i: int, j: int, n: int, alpha: float):
     that brings its largest coefficient into [0.5, 1), its roots, t at
     R_ij, 1 - 2q and the raw-scale thresholds.  Returns (t, 1 - 2q, c_lo,
     c_hi, t's decision, s_ij's decision at (c_lo, c_hi))."""
-    f = s.factorization
-    inverse = f._lemma_table
-    r = float(f._scaled[i, j])
+    scaled, inverse = s._route_tables()
+    r = float(scaled[i, j])
     g = float(inverse[i, j])
     k = float(inverse[i, i]) * float(inverse[j, j]) - g * g
     coeffs = (k, 2.0 * (g + k * r), 1.0 - 2.0 * g * r - k * r * r)

@@ -68,7 +68,7 @@ def holm_graph():
 
 # entry point: (call, calls it makes today); a size run makes 1000
 # decisions, the N = 30 graph 435
-BUDGETS = {"size_run": (size_run, 18_145), "holm_graph": (holm_graph, 6_142)}
+BUDGETS = {"size_run": (size_run, 17_153), "holm_graph": (holm_graph, 6_142)}
 
 
 @pytest.mark.parametrize("name", BUDGETS)

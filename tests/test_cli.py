@@ -1200,6 +1200,64 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert (proc.wait(timeout=120), stderr) == (0, b"")
 
 
+class TestSlicedWrites:
+    """A report is written a slice at a time, with the bytes of one write."""
+
+    def test_stdout_and_out_keep_their_bytes(self, tmp_path, monkeypatch, capsys):
+        data = chain_data(12, 60, seed=5)
+        path = tmp_path / "chain.csv"
+        write_csv(path, data.names, data.values.tolist())
+        runs = {
+            "select": ["select", "--input", str(path), "--correction", "holm"],
+            "dot": ["select", "--input", str(path), "--format", "dot"],
+            "verify": ["verify", "--input", str(path)],
+        }
+        want = {}
+        for name, args in runs.items():
+            assert main(args) == 0
+            want[name] = capsys.readouterr().out
+            assert main(args + ["--out", str(tmp_path / f"{name}.whole")]) == 0
+        writes = []
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+        write = cli._write_text
+        monkeypatch.setattr(cli, "_write_text", lambda h, t: writes.append(len(t)) or write(h, t))
+        for name, args in runs.items():
+            assert main(args) == 0
+            assert capsys.readouterr().out == want[name]
+            assert main(args + ["--out", str(tmp_path / f"{name}.sliced")]) == 0
+            whole = (tmp_path / f"{name}.whole").read_bytes()
+            assert (tmp_path / f"{name}.sliced").read_bytes() == whole == want[name].encode()
+        assert min(writes) > 7 * 40  # every report spans many slices
+
+    def test_slices_end_with_one_newline(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 3)
+        for text in ("", "ab", "abc", "abcd", "abc\n", "abcdef\n"):
+            cli._write_output(text, None)
+            cli._write_output(text, str(tmp_path / "out"))
+            want = text if text.endswith("\n") else text + "\n"
+            assert capsys.readouterr().out == want
+            assert (tmp_path / "out").read_text(encoding="utf-8") == want
+
+    def test_closed_stdout_mid_slices_exits_quietly(self, tmp_path):
+        data = chain_data(60, 240, seed=3)
+        path = tmp_path / "wide.csv"
+        write_csv(path, data.names, data.values.tolist())
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        script = (
+            "import sys; from concgraph import cli; cli._WRITE_SLICE = 4096; "
+            f"sys.exit(cli.main(['select', '--input', {str(path)!r}]))"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), stderr) == (0, b"")
+
+
 class TestQuantileCommand:
     def test_null_corr_quantile_at_millions_of_observations(self, capsys):
         code = main(["quantile", "--alpha", "0.05", "--n", "2000000", "--dim", "8"])

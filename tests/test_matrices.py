@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -177,22 +176,22 @@ class TestConstantFreeFactor:
         _, partial = _factor_stack(stack)
         assert partial.tobytes() == want.tobytes()
         assert np.signbit(partial[-2][~np.eye(dim, dtype=bool)]).all()
-        for entries, f in zip(stack, _factor_stack(stack)[0]):
-            assert f.partial_correlations.tobytes() == template_factorize(entries[np.newaxis])[0].tobytes()
+        for entries, (_, r) in zip(stack, _factor_stack(stack)[0]):
+            assert r.tobytes() == template_factorize(entries[np.newaxis])[0].tobytes()
 
     @pytest.mark.parametrize("dim", (2, 5, 30))
     def test_a_failing_stack_fails_as_with_the_template(self, rng, dim):
         stack = np.array([oracles.random_pd_matrix(rng, dim), failing_at(rng, dim, dim - 1)])
         assert template_factorize(stack) is None
-        records, partial = _factor_stack(stack)
+        pairs, partial = _factor_stack(stack)
         assert partial is None
         diag = np.diagonal(stack, axis1=-2, axis2=-1)
         scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
         r = stack / (scale[..., :, None] * scale[..., None, :])
         assert matrices._inverse_factor(r) is None
-        records = list(records)
-        assert [f.pivot for f in records] == [None, dim - 1]
-        got = records[0].partial_correlations
+        pairs = list(pairs)
+        assert [pivot for pivot, _ in pairs] == [None, dim - 1]
+        got = pairs[0][1]
         assert got.tobytes() == template_factorize(stack[:1])[0].tobytes()
 
 
@@ -204,48 +203,22 @@ class TestFactorizationStack:
             + [failing_at(rng, dim, k) for k in range(dim)]
         )
         stack = stack[rng.permutation(len(stack))]
-        for entries, got in zip(stack, _factor_stack(stack)[0]):
-            alone = SymmetricMatrix(entries).factorization
-            assert got.pivot == alone.pivot
-            if got.pivot is None:
-                assert np.array_equal(got.partial_correlations, alone.partial_correlations)
-                assert np.array_equal(got._scaled, alone._scaled)
+        scaled = matrices._correlation_matrix(stack)
+        for entries, r, got in zip(stack, scaled, _factor_stack(stack)[0]):
+            m = SymmetricMatrix(entries)
+            alone = m._factored()
+            assert got[0] == alone[0]
+            if got[0] is None:
+                assert np.array_equal(got[1], alone[1])
+                assert np.array_equal(r, m._route_tables()[0])
             else:
-                assert got._scaled is None and got.partial_correlations is None
-
-    def test_compared_and_hashed_by_identity(self):
-        # a per-matrix cache object; its array fields have no truth value
-        f = SymmetricMatrix(np.eye(3)).factorization
-        g = SymmetricMatrix(np.eye(3)).factorization
-        assert f == f and f != g
-        assert len({f, g, f}) == 2
-
-    def test_stacked_record_behaves_as_the_generated_record(self, rng):
-        # built with one update of __dict__, but frozen, replaceable and
-        # printed as the generated record, and still compared by identity
-        stack = np.array([oracles.random_pd_matrix(rng, 4) for _ in range(3)])
-        f = list(_factor_stack(stack)[0])[1]
-        twin = oracles.generated_twin(matrices.Factorization)
-        g = twin(f.pivot, f.partial_correlations, f._scaled)
-        assert repr(f) == repr(g)
-        assert dataclasses.astuple(f)[0] is None
-        copy = dataclasses.replace(f)
-        assert type(copy) is matrices.Factorization and copy is not f and copy != f
-        assert copy.partial_correlations is f.partial_correlations
-        assert copy._scaled is f._scaled
-        assert hash(f) == object.__hash__(f) and f == f
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            f.pivot = 0
-        assert np.array_equal(f._lemma_table, np.linalg.inv(f._scaled))
-        assert f._lemma_table is f._lemma_table
-        failed = matrices.Factorization(2, None)
-        assert (failed.pivot, failed.partial_correlations, failed._scaled) == (2, None, None)
+                assert got[1] is None and alone[1] is None
 
     def test_reports_the_first_failing_pivot(self, rng):
         dim = 5
         # every pivot of -I fails; only the first may be reported
         stack = np.array([failing_at(rng, dim, k) for k in range(dim)] + [-np.eye(dim)])
-        assert [f.pivot for f in _factor_stack(stack)[0]] == list(range(dim)) + [0]
+        assert [pivot for pivot, _ in _factor_stack(stack)[0]] == list(range(dim)) + [0]
 
     def test_four_by_four_matches_the_sweep(self):
         # LAPACK's bits may depend on the BLAS build, so r is held within
@@ -256,28 +229,29 @@ class TestFactorizationStack:
             [-0.7, 0.2, 3.0, 0.6],
             [0.1, -0.4, 0.6, 0.9],
         ])
-        (f,), _ = _factor_stack(s[np.newaxis])
-        ((pivot, expected),) = oracles.pivot_sweep(s[np.newaxis])
-        assert f.pivot is pivot is None
+        ((pivot, r),), _ = _factor_stack(s[np.newaxis])
+        ((swept, expected),) = oracles.pivot_sweep(s[np.newaxis])
+        assert pivot is swept is None
         upper = np.triu_indices(4, 1)
-        got, want = f.partial_correlations[upper], expected[upper]
+        got, want = r[upper], expected[upper]
         assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
-        assert np.array_equal(f.partial_correlations, f.partial_correlations.T)
-        assert [float(v).hex() for v in f._scaled[upper]] == [
+        assert np.array_equal(r, r.T)
+        scaled, _ = SymmetricMatrix(s)._route_tables()
+        assert [float(v).hex() for v in scaled[upper]] == [
             "0x1.62b9586ad0a22p-3", "-0x1.24a1e34d5522bp-2", "0x1.314c3d92a9e91p-4",
             "0x1.822cb17ff2eb9p-4", "-0x1.60870d91bf3cfp-2", "0x1.75e9746a0b099p-2",
         ]
 
     def test_partial_correlations_match_numpy_inverse(self, rng):
         stack = np.array([oracles.random_pd_matrix(rng, 4) for _ in range(20)])
-        for entries, got in zip(stack, _factor_stack(stack)[0]):
+        for entries, (_, got) in zip(stack, _factor_stack(stack)[0]):
             sd = np.sqrt(np.diag(entries))
             k = np.linalg.inv(entries / np.outer(sd, sd))
             d = np.sqrt(np.diag(k))
             expected = -k / np.outer(d, d)
             off = ~np.eye(4, dtype=bool)
-            assert np.max(np.abs(got.partial_correlations - expected)[off]) < 1e-12
-            assert not got.partial_correlations.flags.writeable
+            assert np.max(np.abs(got - expected)[off]) < 1e-12
+            assert not got.flags.writeable
 
     def test_matrix_stack_attaches_factorizations(self, rng):
         stack = np.array([oracles.random_pd_matrix(rng, 3), failing_at(rng, 3, 2)])
@@ -315,7 +289,32 @@ class TestFactorizationStack:
         stack[0, 0, 0] = 99.0
         assert matrices[0].entries[0, 0] != 99.0
         assert not matrices[0].entries.flags.writeable
-        assert not matrices[0].factorization._scaled.flags.writeable
+        assert not matrices[0]._route_tables()[0].flags.writeable
+
+
+class TestRouteTables:
+    """The conditional route's own R and G = R^-1, kept on the matrix."""
+
+    def test_r_is_the_factorizations_and_g_its_inverse_once_each(self, rng, monkeypatch):
+        stack = np.array(
+            [oracles.random_pd_matrix(rng, 5) for _ in range(3)] + [failing_at(rng, 5, 2)]
+        )
+        formed, inverses = [], []
+        form, inv = matrices._correlation_matrix, np.linalg.inv
+        monkeypatch.setattr(matrices, "_correlation_matrix", lambda e: formed.append(form(e)) or formed[-1])
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+        stacked = _matrix_stack(stack)[0]
+        # the stack fails, so the factorization forms R for it and for each matrix alone
+        assert len(formed) == 1 + len(stack) and inverses == []
+        for k, m in enumerate(stacked):
+            for _ in range(3):
+                r, g = m._route_tables()
+                assert r.tobytes() == formed[0][k].tobytes() == formed[1 + k][0].tobytes()
+                assert np.array_equal(g, inv(r))
+                assert m._route_tables()[1] is g
+                assert not r.flags.writeable and not g.flags.writeable
+        assert len(formed) == 1 + 2 * len(stack)
+        assert inverses == [(5, 5)] * len(stack)
 
 
 def near_collinear(rng, dim: int, k: int, noise: float) -> np.ndarray:
@@ -345,18 +344,17 @@ def assert_matches_the_sweep(stack: np.ndarray) -> None:
     correlations within 1e-12 of the sweep's, exactly symmetric, and the
     same bits in the stack as alone."""
     off = ~np.eye(stack.shape[-1], dtype=bool)
-    for entries, got, (pivot, expected) in zip(
+    for entries, (got, r), (pivot, expected) in zip(
         stack, _factor_stack(stack)[0], oracles.pivot_sweep(stack)
     ):
-        (alone,), _ = _factor_stack(entries[np.newaxis])
-        assert got.pivot == alone.pivot == pivot
+        ((alone, r_alone),), _ = _factor_stack(entries[np.newaxis])
+        assert got == alone == pivot
         if pivot is None:
-            r = got.partial_correlations
-            assert np.array_equal(r, alone.partial_correlations)
+            assert np.array_equal(r, r_alone)
             assert np.array_equal(r, r.T)
             assert np.max(np.abs(r - expected)[off]) <= 1e-12
         else:
-            assert got.partial_correlations is alone.partial_correlations is None
+            assert r is r_alone is None
 
 
 class TestFactorizationAgainstTheSweep:
@@ -379,8 +377,8 @@ class TestFactorizationAgainstTheSweep:
     def test_near_collinear_fails_at_the_dependent_column(self, rng):
         for dim in (2, 5, 40):
             for noise in (1e-7, 1e-9):
-                (f,), _ = _factor_stack(near_collinear(rng, dim, dim - 1, noise)[np.newaxis])
-                assert f.pivot == dim - 1
+                ((pivot, _),), _ = _factor_stack(near_collinear(rng, dim, dim - 1, noise)[np.newaxis])
+                assert pivot == dim - 1
 
     def test_random_covariance_instances(self):
         by_dim = {}
@@ -558,13 +556,14 @@ class TestQuadraticDecomposition:
             assert got.c == pytest.approx(want.c, rel=1e-12)
 
 
-def lemma_error(f, i: int, j: int) -> float:
+def lemma_error(s: SymmetricMatrix, i: int, j: int) -> float:
     """Largest difference between the lemma route's a, b, c and the probe
     route's on R divided by det R, relative to the largest of the probe
     route's three."""
-    got = _lemma_coefficients(f, i, j)
-    det = np.linalg.det(f._scaled)
-    probe = quadratic_decomposition(SymmetricMatrix(f._scaled), i, j)
+    scaled, table = s._route_tables()
+    got = _lemma_coefficients(scaled, table, i, j)
+    det = np.linalg.det(scaled)
+    probe = quadratic_decomposition(SymmetricMatrix(scaled), i, j)
     want = (probe.a / det, probe.b / det, probe.c / det)
     size = max(map(abs, want))
     return max(abs(u - v) for u, v in zip(got, want)) / size
@@ -582,7 +581,7 @@ class TestLemmaQuadratic:
             s = SymmetricMatrix(oracles.random_sample_covariance(rng, dim, n))
             i, j = sorted(rng.choice(dim, size=2, replace=False).tolist())
             seen.add(dim)
-            assert lemma_error(s.factorization, i, j) <= 1e-10
+            assert lemma_error(s, i, j) <= 1e-10
         assert seen == set(range(2, 31))
 
     def test_matches_probe_route_on_a_wide_chain(self):
@@ -590,17 +589,17 @@ class TestLemmaQuadratic:
         idx = np.arange(199)
         k[idx, idx + 1] = k[idx + 1, idx] = -0.4
         data = sample_gaussian(PrecisionSpec(SymmetricMatrix(k)), 800, seed=1)
-        f = sample_covariance(data).factorization
+        s = sample_covariance(data)
         for i in range(0, 200, 17):
             for j in (i + 1, i + 2, i + 50, 199):
                 if j < 200 and i != j:
-                    assert lemma_error(f, i, j) <= 1e-10
+                    assert lemma_error(s, i, j) <= 1e-10
 
     def test_worked_example(self):
         # R = WORKED / 2, and with r_01 = x its determinant is
         # -x**2 + x/2 + 1/2; the lemma route gives it divided by det R,
         # which doubles every coefficient, and so the tolerance
-        got = _lemma_coefficients(WORKED.factorization, 0, 1)
+        got = _lemma_coefficients(*WORKED._route_tables(), 0, 1)
         det = np.linalg.det(WORKED.entries / 2.0)
         want = (1.0 / det, 0.5 / det, 0.5 / det)
         assert got == pytest.approx(want, abs=2e-15)
@@ -612,7 +611,7 @@ class TestPdInterval:
         # det M of a correlation matrix with a thousand variables is near
         # 1e-185, where b**2 and a c underflow unless the quadratic is
         # scaled first; a power of two changes no bit of the result
-        q = QuadCoeffs(*_lemma_coefficients(pd_matrix_from_seed(5, 6).factorization, 1, 4))
+        q = QuadCoeffs(*_lemma_coefficients(*pd_matrix_from_seed(5, 6)._route_tables(), 1, 4))
         scaled = QuadCoeffs(*(math.ldexp(v, power) for v in (q.a, q.b, q.c)))
         assert pd_interval(scaled) == pd_interval(q)
         for x in (-0.5, 0.0, 0.3):

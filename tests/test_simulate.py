@@ -373,7 +373,7 @@ class TestChunkSlice:
         spec, n, reps = PrecisionSpec.identity(5), 25, 1000
         _, r = simulate._run_replications([(spec, ("umpu",))], n, 0.05, reps, 3)
         assert len(chunks) == -(-reps // simulate._chunk_length(n, spec.dim))
-        want = [s.factorization.partial_correlations[0, 1] for chunk, _ in chunks for s in chunk]
+        want = [s._factored()[1][0, 1] for chunk, _ in chunks for s in chunk]
         assert r.dtype == np.float64 and r.tobytes() == np.array(want).tobytes()
         assert r.base is None  # a copy: no chunk's stack outlives its chunk
 
@@ -400,7 +400,7 @@ class TestChunkSlice:
         for k, m in enumerate(chunk):
             if k != 3:
                 (alone,), _ = matrices._factor_stack(m.entries[np.newaxis])
-                assert m.factorization.partial_correlations.tobytes() == alone.partial_correlations.tobytes()
+                assert m._factored()[1].tobytes() == alone[1].tobytes()
 
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100, 2**128 - 1)
