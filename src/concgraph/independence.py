@@ -24,8 +24,8 @@ R_ij of the correlation-scaled matrix R through the determinant
 quadratic of R, decides t at 1 - 2q, and scales the quadratic's interval
 back to S for the thresholds of ``umpu_raw_thresholds``.  Every step is
 a numpy expression over index arrays of pairs, and every quadratic comes
-from one LAPACK inverse of R by the matrix determinant lemma, which
-the covariance matrix keeps for the route apart from its r, so
+by the matrix determinant lemma from one LAPACK inverse of R, which the
+covariance matrix keeps for the route apart from its r, so
 ``verify --input`` checks all pairs in one O(N^3) pass next to one
 public partial-correlation test per pair, the decision being checked;
 ``verify_equivalence`` runs the same route on its one pair.  The
