@@ -40,7 +40,10 @@ in order:
 - ``select --method fisher --alpha 1e-300`` on the N = 30 chain, a level
   at which 1 - alpha/2 rounds to 1;
 - ``select --alpha 5e-324`` on the N = 30 chain, the one level in (0, 1)
-  whose half rounds to 0, which exits 1 with no output.
+  whose half rounds to 0, which exits 1 with no output;
+- ``select`` in json and tsv and ``verify --input`` on an N = 100,
+  n = 400 chain, whose 4,950-row tables span two blocks of the writer's
+  4,096 rows, so that the join between blocks is pinned.
 
 Every call runs in a fresh interpreter with ``src/`` first on the path.
 """
@@ -74,6 +77,7 @@ MIXED = ("mixed40", 40, 160, 4, None)
 EXTREME = ("extreme30", 30, 150, 5, None)
 ONE = ("one", 1, 12, 6, None)
 TALL = ("tall8", 8, 20000, 7, None)
+WIDE = ("chain100", 100, 400, 8, None)
 METHODS = ("umpu", "partial-corr", "fisher")
 CORRECTIONS = ("none", "bonferroni", "holm")
 FORMATS = ("json", "tsv", "dot")
@@ -167,6 +171,11 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
     out.append((f"select {CHAIN[0]} --alpha 5e-324",
                 ["-m", "concgraph", "select", "--input", os.path.join(workdir, "chain30.csv"),
                  "--alpha", "5e-324"]))
+    wide = os.path.join(workdir, f"{WIDE[0]}.csv")
+    for fmt in ("json", "tsv"):
+        out.append((f"select {WIDE[0]} --format {fmt}",
+                    ["-m", "concgraph", "select", "--input", wide, "--format", fmt]))
+    out.append((f"verify --input {WIDE[0]}", ["-m", "concgraph", "verify", "--input", wide]))
     return out
 
 
@@ -194,7 +203,7 @@ def main(argv=None) -> int:
                 [sys.executable, "scripts/make_dataset.py", *args, "--out", path],
                 cwd=ROOT, env=_env(), check=True,
             )
-        for name, dim, n, seed, names in (CHAIN, CONTROL, ONE, TALL):
+        for name, dim, n, seed, names in (CHAIN, CONTROL, ONE, TALL, WIDE):
             write_chain(os.path.join(workdir, f"{name}.csv"), dim, n, seed, names)
         name, dim, n, seed, names = MIXED
         scale = np.where(np.arange(dim) < dim // 2, 1e5, 1e-5)

@@ -13,7 +13,9 @@ failed.  A reader that closes stdout early, such as ``head``, is not an
 error: the rest of the output is dropped without a traceback and the
 exit code is the command's own, 0 for a successful run.  Numbers are
 serialized with 17 significant digits so outputs can be diffed across
-implementations; reports are byte-identical for a fixed seed.
+implementations; reports are byte-identical for a fixed seed.  Reports
+are written as they are formatted, after every check that can fail, so a
+failing command leaves an existing ``--out`` file as it was.
 """
 
 from __future__ import annotations
@@ -109,13 +111,8 @@ def json_dumps(obj) -> str:
     return _emit(obj)
 
 
-# Rows of a JSON table joined at a time.
+# Rows of a table formatted and written at a time.
 _ROW_BLOCK = 4096
-
-
-class _JsonText(str):
-    """JSON text already written, such as a table from
-    :func:`_json_table`, that ``_emit`` copies as it is."""
 
 
 def _emit(obj) -> str:
@@ -126,11 +123,7 @@ def _emit(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, dict):
-        # one join, so that a large value such as a table is copied once
-        pieces = []
-        for k, v in obj.items():
-            pieces += (", ", _quote(str(k)), ": ", _emit(v))
-        return "".join(["{", *pieces[1:], "}"])
+        return "{" + ", ".join([f"{_quote(str(k))}: {_emit(v)}" for k, v in obj.items()]) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join([_emit(v) for v in obj]) + "]"
     if obj is None:
@@ -138,7 +131,7 @@ def _emit(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return obj if type(obj) is _JsonText else _quote(obj)
+        return _quote(obj)
     raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -186,21 +179,28 @@ def _python_cells(array: np.ndarray):
     return itertools.chain.from_iterable(block.tolist() for block in blocks)
 
 
-def _json_table(columns: dict) -> _JsonText:
-    """The JSON array of flat row objects, row k holding element k of
-    every column under the column's key: the bytes ``_emit`` writes for
-    the list of row dicts, from one row template formatted per row.  Rows
-    are joined a block at a time, so that no list holds every row's own
-    string: at N = 1000 (499,500 rows) that list took 80 MB next to the
-    53 MB table."""
+def _joined_rows(rows, sep: str):
+    """``sep.join(rows)`` in pieces of ``_ROW_BLOCK`` rows, so that no
+    string holds every row: at N = 1000 a JSON table takes 51 MiB."""
+    lead = ""
+    while block := sep.join(itertools.islice(rows, _ROW_BLOCK)):
+        yield lead + block
+        lead = sep
+
+
+def _json_document(doc: dict, key: str, columns: dict):
+    """The pieces of the JSON text of ``doc`` with a last key, ``key``,
+    whose value is a table: the bytes ``_emit`` writes for the list of row
+    dicts, row k holding element k of every column under its key, from one
+    row template.  Every check runs here, before the first piece is read."""
     fields, cells = _column_cells(columns.values())
     template = "{{" + ", ".join(
-        _quote(str(key)).replace("{", "{{").replace("}", "}}") + ": " + field
-        for key, field in zip(columns, fields)
+        _quote(str(name)).replace("{", "{{").replace("}", "}}") + ": " + field
+        for name, field in zip(columns, fields)
     ) + "}}"
+    head = json_dumps(doc)[:-1] + f", {_quote(key)}: ["
     rows = map(template.format, *cells)
-    blocks = iter(lambda: ", ".join(itertools.islice(rows, _ROW_BLOCK)), "")
-    return _JsonText("[" + ", ".join(blocks) + "]")
+    return itertools.chain([head], _joined_rows(rows, ", "), ["]}"])
 
 
 def read_dataset_csv(path: str) -> Dataset:
@@ -403,21 +403,21 @@ def _read_dataset_cells(path: str) -> Dataset:
     return Dataset(values=array, names=names)
 
 
-# Characters per write, so a text file never encodes a whole report at once.
-_WRITE_SLICE = 1 << 20
-
-
-def _write_text(handle, text: str) -> None:
-    for start in range(0, len(text), _WRITE_SLICE):
-        handle.write(text[start : start + _WRITE_SLICE])
-    if not text.endswith("\n"):
+def _write_pieces(handle, pieces) -> None:
+    last = ""
+    for piece in pieces:
+        handle.write(piece)
+        last = piece or last
+    if not last.endswith("\n"):
         handle.write("\n")
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(pieces, out: str | None) -> None:
+    """Write the text pieces of a report to stdout or the file ``out``,
+    with a newline after them unless they end with one."""
     if out is None:
         try:
-            _write_text(sys.stdout, text)
+            _write_pieces(sys.stdout, pieces)
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader is gone.  Point stdout at the null device so that
@@ -427,7 +427,7 @@ def _write_output(text: str, out: str | None) -> None:
             os.close(devnull)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            _write_text(handle, text)
+            _write_pieces(handle, pieces)
 
 
 def _decision_columns(graph) -> dict[str, list]:
@@ -441,7 +441,7 @@ def _decision_columns(graph) -> dict[str, list]:
     }
 
 
-def _graph_json(graph, data, args: argparse.Namespace) -> str:
+def _graph_json(graph, data, args: argparse.Namespace):
     doc = {
         "n": data.n,
         "N": data.dim,
@@ -451,9 +451,8 @@ def _graph_json(graph, data, args: argparse.Namespace) -> str:
         "p_value_kind": _P_VALUE_KIND[args.method],
         "names": list(graph.names),
         "edges": [[i, j] for i, j in graph.edge_list()],
-        "decisions": _json_table(_decision_columns(graph)),
     }
-    return json_dumps(doc)
+    return _json_document(doc, "decisions", _decision_columns(graph))
 
 
 def _quote_dot(name: str) -> str:
@@ -470,7 +469,7 @@ def _graph_dot(graph) -> str:
     return "\n".join(lines)
 
 
-def _graph_tsv(graph) -> str:
+def _graph_tsv(graph):
     # Escapes as in JSON, so that a name cannot split a row.
     escapes = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
     names = [name.translate(escapes) for name in graph.names]
@@ -479,22 +478,21 @@ def _graph_tsv(graph) -> str:
         c["i"], c["j"], [names[i] for i in c["i"]], [names[j] for j in c["j"]],
         c["statistic"], c["p_value"], c["reject"],
     ])
-    template = "\t".join(fields)
-    lines = ["i\tj\tname_i\tname_j\tstatistic\tp_value\treject"]
-    lines.extend(map(template.format, *cells))
-    return "\n".join(lines)
+    rows = map("\t".join(fields).format, *cells)
+    header = "i\tj\tname_i\tname_j\tstatistic\tp_value\treject"
+    return _joined_rows(itertools.chain([header], rows), "\n")
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
     data = read_dataset_csv(args.input)
     graph = select_graph(data, TestConfig(alpha=args.alpha, method=args.method), args.correction)
     if args.fmt == "json":
-        text = _graph_json(graph, data, args)
+        pieces = _graph_json(graph, data, args)
     elif args.fmt == "dot":
-        text = _graph_dot(graph)
+        pieces = [_graph_dot(graph)]
     else:
-        text = _graph_tsv(graph)
-    _write_output(text, args.out)
+        pieces = _graph_tsv(graph)
+    _write_output(pieces, args.out)
     return EXIT_OK
 
 
@@ -551,11 +549,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "equivalent": ok,
     }
-    if args.input is not None:
+    if args.input is None:
+        pieces = [json_dumps(doc)]
+    else:
         keys = ("i", "j", "t", "r", "lower", "upper", "reject", "gap")
         columns = (i, j, t, r, -upper, upper, pc_reject, gap)
-        doc["edges"] = _json_table(dict(zip(keys, columns)))
-    _write_output(json_dumps(doc), args.out)
+        pieces = _json_document(doc, "edges", dict(zip(keys, columns)))
+    _write_output(pieces, args.out)
     return EXIT_OK if ok else EXIT_EQUIVALENCE
 
 
@@ -574,7 +574,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     except (DomainError, InsufficientSample, NotPositiveDefinite) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _write_output(json_dumps(asdict(report)), args.out)
+    _write_output([json_dumps(asdict(report))], args.out)
     return EXIT_OK
 
 
@@ -609,7 +609,7 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     except (DomainError, InsufficientSample) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _write_output(json_dumps(doc), args.out)
+    _write_output([json_dumps(doc)], args.out)
     return EXIT_OK
 
 

@@ -166,16 +166,19 @@ def tables(draw):
     return columns
 
 
+def table_text(doc, key, columns):
+    return "".join(cli._json_document(doc, key, columns))
+
+
 class TestTableWriter:
-    @given(columns=tables())
+    @given(columns=tables(), key=_TABLE_KEYS.filter(lambda key: key != "n"))
     @settings(max_examples=300, deadline=None)
-    def test_same_bytes_as_emit_on_row_dicts(self, columns):
+    def test_same_bytes_as_emit_on_row_dicts(self, columns, key):
         rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
-        assert cli._json_table(columns) == cli._emit(rows)
-        # the table is written as it is inside a document
-        assert json_dumps({"n": 1, "rows": cli._json_table(columns)}) == json_dumps(
-            {"n": 1, "rows": rows}
-        )
+        # the table is written as it is inside a document, as its last key
+        text = table_text({"n": 1}, key, columns)
+        assert text == json_dumps({"n": 1, key: rows})
+        assert text[len(json_dumps({"n": 1, key: []})) - 3:-1] == cli._emit(rows)
         # a tab-separated row from the same cells
         fields, cells = cli._column_cells(list(columns.values()))
         want = ["\t".join(cli._emit(v) for v in row) for row in zip(*columns.values())]
@@ -186,23 +189,39 @@ class TestTableWriter:
         rng = np.random.default_rng(count)
         columns = {"i": list(range(count)), "x": rng.standard_normal(count).tolist()}
         rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
-        assert cli._json_table(columns) == cli._emit(rows)
+        pieces = list(cli._json_document({"n": count}, "rows", columns))
+        assert "".join(pieces) == json_dumps({"n": count, "rows": rows})
+        # the head, one piece per block of rows, and the tail
+        assert len(pieces) == 2 + -(-count // cli._ROW_BLOCK)
+        assert [piece.count("{") for piece in pieces[1:-1]] == [
+            min(cli._ROW_BLOCK, count - k) for k in range(0, count, cli._ROW_BLOCK)
+        ]
+        lines = [f"line {k}" for k in range(count)]
+        assert "".join(cli._joined_rows(iter(lines), "\n")) == "\n".join(lines)
 
     def test_columns_become_python_values_a_block_at_a_time(self):
-        # the peak is the text and its joined blocks; the columns as whole
-        # lists of Python values took 6 MB more at these 32,768 rows
-        count = 8 * cli._ROW_BLOCK
-        rng = np.random.default_rng(5)
-        columns = {"i": np.arange(count), "reject": rng.random(count) < 0.5}
-        columns |= {key: rng.standard_normal(count) for key in ("x", "y", "z")}
-        cli._json_table(columns)
-        tracemalloc.start()
-        try:
-            text = cli._json_table(columns)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * len(text) + 1.5e6
+        # reading the pieces of an 8-block table holds about one block (its
+        # text, its rows and their Python values) where the whole table and
+        # its joined blocks held twice the text; the columns as whole lists
+        # of Python values took 6 MB more at these 32,768 rows
+        def read(count):
+            rng = np.random.default_rng(5)
+            columns = {"i": np.arange(count), "reject": rng.random(count) < 0.5}
+            columns |= {key: rng.standard_normal(count) for key in ("x", "y", "z")}
+            pieces = list(cli._json_document({"n": 1}, "rows", columns))
+            tracemalloc.start()
+            try:
+                size = sum(map(len, cli._json_document({"n": 1}, "rows", columns)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return size, max(map(len, pieces)), peak
+
+        size, block, peak = read(8 * cli._ROW_BLOCK)
+        one_block_peak = read(cli._ROW_BLOCK)[2]
+        assert size > 7 * block
+        assert peak <= one_block_peak + 1.5 * block
+        assert peak <= 2 * size + 1.5e6
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
     def test_non_finite_cell_is_a_domain_error(self, bad):
@@ -210,8 +229,9 @@ class TestTableWriter:
         rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
         with pytest.raises(DomainError) as expected:
             cli._emit(rows)
+        # raised by the call, before the first piece is read
         with pytest.raises(DomainError) as got:
-            cli._json_table(columns)
+            cli._json_document({"n": 3}, "rows", columns)
         assert str(got.value) == str(expected.value)
 
 
@@ -962,14 +982,14 @@ class TestVerifyCommand:
         # each decision is read into the columns as it is made, so none is
         # alive while the table, the peak of the command's memory, is written
         path, _ = sample_csv
-        table = cli._json_table
+        table = cli._json_document
         alive = []
 
-        def counted(columns):
+        def counted(doc, key, columns):
             alive.append(sum(type(o) is independence.EdgeDecision for o in gc.get_objects()))
-            return table(columns)
+            return table(doc, key, columns)
 
-        monkeypatch.setattr(cli, "_json_table", counted)
+        monkeypatch.setattr(cli, "_json_document", counted)
         assert main(["verify", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["instances"] == 3
         assert alive == [0]
@@ -1200,8 +1220,8 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert (proc.wait(timeout=120), stderr) == (0, b"")
 
 
-class TestSlicedWrites:
-    """A report is written a slice at a time, with the bytes of one write."""
+class TestStreamedWrites:
+    """A report is written a piece at a time, with the bytes of one write."""
 
     def test_stdout_and_out_keep_their_bytes(self, tmp_path, monkeypatch, capsys):
         data = chain_data(12, 60, seed=5)
@@ -1209,6 +1229,7 @@ class TestSlicedWrites:
         write_csv(path, data.names, data.values.tolist())
         runs = {
             "select": ["select", "--input", str(path), "--correction", "holm"],
+            "tsv": ["select", "--input", str(path), "--format", "tsv"],
             "dot": ["select", "--input", str(path), "--format", "dot"],
             "verify": ["verify", "--input", str(path)],
         }
@@ -1217,35 +1238,45 @@ class TestSlicedWrites:
             assert main(args) == 0
             want[name] = capsys.readouterr().out
             assert main(args + ["--out", str(tmp_path / f"{name}.whole")]) == 0
-        writes = []
-        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
-        write = cli._write_text
-        monkeypatch.setattr(cli, "_write_text", lambda h, t: writes.append(len(t)) or write(h, t))
+        writes = {}
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 1)
+        write = cli._write_output
+
+        def counted(pieces, out):
+            pieces = list(pieces)
+            writes.setdefault(out is None, []).append(len(pieces))
+            write(iter(pieces), out)
+
+        monkeypatch.setattr(cli, "_write_output", counted)
         for name, args in runs.items():
             assert main(args) == 0
             assert capsys.readouterr().out == want[name]
-            assert main(args + ["--out", str(tmp_path / f"{name}.sliced")]) == 0
+            assert main(args + ["--out", str(tmp_path / f"{name}.pieces")]) == 0
             whole = (tmp_path / f"{name}.whole").read_bytes()
-            assert (tmp_path / f"{name}.sliced").read_bytes() == whole == want[name].encode()
-        assert min(writes) > 7 * 40  # every report spans many slices
+            assert (tmp_path / f"{name}.pieces").read_bytes() == whole == want[name].encode()
+        # every table, of 66 rows, spans many pieces; dot is one
+        assert writes[True] == writes[False] == [68, 67, 1, 68]
 
-    def test_slices_end_with_one_newline(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_WRITE_SLICE", 3)
-        for text in ("", "ab", "abc", "abcd", "abc\n", "abcdef\n"):
-            cli._write_output(text, None)
-            cli._write_output(text, str(tmp_path / "out"))
+    def test_pieces_end_with_one_newline(self, tmp_path, capsys):
+        texts = ("", "ab", "abc", "abcd", "abc\n", "abcdef\n")
+        cases = [[text[k:k + 3] for k in range(0, len(text), 3)] for text in texts]
+        cases += [[text] for text in texts] + [["abc\n", ""], ["ab", "\n", ""]]
+        for pieces in cases:
+            cli._write_output(iter(pieces), None)
+            cli._write_output(iter(pieces), str(tmp_path / "out"))
+            text = "".join(pieces)
             want = text if text.endswith("\n") else text + "\n"
             assert capsys.readouterr().out == want
             assert (tmp_path / "out").read_text(encoding="utf-8") == want
 
-    def test_closed_stdout_mid_slices_exits_quietly(self, tmp_path):
+    def test_closed_stdout_mid_pieces_exits_quietly(self, tmp_path):
         data = chain_data(60, 240, seed=3)
         path = tmp_path / "wide.csv"
         write_csv(path, data.names, data.values.tolist())
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         script = (
-            "import sys; from concgraph import cli; cli._WRITE_SLICE = 4096; "
+            "import sys; from concgraph import cli; cli._ROW_BLOCK = 32; "
             f"sys.exit(cli.main(['select', '--input', {str(path)!r}]))"
         )
         proc = subprocess.Popen(
@@ -1399,3 +1430,69 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(out) in captured.err
+
+
+class TestFailedReportKeepsOut:
+    """Every check that can fail runs before ``--out`` is opened, so a
+    command that fails leaves an existing file as it was."""
+
+    COMMANDS = {
+        "select json": ["select", "--input", "{csv}"],
+        "select tsv": ["select", "--input", "{csv}", "--format", "tsv"],
+        "verify": ["verify", "--input", "{csv}"],
+    }
+
+    def fail(self, monkeypatch, command, failure):
+        if failure == "quantile":
+            # the level is read cold, and its quantile does not converge
+            independence._critical_value.cache_clear()
+            distributions.beta_sym_quantile.cache_clear()
+            monkeypatch.setattr(distributions, "_cf_max_iter", lambda a, b: 1)
+            return "error: incomplete beta continued fraction did not converge"
+        if failure == "p-value":
+            # the decisions are made with a cached quantile, and the
+            # p-value column is the first thing that does not converge
+            monkeypatch.setattr(distributions, "_cf_max_iter", lambda a, b: 1)
+            return "error: incomplete beta continued fraction did not converge"
+        if command == "verify":
+            document = cli._json_document
+
+            def with_nan(doc, key, columns):
+                columns["gap"] = np.where(np.arange(len(columns["gap"])) == 1, np.nan, columns["gap"])
+                return document(doc, key, columns)
+
+            monkeypatch.setattr(cli, "_json_document", with_nan)
+        else:
+            decision_columns = cli._decision_columns
+
+            def with_nan(graph):
+                columns = decision_columns(graph)
+                columns["statistic"][1] = float("nan")
+                return columns
+
+            monkeypatch.setattr(cli, "_decision_columns", with_nan)
+        return "error: cannot serialize non-finite number nan"
+
+    @pytest.mark.parametrize("command, failure", [
+        ("select json", "quantile"),
+        ("select json", "p-value"),
+        ("select json", "non-finite cell"),
+        ("select tsv", "quantile"),
+        ("select tsv", "p-value"),
+        ("select tsv", "non-finite cell"),
+        ("verify", "quantile"),
+        ("verify", "non-finite cell"),
+    ])
+    def test_exit_2_and_out_untouched(self, sample_csv, tmp_path, capsys, monkeypatch, command, failure):
+        path, _ = sample_csv
+        argv = [a.format(csv=path) for a in self.COMMANDS[command]] + ["--alpha", "0.0321"]
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"an earlier report\n")
+        assert main(argv) == 0  # the quantile at the level is cached
+        capsys.readouterr()
+        message = self.fail(monkeypatch, command, failure)
+        assert main(argv + ["--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert target.read_bytes() == b"an earlier report\n"

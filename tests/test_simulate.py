@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import stats
+from scipy.special import ndtri
 from hypothesis import strategies as st
 
 import oracles
@@ -224,6 +226,36 @@ class TestEstimateSize:
             estimate_size(
                 PrecisionSpec.identity(3), 10, 0.05, "wald", reps=1000, seed=0
             )
+
+
+def fisher_exact_size(alpha, n, dim):
+    """The exact size of the Fisher test, which rejects when |r| >= c with
+    c = tanh(z / sqrt(n)), z the test's critical value: (1 + r) / 2 is
+    Beta(m, m) under the null, m = (n - N) / 2, so the size is twice that
+    law's upper tail at (1 + c) / 2 (scipy, not the package's beta)."""
+    c = math.tanh(independence._critical_value("fisher", alpha, n, dim) / math.sqrt(n))
+    m = (n - dim) / 2
+    return 2.0 * stats.beta(m, m).sf((1.0 + c) / 2.0)
+
+
+class TestFisherExactSize:
+    """The asymptotic test's size at alpha = 0.05 is far above alpha at
+    small n - N, and depends on N and n, not on n - N alone."""
+
+    @pytest.mark.parametrize("dim, n, size", [
+        (3, 8, 0.1545), (5, 10, 0.1999), (20, 25, 0.4098), (40, 45, 0.5369),
+        (5, 25, 0.0872), (5, 50, 0.0661),
+    ])
+    def test_pinned_at_small_degrees_of_freedom(self, dim, n, size):
+        z = independence._critical_value("fisher", 0.05, n, dim)
+        assert z == pytest.approx(-ndtri(0.025), rel=1e-15)
+        assert fisher_exact_size(0.05, n, dim) == pytest.approx(size, abs=5e-5)
+
+    def test_monte_carlo_rate_matches_the_exact_size(self):
+        reps = 20000
+        report = estimate_size(PrecisionSpec.identity(5), 10, 0.05, "fisher", reps=reps, seed=1)
+        exact = fisher_exact_size(0.05, 10, 5)
+        assert abs(report.rejection_rate - exact) <= 4.5 * math.sqrt(exact * (1 - exact) / reps)
 
 
 class TestEstimatePower:
