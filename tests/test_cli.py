@@ -201,9 +201,9 @@ class TestTableWriter:
 
     def test_columns_become_python_values_a_block_at_a_time(self):
         # reading the pieces of an 8-block table holds about one block (its
-        # text, its rows and their Python values) where the whole table and
-        # its joined blocks held twice the text; the columns as whole lists
-        # of Python values took 6 MB more at these 32,768 rows
+        # text, its rows and their Python values), never the whole text;
+        # the columns as whole lists of Python values took 6 MB more at
+        # these 32,768 rows
         def read(count):
             rng = np.random.default_rng(5)
             columns = {"i": np.arange(count), "reject": rng.random(count) < 0.5}
