@@ -166,17 +166,13 @@ def tables(draw):
     return columns
 
 
-def table_text(doc, key, columns):
-    return "".join(cli._json_document(doc, key, columns))
-
-
 class TestTableWriter:
     @given(columns=tables(), key=_TABLE_KEYS.filter(lambda key: key != "n"))
     @settings(max_examples=300, deadline=None)
     def test_same_bytes_as_emit_on_row_dicts(self, columns, key):
         rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
         # the table is written as it is inside a document, as its last key
-        text = table_text({"n": 1}, key, columns)
+        text = "".join(cli._json_document({"n": 1}, key, columns))
         assert text == json_dumps({"n": 1, key: rows})
         assert text[len(json_dumps({"n": 1, key: []})) - 3:-1] == cli._emit(rows)
         # a tab-separated row from the same cells
