@@ -8,25 +8,36 @@ Runs, in each checkout with the interpreter that runs this script:
 
 - ``perfbench/run.py --workload all --seed S --seconds 20`` for S = 1, 2
   and 3 (every workload, untraced and traced; about 2 minutes each);
-- ``scripts/scale_timings.py --dims 200 1000`` (whole CLI processes on
-  chain files, with each process's peak memory; several minutes).
+- the calls of ``scripts/scale_timings.py --dims 200 1000`` (whole CLI
+  processes on chain files, with each process's peak memory; several
+  minutes).
 
-Each step runs both checkouts back to back, and the one that goes first
-alternates from step to step (the parent first at seed 1), so the
-host's drift over the recording falls on both trees alike.
+Each perfbench step runs both checkouts back to back, and the one that
+goes first alternates from step to step (the parent first at seed 1).
+The scale calls are timed here with ``scale_timings``' own chain writer
+and timer: both checkouts read one chain file per N, written once, each
+run of a call times both checkouts back to back, and the one that goes
+first alternates from run to run.  So the host's drift over the
+recording falls on both trees alike.
 
 OUT is a JSON object ``{"trees": [...]}``.  Each tree is one checkout's
 ``git_rev`` and ``src_sha256``, as ``run.py`` prints them on its
-``record`` lines, with the list of its runs.  Runs of a tree already in
+``record`` lines, with the list of its runs; its scale run holds what
+``scale_timings.py`` prints on its last line.  Runs of a tree already in
 OUT are appended to it.  OUT is rewritten after every run, so a failed
-run keeps the ones before it.  Standard library only.
+run keeps the ones before it.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import scale_timings  # noqa: E402
 
 SEEDS = (1, 2, 3)
 SECONDS = 20
@@ -81,6 +92,32 @@ def run(argv: list[str], cwd: Path) -> str:
     return proc.stdout
 
 
+def scale_runs(checkouts: tuple[Path, ...], dims) -> dict:
+    """Each checkout's ``scale_timings.py --dims DIMS`` result, with every
+    run of a call timing the checkouts back to back, the one that goes
+    first switching from run to run, on one chain file per N."""
+    timings = {checkout: [] for checkout in checkouts}
+    turn = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        out = os.path.join(workdir, "report.txt")
+        for dim in dims:
+            n = 4 * dim
+            path = os.path.join(workdir, f"chain{dim}.csv")
+            scale_timings.write_chain_apart(path, dim, n)
+            for label, command in scale_timings.COMMANDS:
+                sys.stderr.write(f"timing N = {dim}: {label}\n")
+                results = {checkout: [] for checkout in checkouts}
+                for _ in range(scale_timings.RUNS):
+                    for checkout in checkouts[::-1] if turn % 2 else checkouts:
+                        argv = [*command, "--input", path, "--out", out]
+                        results[checkout].append(scale_timings.time_call(argv, checkout))
+                    turn += 1
+                for checkout in checkouts:
+                    timings[checkout].append(scale_timings.timing(dim, n, label, results[checkout]))
+    machine = scale_timings.machine()
+    return {checkout: {"machine": machine, "timings": timings[checkout]} for checkout in checkouts}
+
+
 def write(doc: dict, out: Path) -> None:
     tmp = out.with_name(out.name + ".tmp")
     tmp.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -100,10 +137,12 @@ def main(argv: list[str]) -> int:
             machines[checkout], entry = parse_perfbench(text, seed)
             add_run(doc, machines[checkout], entry)
             write(doc, out)
-    for checkout in (parent, change) if len(SEEDS) % 2 == 0 else (change, parent):
-        text = run(["scripts/scale_timings.py", "--dims", *map(str, DIMS)], checkout)
-        add_run(doc, machines[checkout], {"kind": "scale_timings", "result": json.loads(text.splitlines()[-1])})
-        write(doc, out)
+    results = scale_runs((parent, change) if len(SEEDS) % 2 == 0 else (change, parent), DIMS)
+    if any(t["exit"] for result in results.values() for t in result["timings"]):
+        raise SystemExit("error: a scale call exited with an error")
+    for checkout, result in results.items():
+        add_run(doc, machines[checkout], {"kind": "scale_timings", "result": result})
+    write(doc, out)
     return 0
 
 

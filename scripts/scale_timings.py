@@ -96,21 +96,21 @@ def machine() -> dict:
     }
 
 
-def _env() -> dict:
+def _env(root: Path) -> dict:
     env = dict(os.environ)
-    src = str(ROOT / "src")
+    src = str(root / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return env
 
 
-def time_call(argv: list[str]) -> tuple[int, float, float]:
+def time_call(argv: list[str], root: Path = ROOT) -> tuple[int, float, float]:
     """Exit code, wall time and peak resident memory in MB of one
-    ``python -m concgraph`` process."""
+    ``python -m concgraph`` process on the checkout at ``root``."""
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, "-m", "concgraph", *argv],
-            cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL, stderr=err,
+            cwd=root, env=_env(root), stdout=subprocess.DEVNULL, stderr=err,
         )
         _, status, usage = os.wait4(proc.pid, 0)
         seconds = time.perf_counter() - start
@@ -120,6 +120,17 @@ def time_call(argv: list[str]) -> tuple[int, float, float]:
             sys.stderr.write(err.read().decode("utf-8", "replace"))
     # ru_maxrss is in KiB on Linux
     return code, seconds, usage.ru_maxrss / 1024.0
+
+
+def timing(dim: int, n: int, label: str, results) -> dict:
+    """The entry of one call from the :func:`time_call` results of its runs."""
+    codes, runs, peaks = zip(*results)
+    return {
+        "N": dim, "n": n, "command": label, "exit": max(codes),
+        "runs": [round(t, 3) for t in runs], "seconds": round(statistics.median(runs), 3),
+        "peak_rss_runs_mb": [round(m, 1) for m in peaks],
+        "peak_rss_mb": round(statistics.median(peaks), 1),
+    }
 
 
 def main(argv=None) -> int:
@@ -137,19 +148,14 @@ def main(argv=None) -> int:
             path = os.path.join(workdir, f"chain{dim}.csv")
             write_chain_apart(path, dim, n)
             for label, command in COMMANDS:
-                codes, runs, peaks = zip(
-                    *(time_call([*command, "--input", path, "--out", out]) for _ in range(RUNS))
-                )
-                seconds, peak = statistics.median(runs), statistics.median(peaks)
-                timings.append(
-                    {"N": dim, "n": n, "command": label, "exit": max(codes),
-                     "runs": [round(t, 3) for t in runs], "seconds": round(seconds, 3),
-                     "peak_rss_runs_mb": [round(m, 1) for m in peaks], "peak_rss_mb": round(peak, 1)}
-                )
+                results = [time_call([*command, "--input", path, "--out", out]) for _ in range(RUNS)]
+                entry = timing(dim, n, label, results)
+                timings.append(entry)
                 print(
-                    f"N = {dim}, n = {n}: {label}: exit {max(codes)}, "
-                    f"runs {', '.join(f'{t:.2f}' for t in runs)} s, median {seconds:.2f} s, "
-                    f"peak {', '.join(f'{m:.0f}' for m in peaks)} MB",
+                    f"N = {dim}, n = {n}: {label}: exit {entry['exit']}, "
+                    f"runs {', '.join(f'{t:.2f}' for t in entry['runs'])} s, "
+                    f"median {entry['seconds']:.2f} s, "
+                    f"peak {', '.join(f'{m:.0f}' for m in entry['peak_rss_runs_mb'])} MB",
                     flush=True,
                 )
     print(json.dumps({"machine": machine(), "timings": timings}))

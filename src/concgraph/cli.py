@@ -43,7 +43,7 @@ from .errors import (
 )
 from .estimators import Dataset
 from .distributions import _level_error, beta_sym_quantile, null_corr_quantile
-from .independence import TestConfig, _umpu_route, run_edge_test, verify_equivalence
+from .independence import TestConfig, _equivalence_checks, run_edge_test, verify_equivalence
 from .selection import CORRECTIONS, _validated_covariance, select_graph
 from .simulate import (
     PrecisionSpec,
@@ -502,7 +502,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         s = _validated_covariance(data)
         # One public test decides each pair, and its r, upper and reject
         # are read into the columns as it is made, so no decision outlives
-        # its pair; umpu's route checks them all in one pass.
+        # its pair; one pass of umpu's route checks them all.
         i, j = np.triu_indices(data.dim, 1)
         r, upper, pc_reject = np.empty(len(i)), np.empty(len(i)), np.empty(len(i), dtype=bool)
         read = attrgetter("statistic", "upper", "reject")
@@ -510,9 +510,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             r[k], upper[k], pc_reject[k] = read(
                 run_edge_test("partial_corr", s, a, b, data.n, args.alpha)
             )
-        t, c, _, _, reject, raw_reject = _umpu_route(s, i, j, data.n, args.alpha)
-        same, raw_agrees = reject == pc_reject, raw_reject == reject
-        gap, threshold_gap = np.abs(t - r), np.abs(c - upper)
+        t, same, raw_agrees, gap, threshold_gap = _equivalence_checks(
+            s, i, j, data.n, args.alpha, r, upper, pc_reject
+        )
     else:
         # Checked before the first instance is drawn, so that a bad count
         # is a usage error and not a failure of the generator.

@@ -28,15 +28,15 @@ by the matrix determinant lemma from one LAPACK inverse of R, which the
 covariance matrix keeps for the route apart from its r, so
 ``verify --input`` checks all pairs in one O(N^3) pass next to one
 public partial-correlation test per pair, the decision being checked;
-``verify_equivalence`` runs the same route on its one pair.  The
-scaling leaves t unchanged and keeps the quadratic well conditioned
-whatever the units of the variables.
+``_equivalence_checks`` compares the two for both modes, at every pair
+or at ``verify_equivalence``'s one.  The scaling leaves t unchanged and
+keeps the quadratic well conditioned whatever the units of the variables.
 
 The three tests are one body, ``_edge_test``: it checks the inputs, reads
 r from the one factorization, takes c from ``_critical_value`` (cached on
 the method, level, n and N after the checks, so a bad call raises every
-time), forms the statistic (r, or Fisher's z) and calls ``_decision``,
-the closed rule: a statistic exactly at a threshold rejects.  Each input
+time), forms the statistic (r, or Fisher's z) and decides it under the
+closed rule: a statistic exactly at a threshold rejects.  Each input
 check is raised in one place: the level in ``_check_level``, the method
 in ``_check_method`` and the sample size in ``distributions._half_shape``.
 """
@@ -164,30 +164,21 @@ _set_i, _set_j, _set_statistic, _set_upper, _set_reject, _set_method, _set_n, _s
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Numerical comparison of umpu's conditional route and the
-    partial-correlation test on one instance, with both decisions."""
+    """The four checks of umpu's conditional route against the
+    partial-correlation test on one pair: |t - r|, |(1 - 2q) - c|, whether
+    the two decisions agree, and whether the raw-scale decision agrees
+    with the standardized one."""
 
     statistic_gap: float
-    signed_gap: float
     threshold_gap: float
     same_decision: bool
     raw_scale_agrees: bool
-    umpu: EdgeDecision
-    partial_corr: EdgeDecision
 
 
 def threshold_reject(statistic: float, lower: float, upper: float) -> bool:
     """Closed rejection rule: reject iff statistic <= lower or >= upper;
     elementwise when any argument is an array."""
     return (statistic <= lower) | (statistic >= upper)
-
-
-def _decision(
-    method: str, i: int, j: int, statistic: float, c: float, n: int, dim: int
-) -> EdgeDecision:
-    """The decision of every test: reject iff |statistic| >= c, the
-    closed rule on the acceptance region (-c, c)."""
-    return EdgeDecision(i, j, statistic, c, threshold_reject(statistic, -c, c), method, n, dim)
 
 
 @lru_cache(maxsize=QUANTILE_CACHE_SIZE)
@@ -228,7 +219,7 @@ def _edge_test(
     r = float(_partial_correlations(s)[i, j])
     c = _critical_value(method, alpha, n, dim)
     statistic = fisher_z(r, n) if method == "fisher" else r
-    return _decision(method, i, j, statistic, c, n, dim)
+    return EdgeDecision(i, j, statistic, c, threshold_reject(statistic, -c, c), method, n, dim)
 
 
 def umpu_test(
@@ -263,6 +254,16 @@ def _umpu_route(s: SymmetricMatrix, i, j, n: int, alpha: float):
     c_lo, c_hi = scale * (x1 + width * q), scale * (x2 - width * q)
     c, raw_reject = 1.0 - 2.0 * q, threshold_reject(s.entries[i, j], c_lo, c_hi)
     return t, c, c_lo, c_hi, threshold_reject(t, -c, c), raw_reject
+
+
+def _equivalence_checks(s: SymmetricMatrix, i, j, n: int, alpha: float, r, c, reject):
+    """``verify``'s comparison at the pairs (i, j), two ints or two index
+    arrays, of umpu's conditional route with the partial-correlation
+    tests that gave r, their critical value c and their decisions: t,
+    then elementwise whether the two decisions agree, whether the
+    raw-scale decision agrees with t's, |t - r| and |(1 - 2q) - c|."""
+    t, one_minus_2q, _, _, t_reject, raw_reject = _umpu_route(s, i, j, n, alpha)
+    return t, t_reject == reject, raw_reject == t_reject, abs(t - r), abs(one_minus_2q - c)
 
 
 def umpu_raw_thresholds(
@@ -318,8 +319,8 @@ def verify_equivalence(
     The quadratic is read from R^-1, one LAPACK inverse that the
     covariance matrix computes for the route on the first call, so that
     checking every pair of a matrix costs O(N^3) in total; it never reads
-    the Cholesky factor that gives r.  ``verify --input`` runs the same route on
-    every pair of its matrix at once.
+    the Cholesky factor that gives r.  ``verify --input`` makes the same
+    checks at every pair of its matrix at once.
 
     Contract: statistic_gap <= 1e-9, identical decisions, and threshold
     gap |(1 - 2q) - c| <= 1e-10; the raw-scale decision must agree with
@@ -328,18 +329,10 @@ def verify_equivalence(
     # The test validates the inputs that both routes read; one quadratic
     # of R then serves t (R_ij standardized) and the raw-scale thresholds.
     pc = partial_correlation_test(s, i, j, n, alpha)
-    t, c, _, _, _, raw_reject = _umpu_route(s, i, j, n, alpha)
-    u = _decision("umpu", i, j, float(t), c, n, s.dim)
-    signed_gap = u.statistic - pc.statistic
-    return EquivalenceReport(
-        statistic_gap=abs(signed_gap),
-        signed_gap=signed_gap,
-        threshold_gap=abs(u.upper - pc.upper),
-        same_decision=u.reject == pc.reject,
-        raw_scale_agrees=bool(raw_reject) == u.reject,
-        umpu=u,
-        partial_corr=pc,
+    _, same, raw_agrees, gap, threshold_gap = _equivalence_checks(
+        s, i, j, n, alpha, pc.statistic, pc.upper, pc.reject
     )
+    return EquivalenceReport(float(gap), float(threshold_gap), bool(same), bool(raw_agrees))
 
 
 _TESTS = {

@@ -28,7 +28,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from concgraph import (
     DataError,
@@ -283,6 +283,35 @@ def null_corr_cdf_quad(r: float, degrees: int) -> float:
         integrand, -math.pi / 2.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-13, limit=200
     )[0]
     return part / full
+
+
+def exact_power(c: float, rho: float, n: int, dim: int) -> float:
+    """P(|r| >= c) for the sample partial correlation r of n observations
+    of dim variables whose true partial correlation is rho.
+
+    Given the other dim - 2 variables, r has the law of an ordinary
+    sample correlation of k = n - dim + 2 observations.  Its density is
+    Fisher's (1915), here in Hotelling's (1953) 2F1 form,
+
+        (k - 2) Gamma(k - 1) (1 - rho^2)^((k - 1)/2) (1 - r^2)^((k - 4)/2)
+        / (sqrt(2 pi) Gamma(k - 1/2) (1 - rho r)^(k - 3/2))
+        * 2F1(1/2, 1/2; k - 1/2; (1 + rho r) / 2),
+
+    integrated by quadrature over [-1, -c] and [c, 1].
+    """
+    k = n - dim + 2
+    log_head = (
+        math.log(k - 2) + math.lgamma(k - 1) + (k - 1) / 2 * math.log1p(-rho * rho)
+        - 0.5 * math.log(2.0 * math.pi) - math.lgamma(k - 0.5)
+    )
+
+    def density(r: float) -> float:
+        log_body = (k - 4) / 2 * math.log1p(-r * r) - (k - 1.5) * math.log1p(-rho * r)
+        return math.exp(log_head + log_body) * special.hyp2f1(0.5, 0.5, k - 0.5, (1 + rho * r) / 2)
+
+    tails = (integrate.quad(density, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+             for lo, hi in ((-1.0, -c), (c, 1.0)))
+    return sum(tails)
 
 
 def null_corr_quantile_quad(alpha: float, degrees: int) -> float:

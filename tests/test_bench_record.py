@@ -1,6 +1,7 @@
 """scripts/bench_record.py files canned ``perfbench/run.py --workload all``
 output under the tree of its ``record`` lines, and alternates the parent
-and the change step by step, without running perfbench."""
+and the change step by step, and the scale calls run by run, without
+running perfbench or the CLI."""
 
 import importlib.util
 import json
@@ -81,15 +82,66 @@ def test_refuses_records_of_two_machines():
         BENCH.parse_perfbench(text, seed=2)
 
 
-def test_alternates_the_two_checkouts(tmp_path, monkeypatch):
+TIMING_KEYS = ["N", "n", "command", "exit", "runs", "seconds", "peak_rss_runs_mb", "peak_rss_mb"]
+
+
+@pytest.fixture
+def stub_scale(monkeypatch):
+    """Stubs for scale_timings' chain writer and timer: the chains written
+    and the (checkout, argv) of each timed run; the k-th run reads exit 0,
+    k + 0.5 s and 10 k MB."""
+    chains, timed = [], []
+
+    def write_chain(path, dim, n):
+        chains.append((Path(path).name, dim, n))
+        Path(path).write_text("v0\n", encoding="utf-8")
+
+    def time_call(argv, root):
+        assert Path(argv[argv.index("--input") + 1]).exists()
+        timed.append((root.name, argv))
+        return 0, len(timed) + 0.5, 10.0 * len(timed)
+
+    monkeypatch.setattr(BENCH.scale_timings, "write_chain_apart", write_chain)
+    monkeypatch.setattr(BENCH.scale_timings, "time_call", time_call)
+    return chains, timed
+
+
+def test_scale_calls_alternate_run_by_run(tmp_path, stub_scale):
+    chains, timed = stub_scale
+    first, second = tmp_path / "first", tmp_path / "second"
+    results = BENCH.scale_runs((first, second), (5, 7))
+    # one chain file per N, read by both trees
+    assert chains == [("chain5.csv", 5, 20), ("chain7.csv", 7, 28)]
+    # 2 N x 4 commands x 3 runs, each timing both trees; the tree that
+    # goes first switches from run to run
+    assert [name for name, _ in timed] == ["first", "second", "second", "first"] * 12
+    assert all(a[1] == b[1] for a, b in zip(timed[::2], timed[1::2]))
+    commands = [label for label, _ in BENCH.scale_timings.COMMANDS]
+    for tree, name in ((first, "first"), (second, "second")):
+        result = results[tree]
+        assert sorted(result) == ["machine", "timings"]
+        assert {"cpu", "nproc", "python", "numpy"} <= set(result["machine"])
+        ks = [k + 1 for k, (who, _) in enumerate(timed) if who == name]
+        assert len(result["timings"]) == 8
+        for c, t in enumerate(result["timings"]):
+            assert list(t) == TIMING_KEYS
+            assert (t["N"], t["n"], t["command"], t["exit"]) == (
+                (5, 20) if c < 4 else (7, 28)) + (commands[c % 4], 0)
+            runs = ks[3 * c:3 * c + 3]
+            assert t["runs"] == [k + 0.5 for k in runs]
+            assert t["seconds"] == runs[1] + 0.5
+            assert t["peak_rss_runs_mb"] == [10.0 * k for k in runs]
+            assert t["peak_rss_mb"] == 10.0 * runs[1]
+    json.dumps(results[first])
+
+
+def test_alternates_the_two_checkouts(tmp_path, monkeypatch, stub_scale):
     parent, change = tmp_path / "parent", tmp_path / "change"
     revs = {parent: MACHINE, change: dict(MACHINE, git_rev="abc", src_sha256="fedcba9876543210")}
     calls = []
 
     def fake_run(argv, cwd):
         calls.append((cwd.name, argv[0]))
-        if argv[0] == "scripts/scale_timings.py":
-            return "N = 200\n" + json.dumps({"machine": {}, "timings": [cwd.name]}) + "\n"
         return canned_output(revs[cwd])
 
     monkeypatch.setattr(BENCH, "run", fake_run)
@@ -99,13 +151,32 @@ def test_alternates_the_two_checkouts(tmp_path, monkeypatch):
         ("parent", "perfbench/run.py"), ("change", "perfbench/run.py"),
         ("change", "perfbench/run.py"), ("parent", "perfbench/run.py"),
         ("parent", "perfbench/run.py"), ("change", "perfbench/run.py"),
-        ("change", "scripts/scale_timings.py"), ("parent", "scripts/scale_timings.py"),
     ]
+    # the scale calls go on alternating, the change first
+    chains, timed = stub_scale
+    assert [dim for _, dim, _ in chains] == [200, 1000]
+    assert [name for name, _ in timed] == ["change", "parent", "parent", "change"] * 12
     trees = json.loads(out.read_text(encoding="utf-8"))["trees"]
     assert [t["git_rev"] for t in trees] == [MACHINE["git_rev"], "abc"]
-    for tree, name in zip(trees, ("parent", "change")):
+    for tree in trees:
         assert [r.get("seed") for r in tree["runs"]] == [1, 2, 3, None]
-        assert tree["runs"][-1]["result"]["timings"] == [name]
+        scale = tree["runs"][-1]
+        assert scale["kind"] == "scale_timings"
+        assert [(t["N"], t["command"]) for t in scale["result"]["timings"]] == [
+            (dim, label) for dim in (200, 1000) for label, _ in BENCH.scale_timings.COMMANDS
+        ]
+
+
+def test_a_failed_scale_call_is_not_recorded(tmp_path, monkeypatch, stub_scale):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    revs = {parent: MACHINE, change: dict(MACHINE, git_rev="abc", src_sha256="fedcba9876543210")}
+    monkeypatch.setattr(BENCH, "run", lambda argv, cwd: canned_output(revs[cwd]))
+    monkeypatch.setattr(BENCH.scale_timings, "time_call", lambda argv, root: (1, 0.5, 10.0))
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="scale call"):
+        BENCH.main([str(parent), str(change), str(out)])
+    trees = json.loads(out.read_text(encoding="utf-8"))["trees"]
+    assert [[r["seed"] for r in t["runs"]] for t in trees] == [[1, 2, 3], [1, 2, 3]]
 
 
 def test_needs_both_checkouts_and_out(capsys):

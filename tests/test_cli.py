@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import gc
 import json
@@ -1009,6 +1010,41 @@ class TestVerifyCommand:
         rejects = [(e["i"], e["j"], e["reject"]) for e in verify["edges"]]
         assert rejects == [(d["i"], d["j"], d["reject"]) for d in select["decisions"]]
         assert any(reject for _, _, reject in rejects)
+
+    def test_input_rows_are_verify_equivalence_bit_for_bit(self, tmp_path, capsys):
+        # all pairs at once and one pair at a time compare through one
+        # function, so every row and every maximum is the one-pair value
+        data = chain_data(12, 40, seed=6, rho=-0.4)
+        path = tmp_path / "n12.csv"
+        write_csv(path, data.names, data.values.tolist())
+        assert main(["verify", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        s = selection._validated_covariance(read_dataset_csv(str(path)))
+        reports = []
+        for row in doc["edges"]:
+            i, j = row["i"], row["j"]
+            pc = independence.partial_correlation_test(s, i, j, 40, 0.05)
+            t, same, raw_agrees, gap, threshold_gap = independence._equivalence_checks(
+                s, i, j, 40, 0.05, pc.statistic, pc.upper, pc.reject
+            )
+            report = independence.verify_equivalence(s, i, j, 40, 0.05)
+            assert (row["t"], row["r"], row["upper"], row["reject"]) == (
+                t, pc.statistic, pc.upper, pc.reject
+            )
+            assert row["gap"] == report.statistic_gap
+            assert dataclasses.astuple(report) == (gap, threshold_gap, same, raw_agrees)
+            reports.append(report)
+        assert len(reports) == doc["instances"] == 66
+        assert any(row["reject"] for row in doc["edges"])
+        assert doc["max_statistic_gap"] == max(rep.statistic_gap for rep in reports)
+        assert doc["max_threshold_gap"] == max(rep.threshold_gap for rep in reports)
+        assert doc["disagreements"] == sum(not rep.same_decision for rep in reports) == 0
+        assert doc["raw_scale_disagreements"] == sum(
+            not rep.raw_scale_agrees for rep in reports
+        ) == 0
+        assert [f.name for f in dataclasses.fields(independence.EquivalenceReport)] == [
+            "statistic_gap", "threshold_gap", "same_decision", "raw_scale_agrees",
+        ]
 
     @pytest.mark.parametrize("scale", [1e4, 1e8, 1e-4])
     def test_input_in_large_or_small_units_passes(self, tmp_path, capsys, scale):

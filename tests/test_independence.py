@@ -506,12 +506,12 @@ class TestEquivalence:
         assert report.same_decision
         assert report.raw_scale_agrees
 
-    def test_signed_gap_vanishes(self, rng):
+    def test_statistic_gap_vanishes(self, rng):
         # the standardized statistic equals r itself, sign included
         for _ in range(50):
             s, i, j, n = random_instance(rng)
             report = verify_equivalence(s, i, j, n, 0.05)
-            assert abs(report.signed_gap) <= 1e-9
+            assert report.statistic_gap <= 1e-9
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=100)

@@ -210,12 +210,12 @@ class TestHolmDecidesOnce:
         self, method, correction, monkeypatch, edge_test_calls
     ):
         built = []
-        decision = independence._decision
-        # wherever a module binds the one decision builder
+        decision = independence.EdgeDecision
+        # wherever a module binds the decision class
         for module in (independence, selection):
-            if getattr(module, "_decision", None) is decision:
+            if getattr(module, "EdgeDecision", None) is decision:
                 monkeypatch.setattr(
-                    module, "_decision", lambda *a: built.append(a[1:3]) or decision(*a)
+                    module, "EdgeDecision", lambda *a: built.append(a[:2]) or decision(*a)
                 )
         graph = select_graph(chain_graph_data(), TestConfig(0.05, method), correction)
         assert graph.edges

@@ -258,6 +258,43 @@ class TestFisherExactSize:
         assert abs(report.rejection_rate - exact) <= 4.5 * math.sqrt(exact * (1 - exact) / reps)
 
 
+class TestExactPower:
+    """The package's critical values and Monte Carlo power against the
+    exact law of r at a true partial correlation rho (``oracles.exact_power``,
+    scipy only)."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    @pytest.mark.parametrize("dim, n", [(3, 8), (5, 50), (20, 25), (10, 200)])
+    @pytest.mark.parametrize("method", ["umpu", "partial_corr"])
+    def test_size_at_rho_zero_is_alpha(self, method, dim, n, alpha):
+        c = independence.run_edge_test(method, SymmetricMatrix(np.eye(dim)), 0, 1, n, alpha).upper
+        assert abs(oracles.exact_power(c, 0.0, n, dim) - alpha) <= 1e-12
+
+    def test_oracle_at_pinned_values(self):
+        # N = 5, n = 50, alpha = 0.05: the exact tests' power at rho = 0.1,
+        # 0.3, 0.5, and Fisher's size, which the beta law gives apart
+        c = independence._critical_value("partial_corr", 0.05, 50, 5)
+        powers = [oracles.exact_power(c, rho, 50, 5) for rho in (0.1, 0.3, 0.5)]
+        assert powers == pytest.approx([0.10239, 0.54511, 0.95735], abs=5e-6)
+        c_fisher = math.tanh(independence._critical_value("fisher", 0.05, 50, 5) / math.sqrt(50))
+        fisher_size = oracles.exact_power(c_fisher, 0.0, 50, 5)
+        assert fisher_size == pytest.approx(fisher_exact_size(0.05, 50, 5), abs=1e-12)
+        assert fisher_size == pytest.approx(0.06613, abs=5e-6)
+
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5])
+    def test_monte_carlo_power_matches_the_exact_power(self, rho):
+        reps = 20000
+        report = estimate_power(PrecisionSpec.single_edge(5, 0, 1, rho), 50, 0.05, METHODS, reps, 1)
+        for method, outcome in report.per_method.items():
+            c = independence._critical_value(method, 0.05, 50, 5)
+            if method == "fisher":
+                c = math.tanh(c / math.sqrt(50))  # |z(r)| >= c as |r| >= tanh(c / sqrt(n))
+            exact = oracles.exact_power(c, rho, 50, 5)
+            assert abs(outcome.rate - exact) <= 4.5 * math.sqrt(exact * (1 - exact) / reps), method
+        # the matched null, for the first method
+        assert abs(report.null_rate - 0.05) <= 4.5 * math.sqrt(0.05 * 0.95 / reps)
+
+
 class TestEstimatePower:
     def test_zero_rho_reduces_to_size(self):
         spec = PrecisionSpec.identity(3)
