@@ -14,8 +14,8 @@ Runs, in each checkout with the interpreter that runs this script:
 
 Each perfbench step runs both checkouts back to back, and the one that
 goes first alternates from step to step (the parent first at seed 1).
-The scale calls are timed here with ``scale_timings``' own chain writer
-and timer: both checkouts read one chain file per N, written once, each
+The scale calls are timed by ``scale_timings.timings`` on both
+checkouts at once: both read one chain file per N, written once, each
 run of a call times both checkouts back to back, and the one that goes
 first alternates from run to run.  So the host's drift over the
 recording falls on both trees alike.
@@ -32,7 +32,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -92,32 +91,6 @@ def run(argv: list[str], cwd: Path) -> str:
     return proc.stdout
 
 
-def scale_runs(checkouts: tuple[Path, ...], dims) -> dict:
-    """Each checkout's ``scale_timings.py --dims DIMS`` result, with every
-    run of a call timing the checkouts back to back, the one that goes
-    first switching from run to run, on one chain file per N."""
-    timings = {checkout: [] for checkout in checkouts}
-    turn = 0
-    with tempfile.TemporaryDirectory() as workdir:
-        out = os.path.join(workdir, "report.txt")
-        for dim in dims:
-            n = 4 * dim
-            path = os.path.join(workdir, f"chain{dim}.csv")
-            scale_timings.write_chain_apart(path, dim, n)
-            for label, command in scale_timings.COMMANDS:
-                sys.stderr.write(f"timing N = {dim}: {label}\n")
-                results = {checkout: [] for checkout in checkouts}
-                for _ in range(scale_timings.RUNS):
-                    for checkout in checkouts[::-1] if turn % 2 else checkouts:
-                        argv = [*command, "--input", path, "--out", out]
-                        results[checkout].append(scale_timings.time_call(argv, checkout))
-                    turn += 1
-                for checkout in checkouts:
-                    timings[checkout].append(scale_timings.timing(dim, n, label, results[checkout]))
-    machine = scale_timings.machine()
-    return {checkout: {"machine": machine, "timings": timings[checkout]} for checkout in checkouts}
-
-
 def write(doc: dict, out: Path) -> None:
     tmp = out.with_name(out.name + ".tmp")
     tmp.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -137,7 +110,7 @@ def main(argv: list[str]) -> int:
             machines[checkout], entry = parse_perfbench(text, seed)
             add_run(doc, machines[checkout], entry)
             write(doc, out)
-    results = scale_runs((parent, change) if len(SEEDS) % 2 == 0 else (change, parent), DIMS)
+    results = scale_timings.timings((parent, change) if len(SEEDS) % 2 == 0 else (change, parent), DIMS)
     if any(t["exit"] for result in results.values() for t in result["timings"]):
         raise SystemExit("error: a scale call exited with an error")
     for checkout, result in results.items():

@@ -21,6 +21,10 @@ command, its exit code (the largest of the runs), the wall time of each
 run and their median, in seconds, and the peak memory of each run and
 their median, in MB.  Threads are left at the environment's defaults;
 set ``OPENBLAS_NUM_THREADS`` and the like to pin them.
+
+:func:`timings` is the one timing loop; given several checkouts, as
+``scripts/bench_record.py`` gives it, it alternates them run by run on
+the same inputs.
 """
 
 import argparse
@@ -133,6 +137,42 @@ def timing(dim: int, n: int, label: str, results) -> dict:
     }
 
 
+def timings(roots, dims) -> dict:
+    """Each checkout's ``{"machine", "timings"}`` on the chains of
+    ``dims``, keyed by its root.  Each input is written once and read by
+    every checkout; each run of a call times the checkouts back to back,
+    and the one that goes first switches from run to run, so the host's
+    drift falls on all of them alike.  Prints each call's line as its runs
+    end, led by the checkout when there are several."""
+    entries = {root: [] for root in roots}
+    turn = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        out = os.path.join(workdir, "report.txt")
+        for dim in dims:
+            n = 4 * dim
+            path = os.path.join(workdir, f"chain{dim}.csv")
+            write_chain_apart(path, dim, n)
+            for label, command in COMMANDS:
+                results = {root: [] for root in roots}
+                for _ in range(RUNS):
+                    for root in roots[::-1] if turn % 2 else roots:
+                        results[root].append(time_call([*command, "--input", path, "--out", out], root))
+                    turn += 1
+                for root in roots:
+                    entry = timing(dim, n, label, results[root])
+                    entries[root].append(entry)
+                    lead = f"{root}: " if len(roots) > 1 else ""
+                    print(
+                        f"{lead}N = {dim}, n = {n}: {label}: exit {entry['exit']}, "
+                        f"runs {', '.join(f'{t:.2f}' for t in entry['runs'])} s, "
+                        f"median {entry['seconds']:.2f} s, "
+                        f"peak {', '.join(f'{m:.0f}' for m in entry['peak_rss_runs_mb'])} MB",
+                        flush=True,
+                    )
+    host = machine()
+    return {root: {"machine": host, "timings": entries[root]} for root in roots}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", type=int, nargs="+", default=[200, 1000],
@@ -140,26 +180,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if any(dim < 2 for dim in args.dims):
         parser.error("every N must be at least 2")
-    timings = []
-    with tempfile.TemporaryDirectory() as workdir:
-        out = os.path.join(workdir, "report.txt")
-        for dim in args.dims:
-            n = 4 * dim
-            path = os.path.join(workdir, f"chain{dim}.csv")
-            write_chain_apart(path, dim, n)
-            for label, command in COMMANDS:
-                results = [time_call([*command, "--input", path, "--out", out]) for _ in range(RUNS)]
-                entry = timing(dim, n, label, results)
-                timings.append(entry)
-                print(
-                    f"N = {dim}, n = {n}: {label}: exit {entry['exit']}, "
-                    f"runs {', '.join(f'{t:.2f}' for t in entry['runs'])} s, "
-                    f"median {entry['seconds']:.2f} s, "
-                    f"peak {', '.join(f'{m:.0f}' for m in entry['peak_rss_runs_mb'])} MB",
-                    flush=True,
-                )
-    print(json.dumps({"machine": machine(), "timings": timings}))
-    return 0 if all(t["exit"] == 0 for t in timings) else 1
+    result = timings((ROOT,), args.dims)[ROOT]
+    print(json.dumps(result))
+    return 0 if all(t["exit"] == 0 for t in result["timings"]) else 1
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ def stub_scale(monkeypatch):
 def test_scale_calls_alternate_run_by_run(tmp_path, stub_scale):
     chains, timed = stub_scale
     first, second = tmp_path / "first", tmp_path / "second"
-    results = BENCH.scale_runs((first, second), (5, 7))
+    results = BENCH.scale_timings.timings((first, second), (5, 7))
     # one chain file per N, read by both trees
     assert chains == [("chain5.csv", 5, 20), ("chain7.csv", 7, 28)]
     # 2 N x 4 commands x 3 runs, each timing both trees; the tree that
