@@ -43,7 +43,11 @@ in order:
   whose half rounds to 0, which exits 1 with no output;
 - ``select`` in json and tsv and ``verify --input`` on an N = 100,
   n = 400 chain, whose 4,950-row tables span two blocks of the writer's
-  4,096 rows, so that the join between blocks is pinned.
+  4,096 rows, so that the join between blocks is pinned;
+- ``select`` in json and tsv on a ``make_dataset.py`` file with N = 6
+  and n = 5,000: 15 pairs at m near 2,500, whose p-values take the
+  scalar continued fraction one element at a time, as the N = 8 chain's
+  28 do (the N = 30 chain's 435 take the array pass).
 
 Every call runs in a fresh interpreter with ``src/`` first on the path.
 """
@@ -68,6 +72,8 @@ DATASETS = (
 )
 # One strongly dependent pair, which Holm rejects at alpha itself.
 PAIR = ("pair2", ["--dim", "2", "--n", "40", "--rho", "0.6"])
+# A small graph at large m.
+SMALL = ("small6", ["--dim", "6", "--n", "5000", "--rho", "0.05", "--seed", "13"])
 # Written here with numpy alone, so the input does not depend on src/:
 # (name, dim, n, seed, header names or None for v0, v1, ...).
 CHAIN = ("chain30", 30, 150, 5, None)
@@ -176,6 +182,10 @@ def calls(workdir: str) -> list[tuple[str, list[str]]]:
         out.append((f"select {WIDE[0]} --format {fmt}",
                     ["-m", "concgraph", "select", "--input", wide, "--format", fmt]))
     out.append((f"verify --input {WIDE[0]}", ["-m", "concgraph", "verify", "--input", wide]))
+    small = os.path.join(workdir, f"{SMALL[0]}.csv")
+    for fmt in ("json", "tsv"):
+        out.append((f"select {SMALL[0]} --format {fmt}",
+                    ["-m", "concgraph", "select", "--input", small, "--format", fmt]))
     return out
 
 
@@ -197,7 +207,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        for name, args in (*DATASETS, PAIR):
+        for name, args in (*DATASETS, PAIR, SMALL):
             path = os.path.join(workdir, f"{name}.csv")
             subprocess.run(
                 [sys.executable, "scripts/make_dataset.py", *args, "--out", path],

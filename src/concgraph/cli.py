@@ -208,22 +208,24 @@ def read_dataset_csv(path: str) -> Dataset:
     of decimal values per observation.  Missing, non-numeric or non-finite
     cells are errors that name the offending row and column.
 
-    The header is read with ``csv``.  The body is parsed in bulk, in
-    blocks of whole lines, when it is a plain table: ASCII digits, points,
-    signs and exponents, the same number of non-empty cells on every line,
-    LF or CRLF line ends and blank lines between rows.  Any other file, or
-    one whose values are not a finite table of at least two rows, goes
-    through the per-cell route, which names the bad cell, or returns the
-    values when every cell is one Python's ``float`` accepts (a quoted
-    number, spaces around a cell, ``1_0``, non-ASCII digits).  The two
-    routes convert text with different C routines, and both give each
-    cell's correctly rounded double, so a file both accept gives the same
-    array.  A leading UTF-8 byte-order mark, as spreadsheets write one, is
-    not part of the header.
+    The file is read as bytes.  The header is read with ``csv`` from the
+    file's first lines, pulled one at a time, so the body starts right
+    after the header row, a quoted name that spans lines included.  The
+    body is parsed in bulk, in blocks of whole lines, when it is a plain
+    table: ASCII digits, points, signs and exponents, the same number of
+    non-empty cells on every line, LF or CRLF line ends and blank lines
+    between rows.  Any other file, one whose header is not UTF-8, not CSV
+    or holds a CR that ends no line, or one whose values are not a finite
+    table of at least two rows, goes through the per-cell route, which
+    names the bad cell, or returns the values when every cell is one
+    Python's ``float`` accepts (a quoted number, spaces around a cell,
+    ``1_0``, non-ASCII digits).  The two routes convert text with
+    different C routines, and both give each cell's correctly rounded
+    double, so a file both accept gives the same array.  A leading UTF-8
+    byte-order mark, as spreadsheets write one, is not part of the header.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        header = next(_csv_rows(handle, path), None)
-        names = tuple(cell.strip() for cell in header or ())
+    with open(path, "rb") as handle:
+        names = _header(handle)
         values = None
         if names and all(names) and len(set(names)) == len(names):
             values = _read_body(handle, len(names))
@@ -232,10 +234,35 @@ def read_dataset_csv(path: str) -> Dataset:
     return Dataset(values=values, names=names)
 
 
-# Characters read from the body at a time, each block being these and the
-# rest of the line they end in.  Blocks of 256 KiB read more slowly and
-# raise the peak memory of a select at N = 8, n = 20,000 by 4 MB.
-_BLOCK_CHARS = 1 << 16
+def _header(handle) -> tuple[str, ...] | None:
+    """The stripped names of the first non-blank CSV row of a binary
+    handle, read from lines pulled one at a time, or None when the file
+    has no row or its header cannot be read as the per-cell route reads
+    it: a byte that is not UTF-8, a line ``csv`` refuses, or a CR that
+    ends no line, which that route's text reader would take as a line
+    end."""
+    try:
+        row = next(filter(None, csv.reader(_header_lines(handle))), None)
+    except (csv.Error, ValueError):  # Unicode errors are ValueErrors
+        return None
+    return None if row is None else tuple(cell.strip() for cell in row)
+
+
+def _header_lines(handle):
+    """The lines of a binary handle as text: the first decoded as
+    ``utf-8-sig``, which drops a byte-order mark, the rest as ``utf-8``."""
+    encoding = "utf-8-sig"
+    while line := handle.readline():
+        if line.count(b"\r") != line.count(b"\r\n"):
+            raise ValueError("a lone CR")
+        yield line.decode(encoding)
+        encoding = "utf-8"
+
+
+# Bytes read from the body at a time, each block being these and the rest
+# of the line they end in.  Blocks of 256 KiB read more slowly and raise
+# the peak memory of a select at N = 8, n = 20,000 by 4 MB.
+_BLOCK_BYTES = 1 << 16
 # The bytes of a cell that the bulk route reads.
 _NUMBER_BYTES = b"0123456789.+-eE"
 # An x87 extended double, a 64-bit significand in the low 8 of 16
@@ -251,9 +278,9 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _read_body(handle, dim: int) -> np.ndarray | None:
-    """The rest of the file as an (n, dim) array of doubles, parsed a
-    block at a time by :func:`_parse_block`, or None when the text is not
-    UTF-8, a block is not a plain table or there is no row.
+    """The rest of a binary handle as an (n, dim) array of doubles,
+    parsed a block at a time by :func:`_parse_block`, or None when a block
+    is not a plain table or there is no row.
 
     The blocks are copied into one array grown in place, which a large
     ``realloc`` does without a copy, so the values are never held twice."""
@@ -271,7 +298,7 @@ def _read_body(handle, dim: int) -> np.ndarray | None:
                     values.resize(max(count + len(block), 2 * len(values)), refcheck=False)
                 values[count:count + len(block)] = block
                 count += len(block)
-    except (ValueError, Warning):  # Unicode errors are ValueErrors
+    except (ValueError, Warning):
         return None
     if not count:
         return None
@@ -280,20 +307,21 @@ def _read_body(handle, dim: int) -> np.ndarray | None:
 
 
 def _body_blocks(handle):
-    """The rest of a text handle in blocks of whole lines: ``_BLOCK_CHARS``
-    characters and the rest of the line they end in, the last block ended
-    by a newline.  ``readline`` joins the pieces of a long line once."""
-    while block := handle.read(_BLOCK_CHARS):
+    """The rest of a binary handle in blocks of whole lines:
+    ``_BLOCK_BYTES`` bytes and the rest of the line they end in, the last
+    block ended by a newline.  ``readline`` joins the pieces of a long line
+    once."""
+    while block := handle.read(_BLOCK_BYTES):
         block += handle.readline()
-        yield block if block.endswith("\n") else block + "\n"
+        yield block if block.endswith(b"\n") else block + b"\n"
 
 
-def _parse_block(text: str, row_seps: bytes) -> np.ndarray | None:
+def _parse_block(raw: bytes, row_seps: bytes) -> np.ndarray | None:
     """The doubles of a block of whole lines, row after row, each the
-    correctly rounded value of its cell, or None unless the block is ASCII
-    and each of its lines, blank ones aside, holds the separators
-    ``row_seps`` between non-empty cells of ``_NUMBER_BYTES``."""
-    raw = text.encode("ascii")  # a UnicodeEncodeError refuses the file
+    correctly rounded value of its cell, or None unless each of its lines,
+    blank ones aside, holds the separators ``row_seps`` between non-empty
+    cells of ``_NUMBER_BYTES``: any other byte, one that is not ASCII
+    included, refuses the block."""
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")
     values = _parse_lines(raw, row_seps)
@@ -306,7 +334,7 @@ def _parse_block(text: str, row_seps: bytes) -> np.ndarray | None:
 
 
 def _parse_lines(raw: bytes, row_seps: bytes) -> np.ndarray | None:
-    """:func:`_parse_block` of ASCII lines with LF ends and no blank line.
+    """:func:`_parse_block` of lines with LF ends and no blank line.
 
     ``np.fromstring`` also reads what this refuses, such as a hex float, a
     trailing separator, or a trailing space as a 0, so the text is checked

@@ -67,8 +67,20 @@ def _validated_covariance(data: Dataset) -> SymmetricMatrix:
     # variance; a column whose range is at that level counts as constant.
     # Both sides scale with the column, so the check ignores its units and
     # is made in the scaled units, where hi - lo cannot overflow.
-    hi = data.values.max(axis=0)
-    lo = data.values.min(axis=0)
+    # The extremes are taken over blocks of `step` rows, a view of the
+    # C-order table whose rows each hold a block, so numpy's inner loop
+    # runs over a block rather than over one row's N values: at N = 8 and
+    # n = 20,000 a reduction takes 0.1 ms against 0.6-0.9 ms (Xeon, numpy
+    # 2.4).  The rows left over are reduced with the blocks' extremes; max
+    # and min are exact, so the order is free.  A table in another memory
+    # order is reduced as it is, since a reshape would copy it.
+    x = data.values
+    n, dim = x.shape
+    step = min(n, max(1, 4096 // dim)) if x.flags.c_contiguous else 1
+    cut = n - n % step
+    blocks = x[:cut].reshape(-1, step * dim)
+    hi = np.vstack([blocks.max(axis=0).reshape(step, -1), x[cut:]]).max(axis=0)
+    lo = np.vstack([blocks.min(axis=0).reshape(step, -1), x[cut:]]).min(axis=0)
     shift = -np.frexp(np.maximum(np.abs(hi), np.abs(lo)))[1]
     hi, lo = np.ldexp(hi, shift), np.ldexp(lo, shift)
     noise = data.n * np.finfo(float).eps * np.maximum(np.abs(hi), np.abs(lo))

@@ -285,9 +285,10 @@ def null_corr_cdf_quad(r: float, degrees: int) -> float:
     return part / full
 
 
-def exact_power(c: float, rho: float, n: int, dim: int) -> float:
+def exact_power(c, rho: float, n: int, dim: int) -> float:
     """P(|r| >= c) for the sample partial correlation r of n observations
-    of dim variables whose true partial correlation is rho.
+    of dim variables whose true partial correlation is rho; for an
+    interval c = (c_lo, c_hi), P(r <= c_lo) + P(r >= c_hi).
 
     Given the other dim - 2 variables, r has the law of an ordinary
     sample correlation of k = n - dim + 2 observations.  Its density is
@@ -297,8 +298,9 @@ def exact_power(c: float, rho: float, n: int, dim: int) -> float:
         / (sqrt(2 pi) Gamma(k - 1/2) (1 - rho r)^(k - 3/2))
         * 2F1(1/2, 1/2; k - 1/2; (1 + rho r) / 2),
 
-    integrated by quadrature over [-1, -c] and [c, 1].
+    integrated by quadrature over [-1, c_lo] and [c_hi, 1].
     """
+    c_lo, c_hi = c if isinstance(c, tuple) else (-c, c)
     k = n - dim + 2
     log_head = (
         math.log(k - 2) + math.lgamma(k - 1) + (k - 1) / 2 * math.log1p(-rho * rho)
@@ -310,7 +312,7 @@ def exact_power(c: float, rho: float, n: int, dim: int) -> float:
         return math.exp(log_head + log_body) * special.hyp2f1(0.5, 0.5, k - 0.5, (1 + rho * r) / 2)
 
     tails = (integrate.quad(density, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
-             for lo, hi in ((-1.0, -c), (c, 1.0)))
+             for lo, hi in ((-1.0, c_lo), (c_hi, 1.0)))
     return sum(tails)
 
 

@@ -304,22 +304,27 @@ ODD_TEXTS = st.sampled_from(
 @st.composite
 def csv_texts(draw):
     """A CSV file of one to three columns: quoted or padded header names,
-    zero to four data rows of numbers mixed with odd cells, and now and
-    then a ragged row, a trailing comma or a blank line (before the
-    header too), with LF or CRLF line endings."""
+    now and then a quoted one that holds a line end, zero to four data
+    rows of numbers mixed with odd cells, and now and then a ragged row, a
+    trailing comma or a blank line (before the header too), with LF, CRLF
+    or lone CR line endings."""
     dim = draw(st.integers(1, 3))
     cell = st.one_of(NUMBER_TEXTS, NUMBER_TEXTS, NUMBER_TEXTS, ODD_TEXTS)
     rare = st.integers(0, 9).map(lambda k: k == 0)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
     lines = [""] if draw(rare) else []
     names = [f"v{k}" for k in range(dim)]
-    lines.append(",".join(draw(st.sampled_from([v, f'"{v}"', f" {v}\t"])) for v in names))
+    lines.append(",".join(
+        f'"{v}{draw(ends)}w"' if draw(rare) else draw(st.sampled_from([v, f'"{v}"', f" {v}\t"]))
+        for v in names
+    ))
     for _ in range(draw(st.integers(0, 4))):
         if draw(rare):
             lines.append("")
         width = dim + draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
         line = ",".join(draw(cell) for _ in range(width))
         lines.append(line + "," if draw(rare) else line)
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(ends)
     return end.join(lines) + (end if draw(st.booleans()) else "")
 
 
@@ -427,7 +432,7 @@ class TestReadCsv:
         p = tmp_path / "plain.csv"
         p.write_bytes((end.join(lines) + end * ends).encode())
         if dim > 8:
-            assert min(map(len, lines[2:])) > cli._BLOCK_CHARS
+            assert min(map(len, lines[2:])) > cli._BLOCK_BYTES
         expected = oracles.read_dataset_cells(str(p))
 
         def refuse(path):
@@ -505,6 +510,21 @@ class TestReadCsv:
         assert leaked == []
         assert calls == [str(p)]
         assert mine == read_outcome(oracles.read_dataset_cells, str(p))
+
+    @pytest.mark.parametrize("inner, bulk", [("\n", True), ("\r\n", True), ("\r", False)],
+                             ids=["LF", "CRLF", "lone CR"])
+    def test_quoted_header_name_over_two_lines(self, tmp_path, monkeypatch, inner, bulk):
+        # the body starts after the header row, not after its first line;
+        # a lone CR, which the per-cell route's text reader ends a line at,
+        # sends the file there
+        p = tmp_path / "names.csv"
+        p.write_bytes(f'"a{inner}b",c\n1,2\n3,4.5\n'.encode())
+        cells, calls = cli._read_dataset_cells, []
+        monkeypatch.setattr(cli, "_read_dataset_cells", lambda path: calls.append(path) or cells(path))
+        d = read_dataset_csv(str(p))
+        assert d.names == (f"a{inner}b", "c")
+        assert d.values.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+        assert calls == ([] if bulk else [str(p)])
 
     def test_a_parse_short_of_the_cells_takes_the_per_cell_route(self, tmp_path, monkeypatch):
         p = tmp_path / "plain.csv"

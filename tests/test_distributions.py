@@ -93,7 +93,9 @@ def bits(values) -> list[str]:
 class TestRegIncBetaArray:
     """The array form against the scalar routine, bit for bit."""
 
-    @pytest.mark.parametrize("m", (0.5, 1.0, 1.5, 2.5, 10.0, 10.5, 20.0, 150.0, 1500.0))
+    @pytest.mark.parametrize(
+        "m", (0.5, 1.0, 1.5, 2.5, 10.0, 10.5, 20.0, 74.0, 150.0, 1500.0, 9950.5)
+    )
     def test_bit_identical_to_scalar(self, m):
         rng = np.random.default_rng(int(2 * m))
         # endpoints, the symmetry point, both branches of the continued
@@ -103,9 +105,13 @@ class TestRegIncBetaArray:
             rng.uniform(0.0, 1.0, 200),
             rng.beta(m, m, 200),
         ])
-        got = _reg_inc_beta_array(x, m)
-        want = [reg_inc_beta(float(v), m, m) for v in x]
-        assert bits(got) == bits(want)
+        # and arrays on both sides of the count below which each element
+        # takes the scalar continued fraction
+        assert distributions._CF_ARRAY_MIN == 48
+        for y in (x, *(rng.beta(m, m, size) for size in (1, 47, 48, 49))):
+            got = _reg_inc_beta_array(y, m)
+            want = [reg_inc_beta(float(v), m, m) for v in y]
+            assert bits(got) == bits(want)
 
     @pytest.mark.parametrize("m", (0.5, 1.0, 1.5, 10.0, 10.5, 74.0, 1500.0, 9950.5))
     def test_symmetric_shapes_take_one_pass(self, m, monkeypatch):

@@ -103,6 +103,23 @@ class TestSelectGraph:
         with pytest.raises(NotPositiveDefinite, match="variable 'b' is constant"):
             select_graph(data, TestConfig(alpha=0.05))
 
+    @pytest.mark.parametrize("extreme", [5.0, -5.0])
+    @pytest.mark.parametrize("row", [0, 1500, 2999], ids=["first block", "second block", "rows left over"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_extremes_read_every_row(self, rng, extreme, row, order):
+        # the extremes are taken over blocks of rows and the rows left over
+        # (at N = 3, 1,365-row blocks and 270 rows left): a column constant
+        # but for one row is not constant wherever that row is, and S is
+        # that of the columns scaled by their whole-column extremes
+        x = rng.standard_normal((3000, 3))
+        x[:, 1] = 4.2
+        x[row, 1] = extreme
+        data = Dataset(values=np.asarray(x, order=order), names=("a", "b", "c"))
+        s = selection._validated_covariance(data)
+        shift = -np.frexp(np.abs(data.values).max(axis=0))[1]
+        want = selection._covariances(np.ldexp(data.values, shift))
+        assert s.entries.tobytes() == want.tobytes()
+
     def test_unknown_correction(self, rng):
         with pytest.raises(DomainError):
             select_graph(null_dataset(rng), TestConfig(alpha=0.05), "sidak")

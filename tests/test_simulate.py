@@ -281,6 +281,31 @@ class TestExactPower:
         assert fisher_size == pytest.approx(fisher_exact_size(0.05, 50, 5), abs=1e-12)
         assert fisher_size == pytest.approx(0.06613, abs=5e-6)
 
+    def test_equal_tails_are_unbiased_and_unequal_tails_are_not(self):
+        # N = 5, n = 50, alpha = 0.05.  The package's test puts alpha/2 in
+        # each tail and its exact power exceeds alpha at every rho != 0.  A
+        # test of the same size with 0.01 in the lower tail and 0.04 in the
+        # upper falls below alpha for small negative rho, so it is biased,
+        # though it is the more powerful test at rho = 0.3: the equal tails
+        # are what makes the test unbiased.
+        n, dim, alpha = 50, 5, 0.05
+        c = independence._critical_value("partial_corr", alpha, n, dim)
+        m = (n - dim) / 2.0
+        unequal = (2.0 * distributions.beta_sym_quantile(0.01, m) - 1.0,
+                   1.0 - 2.0 * distributions.beta_sym_quantile(0.04, m))
+        assert abs(oracles.exact_power(unequal, 0.0, n, dim) - alpha) <= 1e-12
+        equal = {rho: oracles.exact_power(c, rho, n, dim)
+                 for rho in (-0.3, -0.05, -0.02, 0.02, 0.05, 0.3)}
+        assert min(equal.values()) > alpha
+        assert [equal[-0.02], equal[0.02], equal[-0.05], equal[0.05]] == pytest.approx(
+            [0.05202, 0.05202, 0.06275, 0.06275], abs=5e-6
+        )
+        biased = [oracles.exact_power(unequal, rho, n, dim) for rho in (-0.05, -0.02)]
+        assert biased == pytest.approx([0.04158, 0.04391], abs=5e-6)
+        assert max(biased) < alpha
+        assert oracles.exact_power(unequal, 0.3, n, dim) == pytest.approx(0.62802, abs=5e-6)
+        assert equal[0.3] == pytest.approx(0.54511, abs=5e-6)
+
     @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5])
     def test_monte_carlo_power_matches_the_exact_power(self, rho):
         reps = 20000
@@ -293,6 +318,28 @@ class TestExactPower:
             assert abs(outcome.rate - exact) <= 4.5 * math.sqrt(exact * (1 - exact) / reps), method
         # the matched null, for the first method
         assert abs(report.null_rate - 0.05) <= 4.5 * math.sqrt(0.05 * 0.95 / reps)
+
+
+class TestSimilarityOnTheNullBoundary:
+    """The test is similar: its size is alpha at every null, however
+    strongly the probed pair depends on the others."""
+
+    def test_size_and_null_law_under_strong_dependence_elsewhere(self):
+        # k_01 = 0 with both variables tied to the third: the partial
+        # correlation of (0, 1) is 0, their marginal correlation
+        # 0.65^2 / (1 - 0.65^2) = 0.732
+        k = np.eye(3)
+        k[0, 2] = k[2, 0] = k[1, 2] = k[2, 1] = -0.65
+        spec = PrecisionSpec(SymmetricMatrix(k))
+        cov = spec.covariance()
+        assert cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]) == pytest.approx(0.4225 / 0.5775, rel=1e-12)
+        reps = 20000
+        report = estimate_size(spec, 25, 0.05, ("umpu", "partial_corr"), reps=reps, seed=1)
+        band = 4.5 * math.sqrt(0.05 * 0.95 / reps)
+        for method, outcome in report.per_method.items():
+            assert abs(outcome.rate - 0.05) <= band, method
+        # 1% asymptotic KS critical value at 20,000 replications
+        assert report.ks_statistic < 1.62762 / math.sqrt(reps)
 
 
 class TestEstimatePower:
